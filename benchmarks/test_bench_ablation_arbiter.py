@@ -18,7 +18,7 @@ from repro.power import (
 )
 from repro.tech import Technology
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 KINDS = {
     "matrix": MatrixArbiterPower,
@@ -56,8 +56,8 @@ def test_network_power_insensitive_to_arbiter(benchmark, arbiter_type):
     cfg = preset("VC16").with_router(arbiter_type=arbiter_type)
 
     def run():
-        return Orion(cfg).run_uniform(0.08, warmup_cycles=WARMUP,
-                                      sample_packets=min(SAMPLE, 400))
+        return Orion(cfg).run_uniform(
+            0.08, PROTOCOL.with_(sample_packets=min(SAMPLE, 400)))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     breakdown = result.power_breakdown_w()

@@ -14,7 +14,7 @@ from repro.core import events as ev
 from repro.power import MatrixCrossbarPower, MuxTreeCrossbarPower
 from repro.tech import Technology
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 
 def test_crossbar_energy_scaling(benchmark):
@@ -43,8 +43,7 @@ def test_network_power_by_crossbar(benchmark):
         for crossbar_type in ("matrix", "mux_tree"):
             cfg = preset("VC16").with_router(crossbar_type=crossbar_type)
             results[crossbar_type] = Orion(cfg).run_uniform(
-                0.08, warmup_cycles=WARMUP,
-                sample_packets=min(SAMPLE, 400))
+                0.08, PROTOCOL.with_(sample_packets=min(SAMPLE, 400)))
         return results
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -11,7 +11,7 @@ from repro.sim.engine import Simulation
 from repro.sim.topology import Torus
 from repro.sim.traffic import UniformRandomTraffic
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 
 def test_bus_invert_link_saving(benchmark):
@@ -24,8 +24,7 @@ def test_bus_invert_link_saving(benchmark):
         out = {}
         for label, cfg in (("uncoded", base), ("bus_invert", coded)):
             out[label] = Orion(cfg).run_uniform(
-                0.08, warmup_cycles=WARMUP,
-                sample_packets=min(SAMPLE, 400))
+                0.08, PROTOCOL.with_(sample_packets=min(SAMPLE, 400)))
         return out
 
     results = benchmark.pedantic(both, rounds=1, iterations=1)
@@ -43,8 +42,8 @@ def test_leakage_floor(benchmark):
         cfg = preset("VC16")
         if include_leakage:
             cfg = cfg.with_(include_leakage=True)
-        return Orion(cfg).run_uniform(rate, warmup_cycles=WARMUP,
-                                      sample_packets=min(SAMPLE, 300))
+        return Orion(cfg).run_uniform(
+            rate, PROTOCOL.with_(sample_packets=min(SAMPLE, 300)))
 
     def collect():
         return {
@@ -69,9 +68,8 @@ def test_channel_utilization_tracks_saturation(benchmark):
     def run(rate):
         cfg = preset("VC16")
         traffic = UniformRandomTraffic(Torus(4), rate, seed=3)
-        return Simulation(cfg, traffic, warmup_cycles=WARMUP,
-                          sample_packets=min(SAMPLE, 400),
-                          monitor=True).run()
+        return Simulation(cfg, traffic, PROTOCOL.with_(
+            sample_packets=min(SAMPLE, 400), monitor=True)).run()
 
     def collect():
         return {rate: run(rate) for rate in (0.05, 0.17)}

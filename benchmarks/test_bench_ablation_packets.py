@@ -11,7 +11,7 @@ import pytest
 
 from repro import Orion, preset
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 LENGTHS = (1, 3, 5, 9)
 FLIT_RATE = 0.4  # flits/cycle/node, held constant across lengths
@@ -24,8 +24,7 @@ def test_packet_length_tradeoff(benchmark):
             cfg = preset("VC16").with_(packet_length_flits=length)
             rate = FLIT_RATE / length
             results[length] = Orion(cfg).run_uniform(
-                rate, warmup_cycles=WARMUP,
-                sample_packets=min(SAMPLE, 400))
+                rate, PROTOCOL.with_(sample_packets=min(SAMPLE, 400)))
         return results
 
     results = benchmark.pedantic(collect, rounds=1, iterations=1)

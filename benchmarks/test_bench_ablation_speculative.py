@@ -10,7 +10,7 @@ import pytest
 
 from repro import Orion, preset
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 RATES = (0.02, 0.10, 0.15)
 
@@ -19,9 +19,8 @@ def _sweep(kind):
     cfg = preset("VC16")
     if kind == "speculative":
         cfg = cfg.with_router(kind="speculative_vc")
-    return Orion(cfg).sweep_uniform(RATES, label=kind,
-                                    warmup_cycles=WARMUP,
-                                    sample_packets=min(SAMPLE, 500))
+    return Orion(cfg).sweep_uniform(
+        RATES, PROTOCOL.with_(sample_packets=min(SAMPLE, 500)), label=kind)
 
 
 def test_speculative_vs_plain(benchmark):

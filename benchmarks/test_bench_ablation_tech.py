@@ -11,7 +11,7 @@ import pytest
 from repro import Orion, preset
 from repro.core.config import TechConfig
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL, SAMPLE
 
 NODES = (0.35, 0.25, 0.18, 0.13, 0.10, 0.07)
 
@@ -51,8 +51,8 @@ def test_network_power_across_nodes(benchmark, feature, vdd):
         feature_size_um=feature, vdd=vdd, frequency_hz=1e9))
 
     def run():
-        return Orion(cfg).run_uniform(0.05, warmup_cycles=WARMUP,
-                                      sample_packets=min(SAMPLE, 400))
+        return Orion(cfg).run_uniform(
+            0.05, PROTOCOL.with_(sample_packets=min(SAMPLE, 400)))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\n{feature} um @ {vdd} V, 1 GHz: "

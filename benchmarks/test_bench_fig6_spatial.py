@@ -14,7 +14,7 @@ from repro import Orion, preset
 from repro.core.report import spatial_table
 from repro.sim.topology import Torus
 
-from conftest import SAMPLE, WARMUP
+from conftest import PROTOCOL
 
 TOTAL_RATE = 0.2
 
@@ -26,14 +26,12 @@ def config():
 
 def run_uniform():
     return Orion(config()).run_uniform(TOTAL_RATE / 16,
-                                       warmup_cycles=WARMUP,
-                                       sample_packets=SAMPLE, seed=7)
+                                       PROTOCOL.with_(seed=7))
 
 
 def run_broadcast():
     return Orion(config()).run_broadcast(9, TOTAL_RATE,
-                                         warmup_cycles=WARMUP,
-                                         sample_packets=SAMPLE, seed=7)
+                                         PROTOCOL.with_(seed=7))
 
 
 def test_fig6a_uniform_spatial(benchmark):

@@ -586,7 +586,6 @@ def cmd_cache(args) -> int:
         stats = cache.stats()
         print(f"cache: {stats['root']}")
         print(f"  entries:     {stats['entries']}")
-        print(f"  legacy:      {stats['legacy_entries']}")
         print(f"  total bytes: {stats['total_bytes']}")
         for name in ("oldest_age_s", "newest_age_s"):
             age = stats[name]
@@ -602,11 +601,6 @@ def cmd_cache(args) -> int:
                               max_entries=args.max_entries)
         removed += cache.sweep_stale_tmp()
         print(f"pruned {removed} entries; {len(cache)} remain")
-        return 0
-    if args.cache_command == "migrate":
-        moved = cache.migrate()
-        print(f"migrated {moved} legacy entries into the "
-              f"content-addressed layout")
         return 0
     # clear
     removed = cache.clear()
@@ -910,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="result-cache maintenance")
     p.add_argument("cache_command",
-                   choices=("stats", "prune", "clear", "migrate"))
+                   choices=("stats", "prune", "clear"))
     p.add_argument("--cache-dir", default="results/.cache")
     p.add_argument("--max-age-s", type=_positive_float, default=None,
                    help="prune: drop entries older than this many "

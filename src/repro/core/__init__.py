@@ -6,7 +6,6 @@ from repro.core.config import (
     RouterConfig,
     RunProtocol,
     TechConfig,
-    resolve_protocol,
 )
 from repro.core.events import EnergyAccountant
 from repro.core.orion import Orion
@@ -27,7 +26,6 @@ __all__ = [
     "RouterConfig",
     "RunProtocol",
     "TechConfig",
-    "resolve_protocol",
     "EnergyAccountant",
     "Orion",
     "NullBinding",

@@ -8,7 +8,6 @@ configurations (WH64, VC16, VC64, VC128, CB, XB).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -212,26 +211,6 @@ class RunProtocol:
     def with_(self, **changes) -> "RunProtocol":
         """A copy with fields replaced."""
         return replace(self, **changes)
-
-
-def resolve_protocol(protocol: Optional[RunProtocol] = None,
-                     **overrides) -> RunProtocol:
-    """Merge a :class:`RunProtocol` with legacy per-run keyword arguments.
-
-    ``None``-valued overrides mean "not given".  Passing non-``None``
-    legacy keywords is deprecated: new code should build one
-    :class:`RunProtocol` and thread it through.
-    """
-    overrides = {name: value for name, value in overrides.items()
-                 if value is not None}
-    if overrides:
-        warnings.warn(
-            f"per-run keyword arguments {sorted(overrides)} are deprecated; "
-            f"pass a RunProtocol instead",
-            DeprecationWarning, stacklevel=3)
-    if protocol is None:
-        return RunProtocol(**overrides)
-    return replace(protocol, **overrides) if overrides else protocol
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ categories (Figure 3):
    plus power models and reuse the same driver.
 
 Per-run measurement knobs live in one :class:`RunProtocol` object — the
-single source of truth for how a run is measured.  Every run/sweep
-method takes ``(..., protocol=None, **overrides)``: the deprecated
-per-knob keyword layer accepts any ``RunProtocol`` field by name and is
-resolved in one :func:`resolve_protocol` call site (:meth:`Orion._resolve`),
-emitting a ``DeprecationWarning``.  Sweeps execute through the
+single source of truth for how a run is measured — which every
+run/sweep method takes as ``protocol`` (default: the paper's protocol).
+Sweeps execute through the
 :mod:`repro.exp` orchestrator, so any registered traffic kind can be
 swept, fanned out over ``processes`` worker processes, and optionally
 served from an on-disk result cache.
@@ -24,35 +22,14 @@ served from an on-disk result cache.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.core.config import NetworkConfig, RunProtocol, resolve_protocol
+from repro.core.config import NetworkConfig, RunProtocol
 from repro.core.power_binding import PowerBinding
 from repro.core.events import EnergyAccountant
 from repro.core.report import SweepPoint, SweepResult
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.traffic import TrafficPattern, make_traffic
-
-#: Names the deprecated keyword layer recognises as protocol overrides;
-#: anything else in a ``run_traffic``/``sweep_traffic`` call is a
-#: traffic parameter.
-_PROTOCOL_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(RunProtocol))
-
-
-def _split_overrides(kwargs: dict) -> Tuple[dict, dict]:
-    """Partition mixed keywords into (protocol overrides, traffic
-    parameters) by RunProtocol field name."""
-    protocol_overrides = {}
-    traffic_params = {}
-    for name, value in kwargs.items():
-        if name in _PROTOCOL_FIELDS:
-            protocol_overrides[name] = value
-        else:
-            traffic_params[name] = value
-    return protocol_overrides, traffic_params
-
 
 class Orion:
     """Power-performance simulator for one network configuration."""
@@ -63,42 +40,30 @@ class Orion:
     # --- single runs --------------------------------------------------------
 
     def run_uniform(self, rate: float,
-                    protocol: Optional[RunProtocol] = None,
-                    **overrides) -> SimulationResult:
-        """Run uniform random traffic at ``rate`` packets/cycle/node.
-
-        ``overrides`` accepts any :class:`RunProtocol` field as a
-        deprecated per-run keyword; new code passes one ``protocol``.
-        """
-        return self.run_traffic("uniform", rate, protocol, **overrides)
+                    protocol: Optional[RunProtocol] = None
+                    ) -> SimulationResult:
+        """Run uniform random traffic at ``rate`` packets/cycle/node."""
+        return self.run_traffic("uniform", rate, protocol)
 
     def run_broadcast(self, source: int, rate: float,
-                      protocol: Optional[RunProtocol] = None,
-                      **overrides) -> SimulationResult:
+                      protocol: Optional[RunProtocol] = None
+                      ) -> SimulationResult:
         """Run single-source broadcast traffic (section 4.3)."""
-        return self.run_traffic("broadcast", rate, protocol,
-                                source=source, **overrides)
+        return self.run_traffic("broadcast", rate, protocol, source=source)
 
     def run_traffic(self, traffic: str, rate: float,
                     protocol: Optional[RunProtocol] = None,
-                    **kwargs) -> SimulationResult:
-        """Run any registered traffic kind (see ``TRAFFIC_REGISTRY``).
-
-        Keywords that name :class:`RunProtocol` fields are (deprecated)
-        protocol overrides; everything else is passed to the traffic
-        constructor.
-        """
-        protocol_overrides, traffic_params = _split_overrides(kwargs)
-        protocol = self._resolve(protocol, protocol_overrides)
+                    **traffic_params) -> SimulationResult:
+        """Run any registered traffic kind (see ``TRAFFIC_REGISTRY``);
+        ``traffic_params`` go to the traffic constructor."""
+        protocol = protocol or RunProtocol()
         pattern = make_traffic(traffic, self._topo(), rate,
                                seed=protocol.seed, **traffic_params)
         return self.run(pattern, protocol)
 
     def run(self, traffic: TrafficPattern,
-            protocol: Optional[RunProtocol] = None,
-            **overrides) -> SimulationResult:
+            protocol: Optional[RunProtocol] = None) -> SimulationResult:
         """Run an arbitrary traffic pattern to the paper's protocol."""
-        protocol = self._resolve(protocol, overrides)
         return Simulation(self.config, traffic, protocol).run()
 
     # --- sweeps ----------------------------------------------------------------
@@ -108,8 +73,7 @@ class Orion:
                       label: Optional[str] = None,
                       keep_results: bool = False,
                       processes: int = 1,
-                      cache=None,
-                      **overrides) -> SweepResult:
+                      cache=None) -> SweepResult:
         """Latency/power curve over injection rates, uniform traffic —
         the x-axes of Figures 5 and 7.
 
@@ -119,22 +83,19 @@ class Orion:
         """
         return self.sweep_traffic("uniform", rates, protocol, label=label,
                                   keep_results=keep_results,
-                                  processes=processes, cache=cache,
-                                  **overrides)
+                                  processes=processes, cache=cache)
 
     def sweep_broadcast(self, source: int, rates: Sequence[float],
                         protocol: Optional[RunProtocol] = None, *,
                         label: Optional[str] = None,
                         keep_results: bool = False,
                         processes: int = 1,
-                        cache=None,
-                        **overrides) -> SweepResult:
+                        cache=None) -> SweepResult:
         """Latency/power curve over injection rates, broadcast traffic."""
         return self.sweep_traffic("broadcast", rates, protocol,
                                   source=source, label=label,
                                   keep_results=keep_results,
-                                  processes=processes, cache=cache,
-                                  **overrides)
+                                  processes=processes, cache=cache)
 
     def sweep_traffic(self, traffic: str, rates: Sequence[float],
                       protocol: Optional[RunProtocol] = None, *,
@@ -146,8 +107,9 @@ class Orion:
                       on_error: str = "raise",
                       point_timeout: Optional[float] = None,
                       retries: int = 0,
-                      **kwargs) -> SweepResult:
-        """Sweep any registered traffic kind over injection rates.
+                      **traffic_params) -> SweepResult:
+        """Sweep any registered traffic kind over injection rates
+        (``traffic_params`` go to the traffic constructor).
 
         Executes through the :mod:`repro.exp` orchestrator — serial and
         parallel runs produce bit-identical points, and failures at one
@@ -167,8 +129,7 @@ class Orion:
 
         if not rates:
             raise ValueError("sweep needs at least one rate")
-        protocol_overrides, traffic_params = _split_overrides(kwargs)
-        protocol = self._resolve(protocol, protocol_overrides)
+        protocol = protocol or RunProtocol()
         label = label or self.config.router.kind
         spec = TrafficSpec.of(traffic, **traffic_params)
         points = [RunPoint(config=self.config, traffic=spec, rate=rate,
@@ -186,15 +147,13 @@ class Orion:
               traffic_factory: Callable[[float], TrafficPattern],
               protocol: Optional[RunProtocol] = None, *,
               label: Optional[str] = None,
-              keep_results: bool = False,
-              **overrides) -> SweepResult:
+              keep_results: bool = False) -> SweepResult:
         """Run one simulation per rate and collect the curve.
 
         The factory form supports unregistered/trace patterns; it is
         inherently serial (factories need not be picklable).  Prefer
         :meth:`sweep_traffic` for registered kinds.
         """
-        protocol = self._resolve(protocol, overrides)
         if not rates:
             raise ValueError("sweep needs at least one rate")
         sweep = SweepResult(label=label or self.config.router.kind)
@@ -270,10 +229,3 @@ class Orion:
     def _topo(self):
         from repro.sim.topology import topology_for
         return topology_for(self.config)
-
-    @staticmethod
-    def _resolve(protocol: Optional[RunProtocol],
-                 overrides: dict) -> RunProtocol:
-        """The facade's single ``resolve_protocol`` call site: every
-        public method funnels its deprecated per-knob keywords here."""
-        return resolve_protocol(protocol, **overrides)

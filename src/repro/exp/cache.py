@@ -6,17 +6,10 @@ a stable hash of (config, traffic spec, rate, protocol, code version).
 Re-running a collection script or resuming a crashed sweep then skips
 every already-simulated point.
 
-Two directory layouts coexist:
-
-* the **CAS layout** (current) — ``objects/<k[:2]>/<k[2:4]>/<key>.pkl``,
-  a two-level fan-out over the key hash so a shard serving millions of
-  cached points never piles every entry into 256 directories.  All new
-  writes land here.
-* the **legacy layout** (pre-shard) — ``<k[:2]>/<key>.pkl``.  Still
-  readable: a legacy hit is transparently migrated into the CAS layout
-  (rewrite + unlink) on first read, and :meth:`migrate` bulk-moves
-  whatever remains, so an old cache directory upgrades in place with
-  zero recomputation.
+The layout is ``objects/<k[:2]>/<k[2:4]>/<key>.pkl`` — a two-level
+fan-out over the key hash, so a shard serving millions of cached points
+never piles every entry into 256 directories.  Anything else under the
+root is not an entry and is ignored.
 
 Entries are pickles written atomically (unique tmp file +
 ``os.replace``) so a killed run never leaves a truncated entry and
@@ -58,23 +51,14 @@ class ResultCache:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self.migrated = 0
         self.sweep_stale_tmp()
 
     def _path(self, key: str) -> Path:
-        """CAS location for ``key`` — where every new entry is written."""
         return self.root / CAS_DIR / key[:2] / key[2:4] / f"{key}.pkl"
 
-    def _legacy_path(self, key: str) -> Path:
-        """Pre-CAS location, kept readable for in-place migration."""
-        return self.root / key[:2] / f"{key}.pkl"
-
     def _entry_paths(self) -> Iterator[Path]:
-        """Every stored entry, CAS layout first, then legacy leftovers."""
-        if not self.root.exists():
-            return
-        yield from self.root.glob(f"{CAS_DIR}/*/*/*.pkl")
-        yield from self.root.glob("*/*.pkl")
+        """Every stored entry."""
+        return self.root.glob(f"{CAS_DIR}/*/*/*.pkl")
 
     def _read(self, path: Path):
         """One entry payload, or ``None`` on any unreadable/stale file."""
@@ -101,53 +85,16 @@ class ResultCache:
         cannot be read (truncated pickle, permission error, unpicklable
         class) is logged before being treated as a miss, so transient
         corruption degrades to recompute instead of killing the sweep.
-        A hit found in the legacy layout is migrated into the CAS
-        layout before being returned.
         """
         payload = self._read(self._path(key))
-        if payload is None:
-            payload = self._read(self._legacy_path(key))
-            if payload is not None:
-                self._migrate_entry(key)
         if payload is None:
             self.misses += 1
             return None
         self.hits += 1
         return payload.get("outcome")
 
-    def _migrate_entry(self, key: str) -> None:
-        """Move one readable legacy entry into the CAS layout."""
-        legacy = self._legacy_path(key)
-        target = self._path(key)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-            self.migrated += 1
-        except OSError:
-            pass  # a concurrent reader migrated (or pruned) it first
-
-    def migrate(self) -> int:
-        """Bulk-move every legacy-layout entry into the CAS layout;
-        returns the number moved.  Idempotent — an already-migrated
-        cache is a no-op — and safe under concurrent readers (each
-        entry moves with one atomic rename)."""
-        moved = 0
-        if not self.root.exists():
-            return moved
-        for path in list(self.root.glob("*/*.pkl")):
-            key = path.stem
-            target = self._path(key)
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-                moved += 1
-            except OSError:
-                continue
-        self.migrated += moved
-        return moved
-
     def store(self, key: str, outcome) -> None:
-        """Atomically persist one outcome (always in the CAS layout).
+        """Atomically persist one outcome.
 
         The tmp file name comes from ``mkstemp`` — PID suffixes collide
         between hosts sharing a cache over a network filesystem — and is
@@ -173,17 +120,14 @@ class ResultCache:
         returns the number removed.  Young tmp files are left alone —
         they may belong to a live concurrent writer."""
         removed = 0
-        if not self.root.exists():
-            return removed
         now = time.time()
-        for pattern in ("*/*.pkl.tmp*", f"{CAS_DIR}/*/*/*.pkl.tmp*"):
-            for tmp in self.root.glob(pattern):
-                try:
-                    if now - tmp.stat().st_mtime >= max_age_seconds:
-                        tmp.unlink()
-                        removed += 1
-                except OSError:
-                    continue  # a concurrent sweep or writer got there first
+        for tmp in self.root.glob(f"{CAS_DIR}/*/*/*.pkl.tmp*"):
+            try:
+                if now - tmp.stat().st_mtime >= max_age_seconds:
+                    tmp.unlink()
+                    removed += 1
+            except OSError:
+                continue  # a concurrent sweep or writer got there first
         return removed
 
     def prune(self, max_age_s: Optional[float] = None,
@@ -197,7 +141,7 @@ class ResultCache:
         which is the right policy for a long-lived server whose hot keys
         are re-stored only when the code version (and hence the key)
         changes.  Entries that vanish mid-scan (a concurrent prune or
-        writer) are skipped, not errors.  Both layouts are pruned.
+        writer) are skipped, not errors.
         """
         if max_age_s is None and max_entries is None:
             return 0
@@ -233,7 +177,6 @@ class ResultCache:
         """Size and age accounting of the on-disk store plus this
         instance's hit/miss counters, as a JSON-safe dict."""
         entries = 0
-        legacy_entries = 0
         total_bytes = 0
         oldest = newest = None
         for path in self._entry_paths():
@@ -242,8 +185,6 @@ class ResultCache:
             except OSError:
                 continue
             entries += 1
-            if path.parent.parent == self.root:
-                legacy_entries += 1
             total_bytes += stat.st_size
             if oldest is None or stat.st_mtime < oldest:
                 oldest = stat.st_mtime
@@ -253,7 +194,6 @@ class ResultCache:
         return {
             "root": str(self.root),
             "entries": entries,
-            "legacy_entries": legacy_entries,
             "total_bytes": total_bytes,
             "oldest_age_s": now - oldest if oldest is not None else None,
             "newest_age_s": now - newest if newest is not None else None,
@@ -263,8 +203,7 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry (both layouts); returns the number
-        removed."""
+        """Delete every entry; returns the number removed."""
         removed = 0
         for entry in list(self._entry_paths()):
             try:

@@ -16,6 +16,9 @@ sub-millisecond analytic estimates over HTTP:
   gateway (``repro serve --shards N`` / ``repro gateway``): routes
   every job to its home shard by dedup key, retries idempotent submits
   around dead shards, aggregates fleet health and metrics;
+* :class:`~repro.serve.http.HttpService` — the one HTTP/1.1 core
+  (request reader, route table, drain lifecycle) both of the above are
+  job backends of;
 * :class:`~repro.serve.client.ServeClient` — the blocking stdlib
   client (``repro submit``): submit / wait / stream / cancel, speaking
   the ``/v2/`` API with typed errors;

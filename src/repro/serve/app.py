@@ -2,9 +2,9 @@
 
 One process, three layers:
 
-* an **HTTP front** on ``asyncio.start_server`` — a deliberately small
-  HTTP/1.1 implementation (request line, headers, Content-Length body,
-  ``Connection: close``) so the whole service stays stdlib-only;
+* the **HTTP front** — the shared :class:`~repro.serve.http.HttpService`
+  core (request reader, route table, drain lifecycle); this module is
+  its *local* job backend;
 * an **event-loop core** owning all mutable state: the bounded
   priority :class:`~repro.serve.queue.JobQueue`, the single-flight
   dedup index, per-job event logs and the
@@ -27,26 +27,8 @@ only the newest ``--max-job-events`` entries, and the result cache
 self-prunes to ``--cache-max-age`` / ``--cache-max-entries`` during the
 periodic housekeeping pass.
 
-Endpoints (v2 is the native API)::
-
-    POST   /v2/jobs             submit (202; 200+deduped; 400/429/503)
-    POST   /v2/jobs:batch       submit many in one request (200 + per-
-                                entry http_status)
-    GET    /v2/jobs             all jobs, summaries
-    GET    /v2/jobs/<id>        status + result
-    GET    /v2/jobs/<id>/events NDJSON progress stream (live until done)
-    DELETE /v2/jobs/<id>        cancel (queued: immediate; running:
-                                kill-and-respawn the workers holding it)
-    GET    /healthz             liveness + drain state
-    GET    /metrics             queue/dedup/cache/percentile counters
-
-Every non-2xx v2 response body is the uniform error envelope
-``{"error": {"code", "message", "retryable"}}`` so clients branch on a
-machine-readable code instead of parsing prose.  The ``/v1/`` endpoints
-remain as thin adapters over the same handlers — identical success
-bodies, errors flattened back to the legacy ``{"error": "<message>"}``
-shape — and every v1 response carries a ``Deprecation`` header naming
-the successor.
+The endpoints and the error envelope are documented in
+:mod:`repro.serve.http`.
 
 Lifecycle: SIGTERM/SIGINT trigger a graceful drain — new submissions
 get 503, queued jobs keep dispatching until ``--drain-timeout``, then
@@ -59,18 +41,24 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
-import signal
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exp.orchestrator import Progress, RunCancelled, run_points
 from repro.exp.pool import WorkerPool
+from repro.serve.http import (
+    HttpService,
+    Reply,
+    _json_safe,
+    error_body,
+    job_not_found,
+    stream_head,
+)
 from repro.serve.jobs import (
     DEFAULT_JOURNAL_DIR,
     Job,
@@ -88,30 +76,6 @@ DEFAULT_RETRY_AFTER = 5
 #: may override per job.  Keeps a hung point from wedging a worker (and
 #: the drain) forever.
 DEFAULT_POINT_TIMEOUT = 300.0
-
-#: ``Deprecation`` response-header value stamped on every ``/v1/``
-#: response (the draft-RFC header shape: a flag plus the successor).
-V1_DEPRECATION = 'version="v1"; successor="/v2/"'
-
-
-def error_body(code: str, message: str,
-               retryable: bool = False) -> Dict[str, Any]:
-    """The uniform v2 error envelope every non-2xx response carries."""
-    return {"error": {"code": code, "message": message,
-                      "retryable": retryable}}
-
-
-def _legacy_body(body: Dict[str, Any]) -> Dict[str, Any]:
-    """Flatten a v2 error envelope back to the v1 ``{"error": "<msg>"}``
-    shape (success bodies and batch entries pass through recursively)."""
-    out = dict(body)
-    err = out.get("error")
-    if isinstance(err, dict):
-        out["error"] = err.get("message", "")
-    if isinstance(out.get("jobs"), list):
-        out["jobs"] = [_legacy_body(entry) if isinstance(entry, dict)
-                       else entry for entry in out["jobs"]]
-    return out
 
 
 @dataclass
@@ -185,49 +149,23 @@ class ServeConfig:
                              f"got {self.pool_idle_timeout}")
 
 
-def _finite(value: Optional[float]) -> Optional[float]:
-    """Non-finite floats become ``None`` so responses stay strict JSON."""
-    if value is None or not isinstance(value, float):
-        return value
-    return value if math.isfinite(value) else None
-
-
-def _json_safe(obj):
-    """Recursively replace NaN/inf so ``json.dumps`` emits strict JSON
-    (curl/jq choke on bare ``NaN`` tokens)."""
-    if isinstance(obj, float):
-        return _finite(obj)
-    if isinstance(obj, dict):
-        return {key: _json_safe(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(value) for value in obj]
-    return obj
-
-
-class ServeApp:
-    """One running simulation service."""
+class ServeApp(HttpService):
+    """One running simulation service: the local-queue job backend."""
 
     def __init__(self, config: ServeConfig) -> None:
-        self.config = config
+        super().__init__(config)
         self.cache = (ResultCache(config.cache_dir)
                       if config.cache_dir else None)
         self.journal = JobJournal(config.journal_dir)
         self.queue = JobQueue(config.queue_limit)
         self.metrics = ServerMetrics()
         self.jobs: Dict[str, Job] = {}
-        self.draining = False
-        #: Bound port, available once :attr:`ready` is set (``--port 0``
-        #: binds an ephemeral port).
-        self.port: Optional[int] = None
-        self.ready = threading.Event()
         self._active_keys: Dict[str, Job] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._event_waiters: Set[asyncio.Future] = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
-        self._stopped: Optional[asyncio.Future] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool = ThreadPoolExecutor(max_workers=config.workers,
+                                        thread_name_prefix="repro-serve")
         self._dispatch_queued = True
         #: One warm simulation worker pool shared by every job: spawned
         #: once, reused across requests, so repeat fan-outs skip both
@@ -238,64 +176,26 @@ class ServeApp:
 
     # --- lifecycle ----------------------------------------------------------
 
-    def _log(self, message: str) -> None:
-        if not self.config.quiet:
-            print(message, flush=True)
-
-    async def serve(self) -> int:
-        """Run until drained; returns the process exit code (0)."""
-        self._loop = asyncio.get_running_loop()
+    def _startup(self) -> None:
         self._wake = asyncio.Event()
-        self._stopped = self._loop.create_future()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-serve")
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(signum, self._begin_drain)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread or platform without signal support
         self._recover()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._log(f"serving on http://{self.config.host}:{self.port} "
-                  f"({self.config.workers} workers, queue limit "
-                  f"{self.config.queue_limit})")
-        self.ready.set()
-        dispatcher = self._loop.create_task(self._dispatch_loop())
-        housekeeper = self._loop.create_task(self._housekeeping_loop())
         self._wake.set()
-        try:
-            code = await self._stopped
-        finally:
-            dispatcher.cancel()
-            housekeeper.cancel()
-            self._server.close()
-            await self._server.wait_closed()
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self.pool.close()
-        self._log("drain: complete, exiting 0")
-        return code
 
-    def request_drain(self) -> None:
-        """Thread-safe external drain trigger (what SIGTERM calls)."""
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._begin_drain)
-            except RuntimeError:
-                pass  # loop already closed
+    def _banner(self, url: str) -> str:
+        return (f"serving on {url} ({self.config.workers} workers, "
+                f"queue limit {self.config.queue_limit})")
 
-    def _begin_drain(self) -> None:
-        if self.draining:
-            return
-        self.draining = True
+    def _background(self):
+        return self._dispatch_loop(), self._housekeeping_loop()
+
+    def _shutdown(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self.pool.close()
+
+    async def _drain(self) -> None:
         self._log(f"drain: started ({len(self.queue)} queued, "
                   f"{len(self._inflight)} in flight, timeout "
                   f"{self.config.drain_timeout:g}s)")
-        self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
         deadline = self._loop.time() + self.config.drain_timeout
         # Phase 1: let queued jobs keep dispatching until the deadline.
         while (self._inflight or self.queue) \
@@ -310,8 +210,6 @@ class ServeApp:
         if leftover:
             self._log(f"drain: {leftover} queued job(s) left journaled "
                       f"for recovery")
-        if not self._stopped.done():
-            self._stopped.set_result(0)
 
     def _recover(self) -> None:
         """Re-enqueue journaled jobs from a previous (killed) server."""
@@ -415,15 +313,14 @@ class ServeApp:
             return {"estimate": {
                 "traffic": est.traffic,
                 "rate": est.rate,
-                "avg_latency": _finite(est.avg_latency),
-                "zero_load_latency": _finite(est.zero_load_latency),
+                "avg_latency": est.avg_latency,
+                "zero_load_latency": est.zero_load_latency,
                 "avg_hops": est.avg_hops,
                 "total_power_w": est.total_power_w,
                 "power_breakdown_w": dict(est.power_breakdown_w),
                 "throughput_flits_per_cycle":
                     est.throughput_flits_per_cycle,
-                "saturation_rate":
-                    _finite(saturation.rate) if saturation else None,
+                "saturation_rate": saturation.rate if saturation else None,
                 "is_saturated": est.is_saturated,
             }}
 
@@ -488,8 +385,11 @@ class ServeApp:
 
     # --- job intake ---------------------------------------------------------
 
-    def _submit(self, payload: Any) -> Tuple[int, Dict[str, Any],
-                                             Dict[str, str]]:
+    def _note_invalid(self) -> None:
+        self.metrics.inc("submitted")
+        self.metrics.inc("invalid")
+
+    async def _submit(self, payload: Any) -> Reply:
         """Accept/dedup/reject one submission; returns (HTTP status,
         body, extra headers)."""
         self.metrics.inc("submitted")
@@ -530,41 +430,7 @@ class ServeApp:
                      "deduped": False,
                      "queue_depth": len(self.queue)}, {}
 
-    def _submit_batch(self, payload: Any) -> Tuple[int, Dict[str, Any],
-                                                   Dict[str, str]]:
-        """Accept many submissions in one request (``POST
-        /v1/jobs:batch``).
-
-        Each entry goes through the exact single-submission path —
-        validation, dedup, queue bounds, metrics — and gets its own
-        per-entry ``http_status`` in the response, so one bad or bounced
-        entry never poisons its neighbours.  The response is 200 as long
-        as the batch itself was well-formed."""
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("jobs"), list):
-            self.metrics.inc("submitted")
-            self.metrics.inc("invalid")
-            return 400, error_body("invalid_batch",
-                                   "batch payload needs a 'jobs' list"), {}
-        results = []
-        accepted = deduped = rejected = 0
-        retry_after: Dict[str, str] = {}
-        for entry in payload["jobs"]:
-            status, out, extra = self._submit(entry)
-            if status == 202:
-                accepted += 1
-            elif status == 200:
-                deduped += 1
-            else:
-                rejected += 1
-            retry_after.update(extra)
-            results.append({**out, "http_status": status})
-        return (200, {"jobs": results, "accepted": accepted,
-                      "deduped": deduped, "rejected": rejected},
-                retry_after)
-
-    def _cancel(self, job_id: str) -> Tuple[int, Dict[str, Any],
-                                            Dict[str, str]]:
+    async def _cancel(self, job_id: str) -> Reply:
         """Cancel one job (``DELETE /v2/jobs/<id>``).
 
         Queued jobs cancel immediately (pulled straight out of the
@@ -576,8 +442,7 @@ class ServeApp:
         cancelling a done/failed job is a 409."""
         job = self.jobs.get(job_id)
         if job is None:
-            return 404, error_body("job_not_found",
-                                   f"no such job {job_id!r}"), {}
+            return job_not_found(job_id)
         if job.status == "cancelled":
             return 200, {"id": job.id, "status": "cancelled"}, {}
         if job.terminal:
@@ -633,143 +498,40 @@ class ServeApp:
         finally:
             self._event_waiters.discard(waiter)
 
-    # --- HTTP front ---------------------------------------------------------
+    # --- read endpoints -----------------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), 30)
-            if not request:
-                return
-            try:
-                method, target, _ = request.decode("latin-1").split(None, 2)
-            except ValueError:
-                await self._send_json(writer, 400,
-                                      error_body("bad_request",
-                                                 "malformed request line"))
-                return
-            headers = {}
-            while True:
-                line = await asyncio.wait_for(reader.readline(), 30)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
-            body = await reader.readexactly(length) if length else b""
-            await self._route(method, target.split("?", 1)[0], body, writer)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+    async def _healthz(self) -> Reply:
+        return 200, {"status": "draining" if self.draining else "ok",
+                     "queue_depth": len(self.queue),
+                     "in_flight": len(self._inflight)}, {}
 
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
-        """Dispatch one request.
+    async def _metrics(self) -> Reply:
+        return 200, self.metrics.snapshot(
+            queue_depth=len(self.queue), in_flight=len(self._inflight),
+            draining=self.draining, cache=self.cache, pool=self.pool), {}
 
-        ``/v2/`` is the native surface; ``/v1/`` routes through the
-        same handlers, then flattens error envelopes to the legacy
-        shape and stamps the ``Deprecation`` header.  ``/healthz`` and
-        ``/metrics`` are unversioned."""
-        legacy = path.startswith("/v1/")
-        extra: Dict[str, str] = {"Deprecation": V1_DEPRECATION} \
-            if legacy else {}
+    async def _list(self) -> Reply:
+        return 200, {"jobs": [job.public_dict(with_result=False)
+                              for job in self.jobs.values()]}, {}
 
-        async def send(status: int, out: Dict[str, Any],
-                       headers: Optional[Dict[str, str]] = None) -> None:
-            if legacy:
-                out = _legacy_body(out)
-            await self._send_json(writer, status, out,
-                                  {**extra, **(headers or {})})
+    async def _status(self, job_id: str) -> Reply:
+        job = self.jobs.get(job_id)
+        if job is None:
+            return job_not_found(job_id)
+        return 200, job.public_dict(), {}
 
-        if legacy:
-            route = "/v2/" + path[len("/v1/"):]
-        else:
-            route = path
-        if method == "POST" and route in ("/v2/jobs", "/v2/jobs:batch"):
-            try:
-                payload = json.loads(body or b"null")
-            except ValueError:
-                self.metrics.inc("submitted")
-                self.metrics.inc("invalid")
-                await send(400, error_body("invalid_json",
-                                           "body is not valid JSON"))
-                return
-            intake = (self._submit_batch if route.endswith(":batch")
-                      else self._submit)
-            status, out, headers = intake(payload)
-            await send(status, out, headers)
-            return
-        if method == "DELETE":
-            if route.startswith("/v2/jobs/"):
-                job_id = route[len("/v2/jobs/"):]
-                if "/" not in job_id:
-                    status, out, headers = self._cancel(job_id)
-                    await send(status, out, headers)
-                    return
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-            return
-        if method != "GET":
-            await send(405, error_body("method_not_allowed",
-                                       f"unsupported method {method}"))
-            return
-        if route == "/healthz":
-            await send(200, {
-                "status": "draining" if self.draining else "ok",
-                "queue_depth": len(self.queue),
-                "in_flight": len(self._inflight),
-            })
-        elif route == "/metrics":
-            await send(200, self.metrics.snapshot(
-                queue_depth=len(self.queue),
-                in_flight=len(self._inflight),
-                draining=self.draining, cache=self.cache,
-                pool=self.pool))
-        elif route == "/v2/jobs":
-            await send(200, {
-                "jobs": [job.public_dict(with_result=False)
-                         for job in self.jobs.values()]})
-        elif route.startswith("/v2/jobs/"):
-            rest = route[len("/v2/jobs/"):]
-            job_id, _, tail = rest.partition("/")
-            job = self.jobs.get(job_id)
-            if job is None:
-                await send(404, error_body("job_not_found",
-                                           f"no such job {job_id!r}"))
-            elif tail == "":
-                await send(200, job.public_dict())
-            elif tail == "events":
-                await self._stream_events(job, writer, extra)
-            else:
-                await send(404, error_body("not_found",
-                                           f"no such endpoint {path!r}"))
-        else:
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-
-    async def _stream_events(self, job: Job,
-                             writer: asyncio.StreamWriter,
-                             extra_headers: Optional[Dict[str, str]] = None
-                             ) -> None:
+    async def _stream(self, job_id: str,
+                      writer: asyncio.StreamWriter) -> Optional[Reply]:
         """NDJSON: replay the job's event log, then follow it live
         until the job reaches a terminal status.
 
         The cursor is an absolute sequence number, so the size bound
         trimming old events under a live follower skips the trimmed
         span instead of replaying or reordering anything."""
-        head = ["HTTP/1.1 200 OK",
-                "Content-Type: application/x-ndjson",
-                "Cache-Control: no-store",
-                "Connection: close"]
-        for name, value in (extra_headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
+        job = self.jobs.get(job_id)
+        if job is None:
+            return job_not_found(job_id)
+        stream_head(writer)
         sent = 0
         while True:
             sent = max(sent, job.events_base)
@@ -781,27 +543,8 @@ class ServeApp:
                 sent += 1
             await writer.drain()
             if job.terminal and sent - job.events_base >= len(job.events):
-                return
+                return None
             await self._wait_event()
-
-    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
-                         body: Dict[str, Any],
-                         extra_headers: Optional[Dict[str, str]] = None
-                         ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 429: "Too Many Requests",
-                   500: "Internal Server Error", 502: "Bad Gateway",
-                   503: "Service Unavailable"}
-        payload = json.dumps(_json_safe(body), sort_keys=True).encode()
-        head = [f"HTTP/1.1 {status} {reasons.get(status, 'Error')}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
-        for name, value in (extra_headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
-        await writer.drain()
 
 
 def serve_forever(config: ServeConfig) -> int:

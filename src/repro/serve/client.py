@@ -75,8 +75,8 @@ def _classify(message: str, status: int,
 
 
 def _parse_error(out: Dict[str, Any], status: int) -> tuple:
-    """(message, code, retryable) from a v2 envelope, tolerating the
-    legacy flat ``{"error": "<msg>"}`` shape from old servers."""
+    """(message, code, retryable) from an error envelope (or from the
+    plain-text body of something that is not a ``repro`` server)."""
     err = out.get("error")
     if isinstance(err, dict):
         return (err.get("message") or f"HTTP {status}",
@@ -148,7 +148,7 @@ class ServeClient:
     def submit_many(self, payloads: List[Dict[str, Any]]
                     ) -> List[Dict[str, Any]]:
         """Submit many payloads in one pipelined request
-        (``POST /v1/jobs:batch``) instead of one round-trip each.
+        (``POST /v2/jobs:batch``) instead of one round-trip each.
 
         Returns one acceptance dict per payload, in order, each with an
         ``http_status`` field (202 accepted, 200 deduped, 400/429/503

@@ -120,7 +120,7 @@ class Job:
         return self.finished_at - self.started_at
 
     def public_dict(self, with_result: bool = True) -> Dict[str, Any]:
-        """The JSON shape of ``GET /v1/jobs/<id>``."""
+        """The JSON shape of ``GET /v2/jobs/<id>``."""
         out = {
             "id": self.id,
             "kind": self.kind,

@@ -16,7 +16,7 @@ from typing import Deque, Dict, Optional
 DURATION_WINDOW = 512
 
 COUNTERS = (
-    "submitted",            # every POST /v1/jobs received
+    "submitted",            # every POST /v2/jobs received
     "accepted",             # enqueued as a new job
     "deduped",              # coalesced onto an identical active job
     "rejected_queue_full",  # bounced with 429

@@ -44,10 +44,8 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import json
 import os
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -56,12 +54,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.serve.app import (
-    V1_DEPRECATION,
-    ServeConfig,
-    _json_safe,
-    _legacy_body,
+from repro.serve.app import ServeConfig
+from repro.serve.http import (
+    BACKEND_ERRORS,
+    HttpService,
+    Reply,
     error_body,
+    job_not_found,
+    read_json,
+    request,
+    stream_head,
 )
 from repro.serve.jobs import JobError, parse_job
 
@@ -173,30 +175,14 @@ class GatewayConfig:
                              f"got {self.drain_timeout}")
 
 
-async def _read_head(reader: asyncio.StreamReader,
-                     timeout: float) -> Tuple[int, Dict[str, str]]:
-    """Status code + lower-cased headers of one backend response."""
-    line = await asyncio.wait_for(reader.readline(), timeout)
-    try:
-        status = int(line.split()[1])
-    except (IndexError, ValueError):
-        raise ConnectionError(f"bad status line {line!r}") from None
-    headers: Dict[str, str] = {}
-    while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers
+class GatewayApp(HttpService):
+    """One running shard gateway: the proxy-to-home-shard job backend."""
 
-
-class GatewayApp:
-    """One running shard gateway."""
+    drain_label = "gateway: drain "
 
     def __init__(self, config: GatewayConfig,
                  supervisor: Optional["ShardSupervisor"] = None) -> None:
-        self.config = config
+        super().__init__(config)
         self.supervisor = supervisor
         self.ring = ShardRing(config.backends, config.replicas)
         self.alive: Dict[str, bool] = {b: True for b in config.backends}
@@ -207,110 +193,54 @@ class GatewayApp:
         #: old job id → replacement id after a failover resubmission.
         self.aliases: Dict[str, str] = {}
         self.counters: Dict[str, int] = dict.fromkeys(GATEWAY_COUNTERS, 0)
-        self.draining = False
-        self.port: Optional[int] = None
-        self.ready = threading.Event()
         self.started_at = time.time()
         self._failing: Set[str] = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopped: Optional[asyncio.Future] = None
-        self._server: Optional[asyncio.AbstractServer] = None
 
     # --- lifecycle ----------------------------------------------------------
 
-    def _log(self, message: str) -> None:
-        if not self.config.quiet:
-            print(message, flush=True)
+    def _banner(self, url: str) -> str:
+        return (f"gateway on {url} ({len(self.config.backends)} shard(s): "
+                f"{', '.join(self.config.backends)})")
 
-    async def serve(self) -> int:
-        """Run until drained; returns the process exit code (0)."""
-        self._loop = asyncio.get_running_loop()
-        self._stopped = self._loop.create_future()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(signum, self._begin_drain)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._log(f"gateway on http://{self.config.host}:{self.port} "
-                  f"({len(self.config.backends)} shard(s): "
-                  f"{', '.join(self.config.backends)})")
-        self.ready.set()
-        prober = self._loop.create_task(self._probe_loop())
-        try:
-            code = await self._stopped
-        finally:
-            prober.cancel()
-            self._server.close()
-            await self._server.wait_closed()
-        self._log("gateway: drain complete, exiting 0")
-        return code
-
-    def request_drain(self) -> None:
-        """Thread-safe external drain trigger (what SIGTERM calls)."""
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._begin_drain)
-            except RuntimeError:
-                pass
-
-    def _begin_drain(self) -> None:
-        if self.draining:
-            return
-        self.draining = True
-        self._log("gateway: drain started")
-        self._loop.create_task(self._drain())
+    def _background(self):
+        return (self._probe_loop(),)
 
     async def _drain(self) -> None:
         """Shard-by-shard drain: each spawned shard gets a SIGTERM and
         its full drain budget *sequentially*, so at most one shard's
         worth of capacity is gone at a time while the fleet empties."""
+        self._log("gateway: drain started")
         if self.supervisor is not None:
             for shard in self.supervisor.shards:
                 self._log(f"gateway: draining shard-{shard.index} "
                           f"({shard.backend})")
                 await self._loop.run_in_executor(
                     None, shard.stop, self.config.drain_timeout)
-        if not self._stopped.done():
-            self._stopped.set_result(0)
 
     # --- backend I/O --------------------------------------------------------
 
+    async def _fetch(self, backend: str, method: str, path: str,
+                     payload: Optional[Any] = None
+                     ) -> Tuple[int, Dict[str, str], Any]:
+        """One JSON round-trip with a backend: (status, headers, body).
+        Raises :data:`BACKEND_ERRORS` when it is unreachable."""
+        timeout = self.config.backend_timeout
+        async with request(backend, method, path, payload,
+                           timeout=timeout) as (status, headers, reader):
+            return status, headers, await read_json(reader, headers,
+                                                    timeout)
+
     async def _call(self, backend: str, method: str, path: str,
                     payload: Optional[Any] = None
-                    ) -> Tuple[int, Dict[str, str], Any]:
-        """One JSON request/response round-trip with a backend."""
-        host, _, port = backend.rpartition(":")
-        timeout = self.config.backend_timeout
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, int(port)), timeout)
+                    ) -> Optional[Tuple[int, Dict[str, str], Any]]:
+        """:meth:`_fetch`, or ``None`` after marking an unreachable
+        backend down (failing its jobs over) — callers just move on to
+        the next shard."""
         try:
-            body = b"" if payload is None else json.dumps(payload).encode()
-            head = [f"{method} {path} HTTP/1.1", f"Host: {backend}",
-                    "Connection: close"]
-            if body:
-                head += ["Content-Type: application/json",
-                         f"Content-Length: {len(body)}"]
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-            await writer.drain()
-            status, headers = await _read_head(reader, timeout)
-            length = int(headers.get("content-length", 0) or 0)
-            data = await asyncio.wait_for(
-                reader.readexactly(length) if length else reader.read(),
-                timeout)
-            try:
-                out = json.loads(data) if data else {}
-            except ValueError:
-                out = {"error": data.decode(errors="replace")}
-            return status, headers, out
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+            return await self._fetch(backend, method, path, payload)
+        except BACKEND_ERRORS:
+            await self._mark_down(backend)
+            return None
 
     def _live(self) -> List[str]:
         return [b for b in self.config.backends if self.alive.get(b)]
@@ -343,13 +273,13 @@ class GatewayApp:
         for job_id, route in doomed:
             if route["backend"] != backend or route["terminal"]:
                 continue  # another pass already moved it
-            status, out, _ = await self._submit_via(
+            status, out, extra = await self._submit_via(
                 route["payload"], route["key"], record=False)
             if status not in (200, 202) or not isinstance(out, dict) \
                     or not out.get("id"):
                 continue  # no live shard; the probe loop will retry
             new_id = out["id"]
-            new_backend = out["_backend"]
+            new_backend = extra["X-Repro-Shard"]
             route["backend"] = new_backend
             self.counters["gw_failover_jobs"] += 1
             moved += 1
@@ -369,9 +299,9 @@ class GatewayApp:
             await asyncio.sleep(self.config.probe_interval)
             for backend in self.config.backends:
                 try:
-                    status, _, health = await self._call(
+                    status, _, health = await self._fetch(
                         backend, "GET", "/healthz")
-                except (OSError, asyncio.TimeoutError, ConnectionError):
+                except BACKEND_ERRORS:
                     status, health = 0, None
                 if status == 200 and isinstance(health, dict):
                     self.shard_health[backend] = health
@@ -383,11 +313,10 @@ class GatewayApp:
                 elif self.alive.get(backend):
                     await self._mark_down(backend)
 
-    # --- request handlers ---------------------------------------------------
+    # --- job backend --------------------------------------------------------
 
     async def _submit_via(self, payload: Any, key: str, *,
-                          record: bool = True
-                          ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+                          record: bool = True) -> Reply:
         """Route one parsed submission to its home shard, retrying on
         the next live shard when the home shard is dead (the submit is
         idempotent: the shard's dedup absorbs any duplicate)."""
@@ -401,28 +330,27 @@ class GatewayApp:
                     "shard_unavailable",
                     "no live shard can take this job",
                     retryable=True), {}
-            try:
-                status, headers, out = await self._call(
-                    backend, "POST", "/v2/jobs", payload)
-            except (OSError, asyncio.TimeoutError, ConnectionError):
+            reply = await self._call(backend, "POST", "/v2/jobs", payload)
+            if reply is None:
                 tried.add(backend)
                 self.counters["gw_retried_submits"] += 1
-                await self._mark_down(backend)
                 continue
-            if isinstance(out, dict) and out.get("id"):
-                out["_backend"] = backend
-                if record:
-                    self.routes[out["id"]] = {
-                        "backend": backend, "key": key,
-                        "payload": payload, "terminal": False}
-                    self.counters["gw_routed"] += 1
+            status, headers, out = reply
+            if record and isinstance(out, dict) and out.get("id"):
+                self.routes[out["id"]] = {
+                    "backend": backend, "key": key,
+                    "payload": payload, "terminal": False}
+                self.counters["gw_routed"] += 1
             extra = {"X-Repro-Shard": backend}
             if headers.get("retry-after"):
                 extra["Retry-After"] = headers["retry-after"]
             return status, out, extra
 
-    async def _submit(self, payload: Any
-                      ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _note_invalid(self) -> None:
+        self.counters["gw_submitted"] += 1
+        self.counters["gw_invalid"] += 1
+
+    async def _submit(self, payload: Any) -> Reply:
         self.counters["gw_submitted"] += 1
         if self.draining:
             self.counters["gw_rejected_draining"] += 1
@@ -433,46 +361,7 @@ class GatewayApp:
         except JobError as exc:
             self.counters["gw_invalid"] += 1
             return 400, error_body("invalid_job", str(exc)), {}
-        status, out, extra = await self._submit_via(payload, key)
-        if isinstance(out, dict):
-            out.pop("_backend", None)
-        return status, out, extra
-
-    async def _submit_batch(self, payload: Any
-                            ) -> Tuple[int, Dict[str, Any],
-                                       Dict[str, str]]:
-        """Fan one batch out across the fleet: each entry routes by its
-        own key, entries forward concurrently, the response keeps the
-        submission order (mirroring the single-server batch shape)."""
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("jobs"), list):
-            self.counters["gw_submitted"] += 1
-            self.counters["gw_invalid"] += 1
-            return 400, error_body("invalid_batch",
-                                   "batch payload needs a 'jobs' list"), {}
-        gate = asyncio.Semaphore(16)
-
-        async def one(entry: Any) -> Tuple[int, Dict[str, Any]]:
-            async with gate:
-                status, out, _ = await self._submit(entry)
-            if isinstance(out, dict):
-                out.pop("_backend", None)
-            return status, out
-
-        outcomes = await asyncio.gather(
-            *(one(entry) for entry in payload["jobs"]))
-        results = []
-        accepted = deduped = rejected = 0
-        for status, out in outcomes:
-            if status == 202:
-                accepted += 1
-            elif status == 200:
-                deduped += 1
-            else:
-                rejected += 1
-            results.append({**out, "http_status": status})
-        return (200, {"jobs": results, "accepted": accepted,
-                      "deduped": deduped, "rejected": rejected}, {})
+        return await self._submit_via(payload, key)
 
     def _resolve(self, job_id: str
                  ) -> Tuple[str, Optional[Dict[str, Any]]]:
@@ -483,96 +372,134 @@ class GatewayApp:
             job_id = self.aliases[job_id]
         return job_id, self.routes.get(job_id)
 
-    async def _proxy_job(self, method: str, job_id: str, tail: str = ""
-                         ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Proxy one per-job request (status/cancel) to its home shard,
-        failing the job over first if its shard died."""
-        for _ in range(len(self.config.backends) + 1):
+    async def _locate(self, job_id: str
+                      ) -> Tuple[str, Optional[Dict[str, Any]], List[str]]:
+        """The live id of a job, its routing record and the shards to
+        ask for it: its home shard (failing the job over first if that
+        shard died; no shard at all when there is nowhere to fail over
+        to), or — for a job the gateway has no route for (submitted
+        directly to a shard, or the gateway restarted) — every live
+        shard."""
+        final_id, route = self._resolve(job_id)
+        if route is None:
+            return final_id, None, self._live()
+        if not self.alive.get(route["backend"]):
+            await self._mark_down(route["backend"])
             final_id, route = self._resolve(job_id)
-            if route is None:
-                return await self._search_job(method, final_id, tail)
-            backend = route["backend"]
-            if not self.alive.get(backend):
-                await self._mark_down(backend)
-                if self._resolve(job_id)[0] == final_id:
-                    break  # nowhere to fail over to
-                continue
-            path = f"/v2/jobs/{final_id}" + (f"/{tail}" if tail else "")
-            try:
-                status, _, out = await self._call(backend, method, path)
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                await self._mark_down(backend)
-                continue
-            if status == 200 and isinstance(out, dict) \
-                    and out.get("status") in TERMINAL_STATUSES:
-                route["terminal"] = True
-            return status, out, {"X-Repro-Shard": backend}
+            if not self.alive.get(route["backend"]):
+                return final_id, route, []
+        return final_id, route, [route["backend"]]
+
+    def _lost_job(self, job_id: str, route: Optional[Dict[str, Any]]
+                  ) -> Reply:
+        """The reply once every shard that could hold a job was asked."""
+        if route is None:
+            return job_not_found(job_id)
         return 503, error_body("shard_unavailable",
                                f"no live shard holds job {job_id!r}",
                                retryable=True), {}
 
-    async def _search_job(self, method: str, job_id: str, tail: str
-                          ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """A job the gateway has no route for (submitted directly to a
-        shard, or the gateway restarted): ask every live shard."""
-        path = f"/v2/jobs/{job_id}" + (f"/{tail}" if tail else "")
-        for backend in self._live():
-            try:
-                status, _, out = await self._call(backend, method, path)
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                await self._mark_down(backend)
-                continue
-            if status != 404:
+    async def _proxy_job(self, method: str, job_id: str) -> Reply:
+        """Proxy one per-job request (status/cancel) to the shard
+        holding the job; a shard that dies under the call fails the job
+        over and the loop re-locates it."""
+        for _ in range(len(self.config.backends) + 1):
+            final_id, route, candidates = await self._locate(job_id)
+            for backend in candidates:
+                reply = await self._call(backend, method,
+                                         f"/v2/jobs/{final_id}")
+                if reply is None or (route is None and reply[0] == 404):
+                    continue
+                status, _, out = reply
+                if route is not None and status == 200 \
+                        and isinstance(out, dict) \
+                        and out.get("status") in TERMINAL_STATUSES:
+                    route["terminal"] = True
                 return status, out, {"X-Repro-Shard": backend}
-        return 404, error_body("job_not_found",
-                               f"no such job {job_id!r}"), {}
+            if route is None or not candidates:
+                break
+        return self._lost_job(job_id, route)
 
-    async def _list_jobs(self) -> Tuple[int, Dict[str, Any],
-                                        Dict[str, str]]:
+    async def _status(self, job_id: str) -> Reply:
+        return await self._proxy_job("GET", job_id)
+
+    async def _cancel(self, job_id: str) -> Reply:
+        return await self._proxy_job("DELETE", job_id)
+
+    async def _stream(self, job_id: str,
+                      writer: asyncio.StreamWriter) -> Optional[Reply]:
+        """Proxy one NDJSON event stream from the shard holding the job.
+
+        A shard death mid-stream truncates the stream (the client
+        re-requests and lands on the failover shard); a dead shard at
+        request time fails over first like any other per-job call."""
+        timeout = self.config.backend_timeout
+        for _ in range(len(self.config.backends) + 1):
+            final_id, route, candidates = await self._locate(job_id)
+            for backend in candidates:
+                shard = {"X-Repro-Shard": backend}
+                streaming = False
+                try:
+                    async with request(
+                            backend, "GET", f"/v2/jobs/{final_id}/events",
+                            timeout=timeout) as (status, headers, reader):
+                        if route is None and status == 404:
+                            continue  # try the next shard
+                        if status != 200:
+                            return status, await read_json(
+                                reader, headers, timeout), shard
+                        stream_head(writer, shard)
+                        streaming = True
+                        while True:
+                            chunk = await reader.read(4096)
+                            if not chunk:
+                                return None
+                            writer.write(chunk)
+                            await writer.drain()
+                except BACKEND_ERRORS:
+                    if streaming:
+                        return None  # truncated mid-stream; client retries
+                    await self._mark_down(backend)
+            if route is None or not candidates:
+                break
+        return self._lost_job(job_id, route)
+
+    async def _list(self) -> Reply:
         jobs: List[Dict[str, Any]] = []
         for backend in self._live():
-            try:
-                status, _, out = await self._call(backend, "GET",
-                                                  "/v2/jobs")
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                await self._mark_down(backend)
-                continue
+            status, _, out = await self._call(
+                backend, "GET", "/v2/jobs") or (0, None, None)
             if status == 200 and isinstance(out, dict):
                 for job in out.get("jobs", ()):
                     jobs.append({**job, "shard": backend})
         return 200, {"jobs": jobs}, {}
 
-    def _healthz(self) -> Dict[str, Any]:
+    async def _healthz(self) -> Reply:
         shards = {}
         for backend in self.config.backends:
             entry: Dict[str, Any] = {
                 "alive": bool(self.alive.get(backend)),
-                **{k: v for k, v in
-                   self.shard_health.get(backend, {}).items()},
+                **self.shard_health.get(backend, {}),
             }
             if self.supervisor is not None:
                 entry["pid"] = self.supervisor.pid_of(backend)
             shards[backend] = entry
-        return {
+        return 200, {
             "status": "draining" if self.draining else "ok",
             "role": "gateway",
             "shards": shards,
             "shards_alive": len(self._live()),
             "shards_total": len(self.config.backends),
-        }
+        }, {}
 
-    async def _metrics(self) -> Dict[str, Any]:
+    async def _metrics(self) -> Reply:
         """Fleet metrics: gateway counters at the top, every shard's
         snapshot under ``shards``, and an ``aggregate`` that sums the
         counters/gauges (percentiles and rates take the fleet max)."""
         snapshots: Dict[str, Dict[str, Any]] = {}
         for backend in self._live():
-            try:
-                status, _, out = await self._call(backend, "GET",
-                                                  "/metrics")
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                await self._mark_down(backend)
-                continue
+            status, _, out = await self._call(
+                backend, "GET", "/metrics") or (0, None, None)
             if status == 200 and isinstance(out, dict):
                 snapshots[backend] = out
         aggregate: Dict[str, Any] = {}
@@ -589,7 +516,7 @@ class GatewayApp:
                         else max(current, value)
                 else:
                     aggregate[name] = aggregate.get(name, 0) + value
-        return {
+        return 200, {
             "role": "gateway",
             "uptime_seconds": time.time() - self.started_at,
             **self.counters,
@@ -597,220 +524,7 @@ class GatewayApp:
             "shards_total": len(self.config.backends),
             "aggregate": aggregate,
             "shards": snapshots,
-        }
-
-    # --- HTTP front ---------------------------------------------------------
-
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), 30)
-            if not request:
-                return
-            try:
-                method, target, _ = request.decode("latin-1").split(None, 2)
-            except ValueError:
-                await self._send_json(writer, 400,
-                                      error_body("bad_request",
-                                                 "malformed request line"))
-                return
-            headers = {}
-            while True:
-                line = await asyncio.wait_for(reader.readline(), 30)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
-            body = await reader.readexactly(length) if length else b""
-            await self._route(method, target.split("?", 1)[0], body,
-                              writer)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
-        legacy = path.startswith("/v1/")
-        extra: Dict[str, str] = {"Deprecation": V1_DEPRECATION} \
-            if legacy else {}
-
-        async def send(status: int, out: Dict[str, Any],
-                       headers: Optional[Dict[str, str]] = None) -> None:
-            if legacy:
-                out = _legacy_body(out)
-            await self._send_json(writer, status, out,
-                                  {**extra, **(headers or {})})
-
-        route = "/v2/" + path[len("/v1/"):] if legacy else path
-        if method == "POST" and route in ("/v2/jobs", "/v2/jobs:batch"):
-            try:
-                payload = json.loads(body or b"null")
-            except ValueError:
-                self.counters["gw_submitted"] += 1
-                self.counters["gw_invalid"] += 1
-                await send(400, error_body("invalid_json",
-                                           "body is not valid JSON"))
-                return
-            intake = (self._submit_batch if route.endswith(":batch")
-                      else self._submit)
-            status, out, headers = await intake(payload)
-            await send(status, out, headers)
-            return
-        if method == "DELETE":
-            if route.startswith("/v2/jobs/"):
-                job_id = route[len("/v2/jobs/"):]
-                if "/" not in job_id:
-                    status, out, headers = await self._proxy_job(
-                        "DELETE", job_id)
-                    await send(status, out, headers)
-                    return
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-            return
-        if method != "GET":
-            await send(405, error_body("method_not_allowed",
-                                       f"unsupported method {method}"))
-            return
-        if route == "/healthz":
-            await send(200, self._healthz())
-        elif route == "/metrics":
-            await send(200, await self._metrics())
-        elif route == "/v2/jobs":
-            status, out, headers = await self._list_jobs()
-            await send(status, out, headers)
-        elif route.startswith("/v2/jobs/"):
-            rest = route[len("/v2/jobs/"):]
-            job_id, _, tail = rest.partition("/")
-            if tail == "":
-                status, out, headers = await self._proxy_job("GET",
-                                                             job_id)
-                await send(status, out, headers)
-            elif tail == "events":
-                await self._stream_proxy(job_id, writer, extra)
-            else:
-                await send(404, error_body("not_found",
-                                           f"no such endpoint {path!r}"))
-        else:
-            await send(404, error_body("not_found",
-                                       f"no such endpoint {path!r}"))
-
-    async def _stream_proxy(self, job_id: str,
-                            writer: asyncio.StreamWriter,
-                            extra: Dict[str, str]) -> None:
-        """Proxy one NDJSON event stream from the job's home shard.
-
-        A shard death mid-stream truncates the stream (the client
-        re-requests and lands on the failover shard); a dead shard at
-        request time fails over first like any other per-job call."""
-        for _ in range(len(self.config.backends) + 1):
-            final_id, route = self._resolve(job_id)
-            backend = route["backend"] if route else None
-            if route is not None and not self.alive.get(backend):
-                await self._mark_down(backend)
-                if self._resolve(job_id)[0] == final_id:
-                    break
-                continue
-            if route is None:
-                candidates = self._live()
-            else:
-                candidates = [backend]
-            streamed = False
-            for candidate in candidates:
-                host, _, port = candidate.rpartition(":")
-                try:
-                    b_reader, b_writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, int(port)),
-                        self.config.backend_timeout)
-                except (OSError, asyncio.TimeoutError):
-                    await self._mark_down(candidate)
-                    continue
-                try:
-                    b_writer.write(
-                        (f"GET /v2/jobs/{final_id}/events HTTP/1.1\r\n"
-                         f"Host: {candidate}\r\n"
-                         f"Connection: close\r\n\r\n").encode())
-                    await b_writer.drain()
-                    status, b_headers = await _read_head(
-                        b_reader, self.config.backend_timeout)
-                    if status != 200:
-                        if route is None and status == 404:
-                            continue  # try the next shard
-                        length = int(b_headers.get("content-length", 0)
-                                     or 0)
-                        data = await b_reader.readexactly(length) \
-                            if length else b""
-                        try:
-                            out = json.loads(data) if data else {}
-                        except ValueError:
-                            out = error_body("bad_gateway",
-                                             data.decode(errors="replace"))
-                        await self._send_json(
-                            writer, status, out,
-                            {**extra, "X-Repro-Shard": candidate})
-                        return
-                    head = ["HTTP/1.1 200 OK",
-                            "Content-Type: application/x-ndjson",
-                            "Cache-Control: no-store",
-                            f"X-Repro-Shard: {candidate}",
-                            "Connection: close"]
-                    for name, value in extra.items():
-                        head.append(f"{name}: {value}")
-                    writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
-                    streamed = True
-                    while True:
-                        chunk = await b_reader.read(4096)
-                        if not chunk:
-                            return
-                        writer.write(chunk)
-                        await writer.drain()
-                except (OSError, asyncio.TimeoutError, ConnectionError):
-                    if streamed:
-                        return  # truncated mid-stream; client retries
-                    await self._mark_down(candidate)
-                    continue
-                finally:
-                    try:
-                        b_writer.close()
-                        await b_writer.wait_closed()
-                    except (ConnectionError, RuntimeError):
-                        pass
-            if route is None:
-                await self._send_json(
-                    writer, 404,
-                    {**error_body("job_not_found",
-                                  f"no such job {job_id!r}")}, extra)
-                return
-        await self._send_json(
-            writer, 503,
-            error_body("shard_unavailable",
-                       f"no live shard holds job {job_id!r}",
-                       retryable=True), extra)
-
-    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
-                         body: Dict[str, Any],
-                         extra_headers: Optional[Dict[str, str]] = None
-                         ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 429: "Too Many Requests",
-                   500: "Internal Server Error", 502: "Bad Gateway",
-                   503: "Service Unavailable"}
-        payload = json.dumps(_json_safe(body), sort_keys=True).encode()
-        head = [f"HTTP/1.1 {status} {reasons.get(status, 'Error')}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
-        for name, value in (extra_headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
-        await writer.drain()
+        }, {}
 
 
 # --- shard supervision ------------------------------------------------------

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.config import NetworkConfig, RunProtocol, resolve_protocol
+from repro.core.config import NetworkConfig, RunProtocol
 from repro.core.events import EnergyAccountant
 from repro.core.power_binding import CounterBinding, NullBinding, PowerBinding
 from repro.sim.network import Network
@@ -172,15 +172,12 @@ class Simulation:
 
     def __init__(self, config: NetworkConfig, traffic: TrafficPattern,
                  protocol: Optional[RunProtocol] = None,
-                 context: Optional[SimulationContext] = None,
-                 **overrides) -> None:
-        """``overrides`` accepts any :class:`RunProtocol` field as a
-        deprecated per-run keyword (``None`` meaning "not given"); new
-        code passes one ``protocol`` instead.  ``context`` supplies a
-        prebuilt (and reusable) network/binding graph in place of fresh
-        construction; it must have been built for a matching
-        :func:`structural_key`."""
-        protocol = resolve_protocol(protocol, **overrides)
+                 context: Optional[SimulationContext] = None) -> None:
+        """``protocol`` defaults to the paper's :class:`RunProtocol`.
+        ``context`` supplies a prebuilt (and reusable) network/binding
+        graph in place of fresh construction; it must have been built
+        for a matching :func:`structural_key`."""
+        protocol = protocol or RunProtocol()
         self.protocol = protocol
         self.traffic = traffic
         self.warmup_cycles = protocol.warmup_cycles

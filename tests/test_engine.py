@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import events as ev
+from repro.core.config import RunProtocol
 from repro.sim.engine import (
     DeadlockError,
     Simulation,
@@ -14,11 +15,11 @@ from repro.sim.topology import Torus
 from tests.conftest import small_config
 
 
-def sim(kind="wormhole", rate=0.02, warmup=100, sample=50, **kwargs):
+def sim(kind="wormhole", rate=0.02, warmup=100, sample=50, **protocol):
     cfg = small_config(kind)
     traffic = UniformRandomTraffic(Torus(4), rate, seed=11)
-    return Simulation(cfg, traffic, warmup_cycles=warmup,
-                      sample_packets=sample, **kwargs)
+    return Simulation(cfg, traffic, RunProtocol(
+        warmup_cycles=warmup, sample_packets=sample, **protocol))
 
 
 class TestProtocol:
@@ -90,7 +91,7 @@ class TestTermination:
         cfg = small_config("wormhole")
         trace = [(0, 0, 5), (0, 1, 6), (3, 2, 7)]
         s = Simulation(cfg, TraceTraffic(Torus(4), trace),
-                       warmup_cycles=0, sample_packets=3)
+                       RunProtocol(warmup_cycles=0, sample_packets=3))
         result = s.run()
         assert result.packets_delivered == 3
 
@@ -112,9 +113,9 @@ class TestValidation:
         cfg = small_config("wormhole")
         traffic = UniformRandomTraffic(Torus(4), 0.1)
         with pytest.raises(ValueError):
-            Simulation(cfg, traffic, warmup_cycles=-1)
+            Simulation(cfg, traffic, RunProtocol(warmup_cycles=-1))
         with pytest.raises(ValueError):
-            Simulation(cfg, traffic, sample_packets=0)
+            Simulation(cfg, traffic, RunProtocol(sample_packets=0))
 
 
 class TestDeterminism:

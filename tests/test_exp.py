@@ -262,7 +262,7 @@ class TestCaching:
         cache = ResultCache(root)
         outcome = run_points([point()], cache=None)[0]
         cache.store(point().cache_key(), outcome)
-        subdir = next(root.glob("*/"))
+        subdir = next(root.glob("objects/*/*/"))  # where store() writes
         old = subdir / "dead.pkl.tmpabc123"
         old.write_bytes(b"partial write from a crashed run")
         stale = time.time() - 7200

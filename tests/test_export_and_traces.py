@@ -12,6 +12,7 @@ from repro.core.export import (
     sweep_rows,
     sweep_to_csv,
 )
+from repro.core.config import RunProtocol
 from repro.core.orion import Orion
 from repro.core.report import SweepResult
 from repro.sim.tracefile import (
@@ -28,7 +29,7 @@ from tests.conftest import small_config
 
 def quick_result():
     return Orion(small_config("wormhole")).run_uniform(
-        0.03, warmup_cycles=100, sample_packets=40)
+        0.03, RunProtocol(warmup_cycles=100, sample_packets=40))
 
 
 class TestResultExport:
@@ -49,8 +50,8 @@ class TestResultExport:
 
     def test_dict_without_power(self):
         result = Orion(small_config("wormhole")).run_uniform(
-            0.03, warmup_cycles=100, sample_packets=40,
-            collect_power=False)
+            0.03, RunProtocol(warmup_cycles=100, sample_packets=40,
+                              collect_power=False))
         d = result_to_dict(result)
         assert "total_power_w" not in d
 
@@ -58,7 +59,7 @@ class TestResultExport:
 class TestSweepExport:
     def sweep(self):
         return Orion(small_config("wormhole")).sweep_uniform(
-            [0.02, 0.05], warmup_cycles=100, sample_packets=40,
+            [0.02, 0.05], RunProtocol(warmup_cycles=100, sample_packets=40),
             label="test")
 
     def test_rows_sorted_by_rate(self):
@@ -134,8 +135,8 @@ class TestTraceFiles:
         save_trace([(0, 0, 5), (1, 3, 9), (2, 15, 0)], str(path))
         cfg = small_config("vc")
         traffic = trace_traffic_from_file(Torus(4), str(path))
-        result = Simulation(cfg, traffic, warmup_cycles=0,
-                            sample_packets=3).run()
+        result = Simulation(cfg, traffic, RunProtocol(
+            warmup_cycles=0, sample_packets=3)).run()
         assert result.packets_delivered == 3
 
     def test_synthesize_validates_cycles(self):
@@ -175,7 +176,6 @@ class TestTraceFiles:
         simulation: same packets at the same cycles, hence identical
         latency — the guarantee behind repeatable cross-configuration
         trace studies."""
-        from repro.core.config import RunProtocol
         cfg = small_config("vc")
         protocol = RunProtocol(warmup_cycles=0, sample_packets=40,
                                collect_power=False)

@@ -3,7 +3,7 @@ link coding, and dateline deadlock avoidance on larger tori."""
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.core import events as ev
 from repro.core.config import LinkConfig
 from repro.power import BusInvertLinkPower, OnChipLinkPower
@@ -140,8 +140,8 @@ class TestBusInvert:
         coded = base.with_(link=LinkConfig(kind="on_chip", length_mm=1.0,
                                            encoding="bus_invert"))
         def run(cfg):
-            return Orion(cfg).run_uniform(0.05, warmup_cycles=200,
-                                          sample_packets=150)
+            return Orion(cfg).run_uniform(
+                0.05, RunProtocol(warmup_cycles=200, sample_packets=150))
         plain_result = run(base)
         coded_result = run(coded)
         plain_b = plain_result.power_breakdown_w()

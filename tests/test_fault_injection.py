@@ -3,6 +3,7 @@ tampering rather than silently mis-simulate."""
 
 import pytest
 
+from repro.core.config import RunProtocol
 from repro.sim.engine import DeadlockError, Simulation
 from repro.sim.message import FlitType, Packet
 from repro.sim.network import Network
@@ -123,8 +124,8 @@ class TestStallDetection:
         fault) is detected as a deadlock instead of hanging."""
         cfg = small_config("wormhole")
         traffic = UniformRandomTraffic(Torus(4), 0.05, seed=1)
-        sim = Simulation(cfg, traffic, warmup_cycles=0,
-                         sample_packets=5, watchdog_cycles=60)
+        sim = Simulation(cfg, traffic, RunProtocol(
+            warmup_cycles=0, sample_packets=5, watchdog_cycles=60))
         for router in sim.network.routers:
             router.out_credits = [0 if c is not None else None
                                   for c in router.out_credits]

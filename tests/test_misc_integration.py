@@ -3,7 +3,7 @@ that individual modules' tests don't cover together."""
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.core import events as ev
 from repro.core.config import LinkConfig
 from repro.sim.network import Network
@@ -27,8 +27,8 @@ class TestEverythingOn:
         from repro.sim.traffic import UniformRandomTraffic
         sim = Simulation(cfg, UniformRandomTraffic(Torus(4), 0.04,
                                                    seed=2),
-                         warmup_cycles=150, sample_packets=80,
-                         monitor=True)
+                         RunProtocol(warmup_cycles=150, sample_packets=80,
+                                     monitor=True))
         result = sim.run()
         breakdown = result.power_breakdown_w()
         assert breakdown[ev.CLOCK] > 0
@@ -79,19 +79,18 @@ class TestMeshEndToEnd:
     @pytest.mark.parametrize("kind", ["wormhole", "vc", "central"])
     def test_mesh_network_simulates(self, kind):
         cfg = small_config(kind).with_(topology="mesh")
-        result = Orion(cfg).run_uniform(0.02, warmup_cycles=100,
-                                        sample_packets=40)
+        result = Orion(cfg).run_uniform(
+            0.02, RunProtocol(warmup_cycles=100, sample_packets=40))
         assert result.sample_packets == 40
         # Mesh corner routers own fewer links.
         assert min(r.out_degree
                    for r in Network(cfg).routers) == 2
 
     def test_mesh_longer_average_latency_than_torus(self):
-        torus = Orion(small_config("wormhole")).run_uniform(
-            0.02, warmup_cycles=150, sample_packets=120, seed=4)
+        protocol = RunProtocol(warmup_cycles=150, sample_packets=120, seed=4)
+        torus = Orion(small_config("wormhole")).run_uniform(0.02, protocol)
         mesh = Orion(small_config("wormhole").with_(
-            topology="mesh")).run_uniform(
-            0.02, warmup_cycles=150, sample_packets=120, seed=4)
+            topology="mesh")).run_uniform(0.02, protocol)
         assert mesh.avg_latency > torus.avg_latency
 
 
@@ -100,19 +99,19 @@ class TestActivityModesAgree:
         """Random payloads average to the F/2 expectation: the two
         activity modes agree within a few percent over many flits."""
         base = small_config("wormhole")
-        avg = Orion(base).run_uniform(0.05, warmup_cycles=200,
-                                      sample_packets=250, seed=6)
+        protocol = RunProtocol(warmup_cycles=200, sample_packets=250, seed=6)
+        avg = Orion(base).run_uniform(0.05, protocol)
         data = Orion(base.with_(activity_mode="data")).run_uniform(
-            0.05, warmup_cycles=200, sample_packets=250, seed=6)
+            0.05, protocol)
         assert data.total_power_w == pytest.approx(avg.total_power_w,
                                                    rel=0.10)
 
     def test_event_counts_identical_across_modes(self):
         base = small_config("vc")
-        avg = Orion(base).run_uniform(0.05, warmup_cycles=200,
-                                      sample_packets=150, seed=6)
+        protocol = RunProtocol(warmup_cycles=200, sample_packets=150, seed=6)
+        avg = Orion(base).run_uniform(0.05, protocol)
         data = Orion(base.with_(activity_mode="data")).run_uniform(
-            0.05, warmup_cycles=200, sample_packets=150, seed=6)
+            0.05, protocol)
         for event in (ev.BUFFER_WRITE, ev.BUFFER_READ,
                       ev.XBAR_TRAVERSAL, ev.LINK_TRAVERSAL):
             assert avg.accountant.event_count(event) == \

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import RunProtocol
 from repro.sim.engine import Simulation
 from repro.sim.monitor import NetworkMonitor
 from repro.sim.network import Network
@@ -85,8 +86,8 @@ class TestEngineIntegration:
     def test_simulation_attaches_monitor(self):
         cfg = small_config("vc")
         traffic = UniformRandomTraffic(Torus(4), 0.03, seed=2)
-        result = Simulation(cfg, traffic, warmup_cycles=100,
-                            sample_packets=50, monitor=True).run()
+        result = Simulation(cfg, traffic, RunProtocol(
+            warmup_cycles=100, sample_packets=50, monitor=True)).run()
         assert result.monitor is not None
         assert result.monitor.cycles == result.measured_cycles
         assert 0.0 < result.monitor.mean_channel_utilization() < 1.0
@@ -95,8 +96,8 @@ class TestEngineIntegration:
     def test_monitor_disabled_by_default(self):
         cfg = small_config("vc")
         traffic = UniformRandomTraffic(Torus(4), 0.03, seed=2)
-        result = Simulation(cfg, traffic, warmup_cycles=100,
-                            sample_packets=50).run()
+        result = Simulation(cfg, traffic, RunProtocol(
+            warmup_cycles=100, sample_packets=50)).run()
         assert result.monitor is None
 
     def test_utilization_rises_with_load(self):
@@ -104,8 +105,8 @@ class TestEngineIntegration:
 
         def mean_util(rate):
             traffic = UniformRandomTraffic(Torus(4), rate, seed=2)
-            result = Simulation(cfg, traffic, warmup_cycles=150,
-                                sample_packets=80, monitor=True).run()
+            result = Simulation(cfg, traffic, RunProtocol(
+                warmup_cycles=150, sample_packets=80, monitor=True)).run()
             return result.monitor.mean_channel_utilization()
 
         assert mean_util(0.08) > 2 * mean_util(0.02)

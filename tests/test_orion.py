@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.core.report import SweepResult
 
 from tests.conftest import small_config
@@ -14,39 +14,40 @@ def orion(kind="wormhole", **kwargs):
 
 class TestRuns:
     def test_run_uniform(self):
-        result = orion().run_uniform(0.02, warmup_cycles=100,
-                                     sample_packets=40)
+        result = orion().run_uniform(
+            0.02, RunProtocol(warmup_cycles=100, sample_packets=40))
         assert result.sample_packets == 40
         assert result.total_power_w > 0
 
     def test_run_broadcast(self):
-        result = orion().run_broadcast(source=6, rate=0.15,
-                                       warmup_cycles=100,
-                                       sample_packets=40)
+        result = orion().run_broadcast(
+            source=6, rate=0.15,
+            protocol=RunProtocol(warmup_cycles=100, sample_packets=40))
         assert result.sample_packets == 40
         # Only node 6 injects: its router sees every buffer write first.
         powers = result.node_power_w()
         assert powers[6] == max(powers)
 
     def test_collect_power_false(self):
-        result = orion().run_uniform(0.02, warmup_cycles=50,
-                                     sample_packets=20,
-                                     collect_power=False)
+        result = orion().run_uniform(
+            0.02, RunProtocol(warmup_cycles=50, sample_packets=20,
+                              collect_power=False))
         assert result.accountant is None
 
 
 class TestSweep:
     def test_sweep_uniform_produces_curve(self):
-        sweep = orion().sweep_uniform([0.01, 0.03], warmup_cycles=80,
-                                      sample_packets=30, label="test")
+        sweep = orion().sweep_uniform(
+            [0.01, 0.03], RunProtocol(warmup_cycles=80, sample_packets=30),
+            label="test")
         assert isinstance(sweep, SweepResult)
         assert sweep.rates == [0.01, 0.03]
         assert len(sweep.latencies) == 2
         assert all(p > 0 for p in sweep.powers)
 
     def test_power_rises_with_rate(self):
-        sweep = orion().sweep_uniform([0.01, 0.05], warmup_cycles=100,
-                                      sample_packets=60)
+        sweep = orion().sweep_uniform(
+            [0.01, 0.05], RunProtocol(warmup_cycles=100, sample_packets=60))
         assert sweep.points[1].total_power_w > sweep.points[0].total_power_w
 
     def test_sweep_rejects_empty_rates(self):
@@ -54,8 +55,9 @@ class TestSweep:
             orion().sweep_uniform([])
 
     def test_keep_results(self):
-        sweep = orion().sweep_uniform([0.01], warmup_cycles=50,
-                                      sample_packets=20, keep_results=True)
+        sweep = orion().sweep_uniform(
+            [0.01], RunProtocol(warmup_cycles=50, sample_packets=20),
+            keep_results=True)
         assert sweep.points[0].result is not None
 
 

@@ -9,13 +9,18 @@ lies.
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.core import events as ev
 
 
 def run(cfg, rate, sample=400, warmup=300, seed=1):
-    return Orion(cfg).run_uniform(rate, warmup_cycles=warmup,
-                                  sample_packets=sample, seed=seed)
+    return Orion(cfg).run_uniform(rate, RunProtocol(
+        warmup_cycles=warmup, sample_packets=sample, seed=seed))
+
+
+#: Sweep protocol of the Figure 5 curves; Figure 6's spatial runs.
+FIG5 = RunProtocol(warmup_cycles=400, sample_packets=500)
+FIG6 = RunProtocol(warmup_cycles=500, sample_packets=250, seed=7)
 
 
 class TestFigure5:
@@ -24,8 +29,7 @@ class TestFigure5:
     def test_vc16_saturates_at_paper_rate(self):
         """Section 4.2: VC16 saturates at ~0.15 packets/cycle/node."""
         sweep = Orion(preset("VC16")).sweep_uniform(
-            [0.02, 0.13, 0.15, 0.17], warmup_cycles=400,
-            sample_packets=500)
+            [0.02, 0.13, 0.15, 0.17], FIG5)
         sat = sweep.saturation_rate()
         assert sat is not None
         assert 0.13 <= sat <= 0.17
@@ -34,9 +38,9 @@ class TestFigure5:
         """VC16 reaches WH64-class throughput with 16 versus 64 flits of
         buffering per port."""
         vc = Orion(preset("VC16")).sweep_uniform(
-            [0.02, 0.13], warmup_cycles=400, sample_packets=500)
+            [0.02, 0.13], FIG5)
         wh = Orion(preset("WH64")).sweep_uniform(
-            [0.02, 0.13], warmup_cycles=400, sample_packets=500)
+            [0.02, 0.13], FIG5)
         # Neither saturated at 0.13; latencies within the same band.
         assert vc.points[1].avg_latency < 2 * vc.points[0].avg_latency
         assert wh.points[1].avg_latency < 2 * wh.points[0].avg_latency
@@ -69,7 +73,7 @@ class TestFigure5:
         """Figure 5(b): total network power flattens beyond saturation
         because the network cannot absorb more traffic."""
         sweep = Orion(preset("VC16")).sweep_uniform(
-            [0.17, 0.22], warmup_cycles=400, sample_packets=400)
+            [0.17, 0.22], RunProtocol(warmup_cycles=400, sample_packets=400))
         lo, hi = sweep.points[0].total_power_w, sweep.points[1].total_power_w
         assert hi < lo * 1.15
 
@@ -96,7 +100,7 @@ class TestFigure6:
         """Figure 6(a): uniform random traffic yields near-identical
         power at every node."""
         result = Orion(self.config()).run_uniform(
-            0.2 / 16, warmup_cycles=500, sample_packets=250, seed=7)
+            0.2 / 16, FIG6)
         powers = result.node_power_w()
         mean = sum(powers) / len(powers)
         assert max(powers) < 1.35 * mean
@@ -106,8 +110,7 @@ class TestFigure6:
         """Figure 6(b): the broadcasting node consumes the most power."""
         topo_source = 9  # (1, 2)
         result = Orion(self.config()).run_broadcast(
-            topo_source, 0.2, warmup_cycles=500, sample_packets=250,
-            seed=7)
+            topo_source, 0.2, FIG6)
         powers = result.node_power_w()
         assert powers[topo_source] == max(powers)
 
@@ -118,7 +121,7 @@ class TestFigure6:
         topo = Torus(4)
         source = topo.node_at(1, 2)
         result = Orion(self.config()).run_broadcast(
-            source, 0.2, warmup_cycles=500, sample_packets=250, seed=7)
+            source, 0.2, FIG6)
         powers = result.node_power_w()
         by_distance = {}
         for node, power in enumerate(powers):
@@ -135,7 +138,7 @@ class TestFigure6:
         topo = Torus(4)
         source = topo.node_at(1, 2)
         result = Orion(self.config()).run_broadcast(
-            source, 0.2, warmup_cycles=500, sample_packets=250, seed=7)
+            source, 0.2, FIG6)
         powers = result.node_power_w()
         column = powers[topo.node_at(1, 1)] + powers[topo.node_at(1, 3)]
         row = powers[topo.node_at(0, 2)] + powers[topo.node_at(2, 2)]
@@ -150,9 +153,9 @@ class TestFigure7:
         random throughput below the XB router's."""
         rates = [0.02, 0.10]
         cb = Orion(preset("CB")).sweep_uniform(
-            rates, warmup_cycles=300, sample_packets=250)
+            rates, RunProtocol(warmup_cycles=300, sample_packets=250))
         xb = Orion(preset("XB")).sweep_uniform(
-            rates, warmup_cycles=300, sample_packets=250)
+            rates, RunProtocol(warmup_cycles=300, sample_packets=250))
         cb_infl = cb.points[1].avg_latency / cb.points[0].avg_latency
         xb_infl = xb.points[1].avg_latency / xb.points[0].avg_latency
         assert cb_infl > xb_infl

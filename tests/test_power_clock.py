@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.core import events as ev
 from repro.power import ClockPower
 from repro.tech import Technology
+
+
+FAST = RunProtocol(warmup_cycles=150, sample_packets=60)
 
 
 def tech(f=2e9):
@@ -47,25 +50,20 @@ class TestClockModel:
 class TestEndToEnd:
     def test_clock_adds_constant_component(self):
         base = preset("VC16")
-        on = Orion(base.with_(include_clock=True)).run_uniform(
-            0.03, warmup_cycles=150, sample_packets=60)
-        off = Orion(base).run_uniform(0.03, warmup_cycles=150,
-                                      sample_packets=60)
+        on = Orion(base.with_(include_clock=True)).run_uniform(0.03, FAST)
+        off = Orion(base).run_uniform(0.03, FAST)
         assert on.power_breakdown_w()[ev.CLOCK] > 0
         assert off.power_breakdown_w()[ev.CLOCK] == 0.0
         assert on.total_power_w > off.total_power_w
 
     def test_clock_power_is_rate_independent(self):
         cfg = preset("VC16").with_(include_clock=True)
-        slow = Orion(cfg).run_uniform(0.02, warmup_cycles=150,
-                                      sample_packets=60)
-        fast = Orion(cfg).run_uniform(0.08, warmup_cycles=150,
-                                      sample_packets=60)
+        slow = Orion(cfg).run_uniform(0.02, FAST)
+        fast = Orion(cfg).run_uniform(0.08, FAST)
         assert slow.power_breakdown_w()[ev.CLOCK] == pytest.approx(
             fast.power_breakdown_w()[ev.CLOCK], rel=0.01)
 
     def test_central_router_clock_model_builds(self):
         cfg = preset("CB").with_(include_clock=True)
-        result = Orion(cfg).run_uniform(0.02, warmup_cycles=150,
-                                        sample_packets=60)
+        result = Orion(cfg).run_uniform(0.02, FAST)
         assert result.power_breakdown_w()[ev.CLOCK] > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.power import (
     CentralBufferPower,
     FIFOBufferPower,
@@ -15,6 +15,9 @@ from repro.power import (
 )
 from repro.power import leakage
 from repro.tech import Technology
+
+
+FAST = RunProtocol(warmup_cycles=200, sample_packets=60)
 
 
 def tech(feature=0.1):
@@ -95,33 +98,25 @@ class TestEndToEnd:
         base = preset("VC16")
         with_leak = base.with_(include_leakage=True)
         rate = 0.01
-        off = Orion(base).run_uniform(rate, warmup_cycles=200,
-                                      sample_packets=60)
-        on = Orion(with_leak).run_uniform(rate, warmup_cycles=200,
-                                          sample_packets=60)
+        off = Orion(base).run_uniform(rate, FAST)
+        on = Orion(with_leak).run_uniform(rate, FAST)
         assert on.total_power_w > off.total_power_w
 
     def test_leakage_is_rate_independent(self):
         cfg = preset("VC16").with_(include_leakage=True)
-        slow = Orion(cfg).run_uniform(0.01, warmup_cycles=200,
-                                      sample_packets=60)
+        slow = Orion(cfg).run_uniform(0.01, FAST)
         base = preset("VC16")
-        slow_off = Orion(base).run_uniform(0.01, warmup_cycles=200,
-                                           sample_packets=60)
+        slow_off = Orion(base).run_uniform(0.01, FAST)
         static = slow.total_power_w - slow_off.total_power_w
-        fast = Orion(cfg).run_uniform(0.08, warmup_cycles=200,
-                                      sample_packets=60)
-        fast_off = Orion(base).run_uniform(0.08, warmup_cycles=200,
-                                           sample_packets=60)
+        fast = Orion(cfg).run_uniform(0.08, FAST)
+        fast_off = Orion(base).run_uniform(0.08, FAST)
         static_fast = fast.total_power_w - fast_off.total_power_w
         assert static == pytest.approx(static_fast, rel=0.05)
 
     def test_event_counts_unchanged_by_leakage(self):
         from repro.core import events as ev
         cfg = preset("VC16").with_(include_leakage=True)
-        result = Orion(cfg).run_uniform(0.02, warmup_cycles=200,
-                                        sample_packets=60)
-        base = Orion(preset("VC16")).run_uniform(0.02, warmup_cycles=200,
-                                                 sample_packets=60)
+        result = Orion(cfg).run_uniform(0.02, FAST)
+        base = Orion(preset("VC16")).run_uniform(0.02, FAST)
         assert result.accountant.event_count(ev.BUFFER_WRITE) == \
             base.accountant.event_count(ev.BUFFER_WRITE)

@@ -10,6 +10,7 @@ from repro.core.report import (
     format_power,
     spatial_table,
 )
+from repro.core.config import RunProtocol
 from repro.sim.engine import Simulation
 from repro.sim.traffic import UniformRandomTraffic
 from repro.sim.topology import Torus
@@ -20,8 +21,8 @@ from tests.conftest import small_config
 def quick_result():
     cfg = small_config("wormhole")
     traffic = UniformRandomTraffic(Torus(4), 0.02, seed=5)
-    return Simulation(cfg, traffic, warmup_cycles=80,
-                      sample_packets=30).run()
+    return Simulation(cfg, traffic, RunProtocol(
+        warmup_cycles=80, sample_packets=30)).run()
 
 
 def point(rate, latency, power=1.0):

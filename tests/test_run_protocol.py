@@ -1,12 +1,9 @@
-"""Tests for RunProtocol and the deprecated per-run kwargs compat layer."""
+"""Tests for RunProtocol, the single per-run measurement currency."""
 
 import pytest
 
-from repro.core.config import RunProtocol, resolve_protocol
+from repro.core.config import RunProtocol
 from repro.core.orion import Orion
-from repro.sim.engine import Simulation
-from repro.sim.traffic import UniformRandomTraffic
-from repro.sim.topology import topology_for
 
 from tests.conftest import small_config
 
@@ -32,64 +29,6 @@ class TestRunProtocol:
         proto = RunProtocol().with_(seed=9, monitor=True)
         assert proto.seed == 9 and proto.monitor
         assert RunProtocol().seed == 1  # original untouched
-
-    def test_resolve_merges_overrides(self):
-        base = RunProtocol(warmup_cycles=500)
-        with pytest.warns(DeprecationWarning):
-            merged = resolve_protocol(base, sample_packets=42)
-        assert merged.warmup_cycles == 500 and merged.sample_packets == 42
-
-    def test_resolve_without_overrides_is_identity(self):
-        base = RunProtocol(seed=3)
-        assert resolve_protocol(base) is base
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolve_protocol(None, warmup_cycles=100)
-
-
-class TestLegacyEquivalence:
-    """The deprecated kwargs and the RunProtocol path must be
-    bit-identical."""
-
-    def test_orion_run_uniform(self):
-        orion = Orion(small_config("wormhole"))
-        legacy = orion.run_uniform(0.03, warmup_cycles=120,
-                                   sample_packets=50, seed=2)
-        proto = orion.run_uniform(0.03, RunProtocol(warmup_cycles=120,
-                                                    sample_packets=50,
-                                                    seed=2))
-        assert legacy.avg_latency == proto.avg_latency
-        assert legacy.total_power_w == proto.total_power_w
-        assert legacy.total_cycles == proto.total_cycles
-
-    def test_simulation_constructor(self, wormhole_config):
-        def run(**kwargs):
-            topo = topology_for(wormhole_config)
-            traffic = UniformRandomTraffic(topo, 0.03, seed=4)
-            return Simulation(wormhole_config, traffic, **kwargs).run()
-
-        legacy = run(warmup_cycles=100, sample_packets=40)
-        proto = run(protocol=RunProtocol(warmup_cycles=100,
-                                         sample_packets=40))
-        assert legacy.avg_latency == proto.avg_latency
-        assert legacy.total_power_w == proto.total_power_w
-
-    def test_sweep_uniform_equivalence(self):
-        orion = Orion(small_config("vc"))
-        legacy = orion.sweep_uniform([0.02, 0.04], warmup_cycles=100,
-                                     sample_packets=40, seed=5)
-        proto = orion.sweep_uniform([0.02, 0.04],
-                                    RunProtocol(warmup_cycles=100,
-                                                sample_packets=40, seed=5))
-        assert legacy.latencies == proto.latencies
-        assert legacy.powers == proto.powers
-
-    def test_simulation_rejects_bad_legacy_values(self, wormhole_config):
-        topo = topology_for(wormhole_config)
-        traffic = UniformRandomTraffic(topo, 0.03)
-        with pytest.raises(ValueError):
-            Simulation(wormhole_config, traffic, warmup_cycles=-1)
 
 
 class TestMonitorThroughFacade:

@@ -11,6 +11,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -21,6 +22,8 @@ import pytest
 
 from repro.exp import config_to_dict
 from repro.serve import (
+    GatewayApp,
+    GatewayConfig,
     Job,
     JobError,
     JobJournal,
@@ -35,6 +38,8 @@ from repro.serve import (
     ServerMetrics,
     parse_job,
 )
+
+from repro.serve.http import MAX_BODY_BYTES
 
 from tests.conftest import small_config
 
@@ -545,7 +550,7 @@ class TestBatchAndHousekeeping:
         server = start_server()
         client = server.client
         with pytest.raises(ServeError) as err:
-            client._request("POST", "/v1/jobs:batch", {"jobs": "nope"})
+            client._request("POST", "/v2/jobs:batch", {"jobs": "nope"})
         assert err.value.status == 400
 
     def test_terminal_jobs_evicted_after_ttl(self, start_server):
@@ -639,7 +644,7 @@ class TestBatchAndHousekeeping:
             ServeConfig(housekeeping_interval=0.0, **base)
 
 
-# --- v2 API surface: envelopes, adapters, cancellation -----------------------
+# --- v2 API surface: envelopes, request conformance, cancellation ------------
 
 def raw_request(port, method, path, body=None):
     """One raw HTTP round-trip, returning (status, headers, parsed body) —
@@ -672,32 +677,6 @@ class TestV2Envelope:
         assert status == 404
         assert out["error"]["code"] == "job_not_found"
 
-    def test_v1_adapter_flattens_errors_and_marks_deprecation(
-            self, start_server):
-        server = start_server()
-        port = server.app.port
-        status, headers, out = raw_request(port, "GET", "/v1/jobs/nope")
-        assert status == 404
-        assert isinstance(out["error"], str)  # legacy flat shape
-        assert "Deprecation" in headers
-        assert "/v2/" in headers["Deprecation"]
-        # The native surface carries neither.
-        status, headers, out = raw_request(port, "GET", "/v2/jobs")
-        assert status == 200
-        assert "Deprecation" not in headers
-
-    def test_v1_and_v2_success_bodies_match(self, start_server):
-        server = start_server()
-        port = server.app.port
-        _, _, accepted = raw_request(port, "POST", "/v1/jobs",
-                                     estimate_payload(0.04))
-        server.client.wait(accepted["id"], timeout=60)
-        _, _, via_v1 = raw_request(port, "GET",
-                                   f"/v1/jobs/{accepted['id']}")
-        _, _, via_v2 = raw_request(port, "GET",
-                                   f"/v2/jobs/{accepted['id']}")
-        assert via_v1 == via_v2  # adapters only rewrite *error* bodies
-
     def test_client_raises_typed_exceptions(self, start_server):
         server = start_server()
         client = server.client
@@ -709,6 +688,108 @@ class TestV2Envelope:
             client.submit({"kind": "run", "spec": {"rate": 0.03}})
         assert rejected.value.status == 400
         assert rejected.value.code == "invalid_job"
+
+
+def raw_exchange(port, data):
+    """Send literal bytes and read to EOF: (status, parsed JSON body).
+    For requests ``http.client`` would refuse to put on the wire."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # the server closed on input it declined to read
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head, "empty reply"
+    return int(head.split()[1]), json.loads(body)
+
+
+def post(path, body, length=None):
+    length = len(body) if length is None else length
+    return (f"POST {path} HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode() + body)
+
+
+#: (request bytes, expected status, expected envelope code)
+CONFORMANCE = {
+    "unknown-path": (b"GET /nowhere HTTP/1.1\r\n\r\n", 404, "not_found"),
+    "v1-list-gone": (b"GET /v1/jobs HTTP/1.1\r\n\r\n", 404, "not_found"),
+    "v1-submit-gone": (post("/v1/jobs", b"{}"), 404, "not_found"),
+    "bad-method": (b"PUT /v2/jobs HTTP/1.1\r\n\r\n",
+                   405, "method_not_allowed"),
+    "delete-on-read-only": (b"DELETE /healthz HTTP/1.1\r\n\r\n",
+                            405, "method_not_allowed"),
+    "malformed-request-line": (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+    "invalid-json": (post("/v2/jobs", b"{not json"), 400, "invalid_json"),
+    "invalid-job": (post("/v2/jobs", b'{"kind": "nonsense"}'),
+                    400, "invalid_job"),
+    "invalid-batch": (post("/v2/jobs:batch", b'{"jobs": "nope"}'),
+                      400, "invalid_batch"),
+    "malformed-length": (post("/v2/jobs", b"", "abc"), 400, "bad_request"),
+    "negative-length": (post("/v2/jobs", b"", -5), 400, "bad_request"),
+    "oversized-length": (post("/v2/jobs", b"", MAX_BODY_BYTES + 1),
+                         413, "payload_too_large"),
+    "over-long-header": (b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                         + b"a" * 70000 + b"\r\n\r\n", 400, "bad_request"),
+    "unknown-job": (b"GET /v2/jobs/ghost HTTP/1.1\r\n\r\n",
+                    404, "job_not_found"),
+    "unknown-job-events": (b"GET /v2/jobs/ghost/events HTTP/1.1\r\n\r\n",
+                           404, "job_not_found"),
+    "cancel-unknown-job": (b"DELETE /v2/jobs/ghost HTTP/1.1\r\n\r\n",
+                           404, "job_not_found"),
+}
+
+
+class TestRequestConformance:
+    """One table against both fronts: a ``ServeApp`` and a
+    ``GatewayApp`` proxying to it answer every malformed, unknown or
+    unsupported request with the same status and envelope code —
+    which is what pins "one HTTP core"."""
+
+    @pytest.fixture(scope="class")
+    def fronts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fronts")
+        server = ServerHandle(ServeApp(ServeConfig(
+            host="127.0.0.1", port=0, workers=1,
+            cache_dir=str(root / "cache"),
+            journal_dir=str(root / "journal"), quiet=True)))
+        gateway = ServerHandle(GatewayApp(GatewayConfig(
+            host="127.0.0.1", port=0, quiet=True,
+            backends=(f"127.0.0.1:{server.app.port}",))))
+        yield {"server": server.app.port, "gateway": gateway.app.port}
+        gateway.close()
+        server.close()
+
+    @pytest.mark.parametrize("case", sorted(CONFORMANCE))
+    def test_both_fronts_answer_alike(self, fronts, case, caplog):
+        data, status, code = CONFORMANCE[case]
+        for front, port in fronts.items():
+            got_status, out = raw_exchange(port, data)
+            assert (got_status, out["error"]["code"]) == (status, code), front
+            assert out["error"]["retryable"] is False
+        # Declined input is an answer, not a crash: nothing was logged.
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_escaped_handler_exception_is_a_500_envelope(
+            self, start_server, monkeypatch, caplog):
+        server = start_server()
+
+        async def boom():
+            raise RuntimeError("kaput")
+
+        monkeypatch.setattr(server.app, "_list", boom)
+        status, out = raw_exchange(server.app.port,
+                                   b"GET /v2/jobs HTTP/1.1\r\n\r\n")
+        assert status == 500
+        assert out["error"]["code"] == "internal_error"
+        assert "kaput" in out["error"]["message"]
+        assert "kaput" in caplog.text  # the traceback is logged
+        assert server.client.health()["status"] == "ok"  # still serving
 
 
 class TestCancellation:

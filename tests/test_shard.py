@@ -2,10 +2,10 @@
 content-addressed result-cache layout.
 
 Unit layers first — the consistent-hash ring (determinism, balance,
-minimal remap) and the legacy→CAS cache migration — then integration
+minimal remap) and the cache's directory layout — then integration
 against a real two-shard fleet spawned as subprocesses: key-stable
-routing, fleet-wide dedup, v1 adapter parity through the gateway, and
-a SIGKILL failover test asserting no submitted job is ever lost.
+routing, fleet-wide dedup, typed errors through the gateway, and a
+SIGKILL failover test asserting no submitted job is ever lost.
 """
 
 import os
@@ -101,55 +101,34 @@ class TestShardRing:
             GatewayConfig(backends=BACKENDS, replicas=0)
 
 
-# --- unit: legacy → CAS cache migration --------------------------------------
+# --- unit: content-addressed cache layout ------------------------------------
 
-KEYS = ("aabbccdd00112233", "aabbeeff44556677", "99887766deadbeef")
-
-
-def write_legacy_entry(root, key, outcome):
-    """Plant one entry in the pre-CAS ``<k[:2]>/<key>.pkl`` layout."""
-    path = root / key[:2] / f"{key}.pkl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        pickle.dump({"schema": CACHE_SCHEMA, "outcome": outcome}, f)
-    return path
+KEY = "aabbccdd00112233"
 
 
-class TestCacheMigration:
+class TestCacheLayout:
     def test_store_uses_cas_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = KEYS[0]
-        cache.store(key, {"v": 1})
-        assert (tmp_path / CAS_DIR / key[:2] / key[2:4]
-                / f"{key}.pkl").exists()
-        assert not (tmp_path / key[:2] / f"{key}.pkl").exists()
-        assert cache.load(key) == {"v": 1}
+        cache.store(KEY, {"v": 1})
+        assert (tmp_path / CAS_DIR / KEY[:2] / KEY[2:4]
+                / f"{KEY}.pkl").exists()
+        assert not (tmp_path / KEY[:2] / f"{KEY}.pkl").exists()
+        assert cache.load(KEY) == {"v": 1}
 
-    def test_load_migrates_legacy_entry_in_place(self, tmp_path):
-        key = KEYS[0]
-        legacy = write_legacy_entry(tmp_path, key, {"v": "old"})
+    def test_old_layout_entry_is_ignored(self, tmp_path):
+        """A file at the pre-CAS ``<k[:2]>/<key>.pkl`` path is not an
+        entry: never loaded, counted, pruned or cleared."""
+        old = tmp_path / KEY[:2] / f"{KEY}.pkl"
+        old.parent.mkdir(parents=True)
+        with open(old, "wb") as f:
+            pickle.dump({"schema": CACHE_SCHEMA, "outcome": {"v": "old"}}, f)
         cache = ResultCache(tmp_path)
-        assert cache.load(key) == {"v": "old"}
-        assert not legacy.exists()  # moved, not copied
-        assert (tmp_path / CAS_DIR / key[:2] / key[2:4]
-                / f"{key}.pkl").exists()
-        assert cache.migrated == 1
-        assert cache.load(key) == {"v": "old"}  # now a plain CAS hit
-        assert cache.hits == 2 and cache.misses == 0
-
-    def test_bulk_migrate_is_complete_and_idempotent(self, tmp_path):
-        for index, key in enumerate(KEYS):
-            write_legacy_entry(tmp_path, key, {"v": index})
-        cache = ResultCache(tmp_path)
-        cache.store("ffee00112233", {"v": "native"})
-        assert cache.stats()["legacy_entries"] == len(KEYS)
-        assert cache.migrate() == len(KEYS)
-        stats = cache.stats()
-        assert stats["legacy_entries"] == 0
-        assert stats["entries"] == len(KEYS) + 1
-        assert cache.migrate() == 0  # nothing left to move
-        for index, key in enumerate(KEYS):
-            assert cache.load(key) == {"v": index}
+        assert cache.load(KEY) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
+        assert cache.clear() == 0
+        assert old.exists()
 
 
 # --- integration: a real two-shard fleet -------------------------------------
@@ -274,13 +253,11 @@ class TestGatewayFleet:
         assert metrics["aggregate"]["deduped"] == 1
         assert set(metrics["shards"]) == set(client.health()["shards"])
 
-    def test_v1_adapter_and_typed_errors_through_gateway(self, fleet):
+    def test_typed_errors_through_gateway(self, fleet):
         gw = fleet()
-        status, headers, out = raw_request(gw.port, "GET",
-                                           "/v1/jobs/ghost")
+        status, _, out = raw_request(gw.port, "GET", "/v1/jobs/ghost")
         assert status == 404
-        assert isinstance(out["error"], str)  # flattened for v1
-        assert "/v2/" in headers["Deprecation"]
+        assert out["error"]["code"] == "not_found"  # no /v1/ surface
         status, headers, out = raw_request(gw.port, "GET",
                                            "/v2/jobs/ghost")
         assert status == 404

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Orion, preset
+from repro import Orion, RunProtocol, preset
 from repro.delay import RouterDelayModel
 from repro.sim.network import Network
 from repro.sim.stats import zero_load_latency_estimate
@@ -91,10 +91,9 @@ class TestCorrectness:
 class TestEndToEnd:
     def test_speculative_preset_variant_runs(self):
         cfg = preset("VC16").with_router(kind="speculative_vc")
-        result = Orion(cfg).run_uniform(0.05, warmup_cycles=300,
-                                        sample_packets=200)
-        plain = Orion(preset("VC16")).run_uniform(0.05, warmup_cycles=300,
-                                                  sample_packets=200)
+        protocol = RunProtocol(warmup_cycles=300, sample_packets=200)
+        result = Orion(cfg).run_uniform(0.05, protocol)
+        plain = Orion(preset("VC16")).run_uniform(0.05, protocol)
         # Lower latency at equal offered load ...
         assert result.avg_latency < plain.avg_latency
         # ... at essentially unchanged power (same modules switching).
