@@ -106,8 +106,7 @@ def _make_traffic(args, config):
 
 def _protocol(args, **overrides) -> RunProtocol:
     fields = dict(warmup_cycles=args.warmup, sample_packets=args.sample,
-                  seed=getattr(args, "seed", 1),
-                  kernel=getattr(args, "kernel", "sparse"))
+                  seed=getattr(args, "seed", 1))
     faults = _fault_spec(args)
     if faults is not None:
         fields["faults"] = faults
@@ -248,8 +247,7 @@ def cmd_experiment(args) -> int:
                 for t in args.traffic.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     protocol = RunProtocol(warmup_cycles=args.warmup,
-                           sample_packets=args.sample, monitor=False,
-                           kernel=args.kernel)
+                           sample_packets=args.sample, monitor=False)
     if args.rates.strip() == "auto":
         spec = _guided_points(configs, traffics, seeds, protocol,
                               args.grid_points, quiet=args.quiet)
@@ -633,10 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup", type=_nonneg_int, default=1000,
                        help="warm-up cycles")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--kernel", choices=("dense", "sparse"),
-                       default="sparse",
-                       help="simulation kernel: 'sparse' (event-sparse "
-                            "fast path, default) or 'dense' (reference)")
         p.add_argument("--leakage", action="store_true",
                        help="add static power (extension)")
         p.add_argument("--activity", choices=("average", "data"),
@@ -727,10 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result cache directory")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the result cache")
-    p.add_argument("--kernel", choices=("dense", "sparse"),
-                   default="sparse",
-                   help="simulation kernel: 'sparse' (event-sparse fast "
-                        "path, default) or 'dense' (reference)")
     p.add_argument("--leakage", action="store_true",
                    help="add static power (extension)")
     p.add_argument("--activity", choices=("average", "data"),

@@ -22,7 +22,6 @@ VC_CLASS_MODES = ("none", "dateline")
 ARBITER_TYPES = ("matrix", "round_robin", "queuing")
 CROSSBAR_TYPES = ("matrix", "mux_tree")
 TIE_BREAKS = ("avoid_wrap", "even")
-KERNELS = ("dense", "sparse")
 
 
 @dataclass(frozen=True)
@@ -140,12 +139,6 @@ class RunProtocol:
     #: Attach the occupancy/utilization monitor (Figure-6-style spatial
     #: studies).
     monitor: bool = False
-    #: Simulation kernel: "sparse" steps only routers that can do work
-    #: and accounts average-mode energy through per-node event counters;
-    #: "dense" is the reference kernel (every router, every cycle,
-    #: per-event energy deposits).  Results are equivalent — see
-    #: tests/test_kernel_equivalence.py.
-    kernel: str = "sparse"
     #: Run the network's flit-conservation ``audit()`` every this many
     #: cycles (0 disables auditing).
     audit_every: int = 0
@@ -182,9 +175,6 @@ class RunProtocol:
             raise ValueError(
                 f"watchdog_cycles must be >= 1, got {self.watchdog_cycles}"
             )
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; "
-                             f"options: {KERNELS}")
         if self.audit_every < 0:
             raise ValueError(
                 f"audit_every must be >= 0, got {self.audit_every}"

@@ -15,7 +15,8 @@ through simulation".
 
 :class:`CounterBinding` is the fast-path variant for average mode: it
 counts events per node on the hot path and converts counts to joules
-once at finalization (the sparse kernel's accounting mode).
+once at finalization (the engine's choice whenever
+``activity_mode="average"``).
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ class CounterBinding(PowerBinding):
         n = self.config.num_nodes
         if not hasattr(self, "n_buf_write"):
             # First call: allocate.  The lists are public and zeroed in
-            # place afterwards so routers' sparse hot loops may cache
+            # place afterwards so routers' hot loops may cache
             # references and bump them directly, bypassing the sink
             # method calls (see VCRouter.__init__).
             self.n_buf_write = [0] * n

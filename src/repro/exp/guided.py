@@ -60,11 +60,11 @@ def guided_rate_grid(config: NetworkConfig, traffic: str = "uniform", *,
         )
     top = min(past_fraction * sat, 0.98 * prediction.throughput_bound)
     dense_lo = min(DENSE_BAND[0] * sat, top)
-    num_sparse = max(1, round(points * SPARSE_FRACTION))
-    num_dense = points - num_sparse
+    num_coarse = max(1, round(points * SPARSE_FRACTION))
+    num_dense = points - num_coarse
     sparse_lo = sat * 0.1
-    sparse = [sparse_lo + i * (dense_lo - sparse_lo) / num_sparse
-              for i in range(num_sparse)]
+    sparse = [sparse_lo + i * (dense_lo - sparse_lo) / num_coarse
+              for i in range(num_coarse)]
     dense = [dense_lo + i * (top - dense_lo) / max(1, num_dense - 1)
              for i in range(num_dense)]
     rates = sorted(set(round(r, 10) for r in sparse + dense))

@@ -15,9 +15,9 @@ exercises.  This module supplies the *description* side of that story:
 
 The *application* side lives in the simulator:
 :meth:`repro.sim.network.Network.apply_fault` consumes one event at a
-time, driven by the engine between cycles through a single hook shared
-by the dense and sparse kernels — so a seeded spec produces bit-identical
-results under either kernel (see tests/test_kernel_equivalence.py).
+time, driven by the engine between cycles through a single hook — so a
+seeded spec produces bit-identical results run after run (the faulted
+rows of tests/test_kernel_goldens.py pin them).
 
 Everything here is picklable and ``dataclasses.asdict``-able: fault
 specs ride inside :class:`~repro.core.config.RunProtocol`, cross process
@@ -182,7 +182,7 @@ def build_schedule(spec: FaultSpec, config) -> FaultSchedule:
     timeline for ``config``'s topology.
 
     Deterministic: the same (spec, config) pair always yields the same
-    schedule, regardless of kernel or call order — random placements
+    schedule, regardless of call order — random placements
     come from one fresh ``random.Random(spec.seed)`` consumed in a fixed
     sequence.  Raises :class:`ValueError` when the spec does not fit the
     configuration (more kills than links, stuck VCs on a VC-less router,

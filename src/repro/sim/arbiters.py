@@ -3,8 +3,9 @@
 Each arbiter picks one winner among requesters.  The policies mirror the
 power-model variants of :mod:`repro.power.arbiter`:
 
-* :class:`MatrixArbiter` — least-recently-served via an explicit pairwise
-  priority matrix (the hardware the matrix arbiter power model describes);
+* :class:`MatrixArbiter` — least-recently-served, the pairwise priority
+  matrix the matrix arbiter power model describes (carried as one
+  grant stamp per requester);
 * :class:`RoundRobinArbiter` — rotating pointer;
 * :class:`QueuingArbiter` — strict FCFS on request arrival order.
 """
@@ -22,9 +23,9 @@ class Arbiter:
         if size < 1:
             raise ValueError(f"arbiter size must be >= 1, got {size}")
         self.size = size
-        #: The stamp list when this arbiter is a :class:`FastMatrixArbiter`
+        #: The stamp list when this arbiter is a :class:`MatrixArbiter`
         #: (whose ``grant_single`` is one list store plus a counter bump),
-        #: else ``None``.  Hot sparse-kernel call sites test this to
+        #: else ``None``.  Hot router call sites test this to
         #: inline the uncontended grant instead of paying a method call:
         #: ``st[v] = arb._next; arb._next += 1`` is exactly
         #: ``grant_single(v)`` minus the bounds check (indices at those
@@ -42,8 +43,8 @@ class Arbiter:
     def grant_single(self, request: int) -> int:
         """Fast path for the uncontended case: exactly equivalent to
         ``grant([request])`` — same winner, same priority-state update —
-        without building the candidate machinery.  The sparse kernel's
-        hot loops call this when only one requester is active."""
+        without building the candidate machinery.  Router hot loops
+        call this when only one requester is active."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -66,73 +67,19 @@ class Arbiter:
 
 
 class MatrixArbiter(Arbiter):
-    """Least-recently-served arbiter with a pairwise priority matrix.
+    """Least-recently-served arbiter with O(1) grants.
 
-    ``self._pri[i][j]`` is True when requester ``i`` beats ``j``.  After a
-    grant, the winner loses priority against everyone (its row clears, its
-    column sets) — exactly the update whose flip-flop energy the matrix
-    arbiter power model charges.
-    """
-
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self._pri = [[i < j for j in range(size)] for i in range(size)]
-
-    def grant(self, requests: Sequence[int]) -> Optional[int]:
-        self._check(requests)
-        if not requests:
-            return None
-        active = set(requests)
-        winner = None
-        for i in active:
-            if all(self._pri[i][j] for j in active if j != i):
-                winner = i
-                break
-        if winner is None:
-            # The priority matrix is a total order among any subset, so a
-            # maximum always exists; this is unreachable but kept defensive.
-            winner = min(active)
-        for j in range(self.size):
-            if j != winner:
-                self._pri[winner][j] = False
-                self._pri[j][winner] = True
-        return winner
-
-    def grant_single(self, request: int) -> int:
-        if not 0 <= request < self.size:
-            raise ValueError(
-                f"requester {request} outside 0..{self.size - 1}"
-            )
-        pri = self._pri
-        row = pri[request]
-        for j in range(self.size):
-            if j != request:
-                row[j] = False
-                pri[j][request] = True
-        return request
-
-    def reset(self) -> None:
-        for i, row in enumerate(self._pri):
-            for j in range(self.size):
-                row[j] = i < j
-
-
-class FastMatrixArbiter(Arbiter):
-    """Drop-in replacement for :class:`MatrixArbiter` with O(1) grants.
-
-    The priority matrix is a total order at reset (``i`` beats ``j`` iff
-    ``i < j``) and every grant moves only the winner — to the bottom,
-    against everyone.  The relation therefore stays a total order whose
-    rank is "least recently granted first, never-granted by index", so
-    it can be carried as one integer per requester: never-granted slot
-    ``i`` holds ``i``, and each grant restamps the winner with the next
-    value of a monotonic counter.  The winner among any request set is
-    the minimum stamp — identical, grant for grant, to the matrix scan
-    (the equivalence is pinned by tests/test_kernel_equivalence.py).
-
-    Used by the sparse kernel, where matrix updates would otherwise be
-    the hottest arbiter cost; the explicit-matrix class remains the
-    reference (and the hardware the power model describes).
+    The hardware is a pairwise priority matrix: requester ``i`` beats
+    ``j`` iff ``i < j`` at reset, and a grant moves the winner to the
+    bottom against everyone (its row clears, its column sets) — the
+    update whose flip-flop energy the matrix arbiter power model
+    charges.  That relation stays a total order whose rank is "least
+    recently granted first, never-granted by index", so it is carried
+    as one integer per requester: never-granted slot ``i`` holds ``i``,
+    and each grant restamps the winner with the next value of a
+    monotonic counter.  The winner among any request set is the minimum
+    stamp — grant for grant the matrix scan (tests/test_arbiters.py
+    checks it against an explicit-matrix reference).
     """
 
     def __init__(self, size: int) -> None:
@@ -255,23 +202,11 @@ ARBITER_KINDS = {
     "queuing": QueuingArbiter,
 }
 
-#: Behaviourally-identical fast implementations picked by the sparse
-#: kernel (only the matrix arbiter has a cheaper equivalent form).
-FAST_ARBITER_KINDS = {
-    "matrix": FastMatrixArbiter,
-    "round_robin": RoundRobinArbiter,
-    "queuing": QueuingArbiter,
-}
 
-
-def make_arbiter(kind: str, size: int, fast: bool = False) -> Arbiter:
-    """Instantiate an arbiter by policy name.
-
-    ``fast=True`` (the sparse kernel) selects the grant-for-grant
-    equivalent implementation optimised for per-grant cost."""
-    kinds = FAST_ARBITER_KINDS if fast else ARBITER_KINDS
+def make_arbiter(kind: str, size: int) -> Arbiter:
+    """Instantiate an arbiter by policy name."""
     try:
-        cls = kinds[kind]
+        cls = ARBITER_KINDS[kind]
     except KeyError:
         raise ValueError(
             f"unknown arbiter kind {kind!r}; options: {sorted(ARBITER_KINDS)}"

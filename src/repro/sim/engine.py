@@ -133,19 +133,8 @@ class SimulationContext:
                  protocol: RunProtocol) -> None:
         self.config = config
         self.key = structural_key(config, protocol)
-        if protocol.collect_power:
-            self.accountant: Optional[EnergyAccountant] = \
-                EnergyAccountant(config.num_nodes)
-            if protocol.kernel == "sparse" and \
-                    config.activity_mode == "average":
-                self.binding = CounterBinding(config, self.accountant)
-            else:
-                self.binding = PowerBinding(config, self.accountant)
-        else:
-            self.accountant = None
-            self.binding = NullBinding()
-        self.network = Network(config, self.binding,
-                               kernel=protocol.kernel)
+        self.accountant, self.binding = _power_binding(config, protocol)
+        self.network = Network(config, self.binding)
         self._used = False
 
     def acquire(self) -> "SimulationContext":
@@ -164,7 +153,23 @@ def structural_key(config: NetworkConfig, protocol: RunProtocol) -> tuple:
     points agreeing on this key can share one
     :class:`SimulationContext`.
     """
-    return (config, protocol.kernel, protocol.collect_power)
+    return (config, protocol.collect_power)
+
+
+def _power_binding(config: NetworkConfig, protocol: RunProtocol):
+    """The ``(accountant, binding)`` pair a run accounts energy through.
+
+    Average activity defers energy into per-node integer event counters
+    converted to joules at finalization; data activity needs per-payload
+    Hamming distances, so it deposits per event; without power
+    collection there is no accountant and a no-op binding.
+    """
+    if not protocol.collect_power:
+        return None, NullBinding()
+    accountant = EnergyAccountant(config.num_nodes)
+    if config.activity_mode == "average":
+        return accountant, CounterBinding(config, accountant)
+    return accountant, PowerBinding(config, accountant)
 
 
 class Simulation:
@@ -185,34 +190,17 @@ class Simulation:
         self.max_cycles = protocol.max_cycles
         self.watchdog_cycles = protocol.watchdog_cycles
         self.audit_every = protocol.audit_every
-        if context is not None:
-            if context.key != structural_key(config, protocol):
-                raise ValueError(
-                    "simulation context was built for a different "
-                    "structural (config, protocol) pair"
-                )
-            context.acquire()
-            self.accountant = context.accountant
-            self.binding = context.binding
-            self.network = context.network
-        elif protocol.collect_power:
-            self.accountant = EnergyAccountant(config.num_nodes)
-            # The sparse kernel defers average-mode energy into integer
-            # event counters converted to joules at finalization; data
-            # mode needs per-payload Hamming distances, so it keeps the
-            # per-event deposit path.
-            if protocol.kernel == "sparse" and \
-                    config.activity_mode == "average":
-                self.binding = CounterBinding(config, self.accountant)
-            else:
-                self.binding = PowerBinding(config, self.accountant)
-            self.network = Network(config, self.binding,
-                                   kernel=protocol.kernel)
-        else:
-            self.accountant = None
-            self.binding = NullBinding()
-            self.network = Network(config, self.binding,
-                                   kernel=protocol.kernel)
+        if context is None:
+            context = SimulationContext(config, protocol)
+        elif context.key != structural_key(config, protocol):
+            raise ValueError(
+                "simulation context was built for a different "
+                "structural (config, protocol) pair"
+            )
+        context.acquire()
+        self.accountant = context.accountant
+        self.binding = context.binding
+        self.network = context.network
         self.config = config
         if protocol.monitor:
             from repro.sim.monitor import NetworkMonitor
@@ -285,10 +273,8 @@ class Simulation:
                     self.monitor.begin()
                 if recorder is not None:
                     recorder.begin(cycle)
-            # The single fault hook shared by both kernels: due events
-            # mutate the network between cycles, before injection and
-            # stepping, so dense and sparse timelines perturb
-            # identically.
+            # The single fault hook: due events mutate the network
+            # between cycles, before injection and stepping.
             if fault_queue and fault_queue[0].cycle <= cycle:
                 self._apply_due_faults(fault_queue, cycle)
             if profiling:

@@ -14,8 +14,8 @@ during cycle *t* is exactly the flit a post-step busy scan would
 observe after cycle *t* (single-cycle channels drain unconditionally at
 *t*+1), so send-count deltas reproduce the per-cycle scan bit for bit.
 Occupancy sampling reads the routers' O(1) maintained ``_buffered``
-counters; under the sparse kernel only the active set is visited —
-retired routers hold zero flits (an audited invariant).
+counters, visiting only the network's active set — retired routers hold
+zero flits (an audited invariant).
 
 Monitoring is opt-in (``Simulation(..., monitor=True)``).  The engine
 calls :meth:`NetworkMonitor.begin` at the end of warm-up to baseline
@@ -45,7 +45,6 @@ class NetworkMonitor:
         n = len(network.routers)
         self._occupancy_sum = [0] * n
         self._occupancy_peak = [0] * n
-        self._sparse = network.kernel == "sparse"
         self.begin()
 
     def begin(self) -> None:
@@ -62,16 +61,9 @@ class NetworkMonitor:
         self.cycles += 1
         occupancy_sum = self._occupancy_sum
         occupancy_peak = self._occupancy_peak
-        if self._sparse:
-            routers = self.network.routers
-            for node in self.network._active:
-                buffered = routers[node]._buffered
-                occupancy_sum[node] += buffered
-                if buffered > occupancy_peak[node]:
-                    occupancy_peak[node] = buffered
-            return
-        for node, router in enumerate(self.network.routers):
-            buffered = router._buffered
+        routers = self.network.routers
+        for node in self.network._active:
+            buffered = routers[node]._buffered
             occupancy_sum[node] += buffered
             if buffered > occupancy_peak[node]:
                 occupancy_peak[node] = buffered

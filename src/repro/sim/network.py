@@ -5,6 +5,9 @@ with five bidirectional ports each, single-cycle data and credit channels,
 credit-based flow control, unbounded source queues at the injection ports
 (source queuing counts toward latency) and immediate ejection at the
 LOCAL ports.
+
+The cycle loop is event-sparse: only routers that can do work are
+stepped (see :meth:`Network.step`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from repro.core.config import KERNELS, NetworkConfig
+from repro.core.config import NetworkConfig
 from repro.core.power_binding import NullBinding
 from repro.faults import STUCK_VC, FaultEvent
 from repro.sim.message import Flit, Packet
@@ -65,13 +68,8 @@ class Network:
     """A simulatable interconnection network instance."""
 
     def __init__(self, config: NetworkConfig, binding=None,
-                 payload_seed: int = 7, kernel: str = "dense") -> None:
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; options: {KERNELS}"
-            )
+                 payload_seed: int = 7) -> None:
         self.config = config
-        self.kernel = kernel
         self.binding = binding if binding is not None else NullBinding()
         if config.topology == "torus":
             self.topo = Torus(config.width, config.height)
@@ -79,11 +77,10 @@ class Network:
             self.topo = Mesh(config.width, config.height)
         router_cls = ROUTER_CLASSES[config.router.kind]
         self.routers = [
-            router_cls(node, config, self.binding,
-                       sparse=(kernel == "sparse"))
+            router_cls(node, config, self.binding)
             for node in range(self.topo.num_nodes)
         ]
-        #: Sparse kernel: routers that may do work next cycle.  Routers
+        #: Routers that may do work next cycle.  Routers
         #: enrol via channel notifiers / injection and retire once their
         #: buffers and pending channel work drain.
         self._active: set = set()
@@ -129,20 +126,15 @@ class Network:
     def _wire(self) -> None:
         """Create data+credit channels and initialise credit counters."""
         rc = self.config.router
-        sparse = self.kernel == "sparse"
+        routers = self.routers
         for src, out_port, dst in self.topo.channels():
             in_port = OPPOSITE[out_port]
-            channel = Channel(src, out_port, dst, in_port)
-            self.routers[src].connect_out(out_port, channel)
-            self.routers[dst].connect_in(in_port, channel)
-            self.routers[src].set_downstream_depth(
+            channel = Channel(routers[src], out_port, routers[dst], in_port,
+                              self._active)
+            routers[src].connect_out(out_port, channel)
+            routers[dst].connect_in(in_port, channel)
+            routers[src].set_downstream_depth(
                 out_port, rc.buffer_depth, rc.num_vcs)
-            if sparse:
-                channel.active_set = self._active
-                channel.flit_router = self.routers[dst]
-                channel.flit_bit = 1 << in_port
-                channel.credit_router = self.routers[src]
-                channel.credit_bit = 1 << out_port
         for router in self.routers:
             router.eject = _Ejector(self, router.node)
             router.network = self
@@ -227,32 +219,13 @@ class Network:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits that moved
-        (traversals plus injections — the deadlock watchdog's signal)."""
-        if self.kernel == "sparse":
-            return self._step_sparse()
-        cycle = self.cycle
-        for router in self.routers:
-            router.moved_flits = 0
-        for router in self.routers:
-            router.arrival_phase(cycle)
-        for router in self.routers:
-            router.traversal_phase(cycle)
-        for router in self.routers:
-            router.allocation_phase(cycle)
-        moved = self._injection_phase(cycle)
-        moved += sum(r.moved_flits for r in self.routers)
-        self.cycle = cycle + 1
-        return moved
+        (traversals plus injections — the deadlock watchdog's signal).
 
-    def _step_sparse(self) -> int:
-        """Event-sparse cycle: run the three phases only over the active
-        set, in ascending node order (matching the dense scan — inactive
-        routers have no work, so the event sequence is identical).
-
+        Only the active set is stepped, in ascending node order.
         Routers enrol through channel notifiers (a neighbour sent a flit
         or returned a credit) and through injection; they retire once
-        their buffers and pending channel work are drained.  A retired
-        router is skipped entirely until something arrives for it again.
+        their buffers and pending channel work are drained, and are
+        skipped entirely until something arrives for them again.
         """
         cycle = self.cycle
         routers = self.routers
@@ -266,8 +239,8 @@ class Network:
         # (traversal output lands on channels drained at next cycle's
         # arrival; allocation reads only router-local state; energy
         # deposits are keyed by the depositing node), so per-router
-        # traverse-then-allocate observes exactly what the dense
-        # all-traversals-then-all-allocations order does.  Routers that
+        # traverse-then-allocate observes exactly what an
+        # all-traversals-then-all-allocations order would.  Routers that
         # merely drained credits this cycle skip both stages.
         for node in active:
             router = routers[node]
@@ -287,35 +260,24 @@ class Network:
         """Move at most one flit per node from its source queue into the
         router's injection port (one-flit-per-cycle injection channel)."""
         injected = 0
-        if self.kernel == "sparse":
-            for node in sorted(self._pending_src):
-                queue = self.source_queues[node]
-                if not queue:
-                    self._pending_src.discard(node)
-                    continue
-                router = self.routers[node]
-                # Sleeping routers never ran arrival this cycle, so
-                # refresh the clock before the flit is timestamped.
-                router.now = cycle
-                if router.inject_flit(queue[0]):
-                    queue.popleft()
-                    self.flits_injected += 1
-                    self.node_flits_injected[node] += 1
-                    self._awaiting -= 1
-                    injected += 1
-                    self._active.add(node)
-                    if not queue:
-                        self._pending_src.discard(node)
-            return injected
-        for node, queue in enumerate(self.source_queues):
+        for node in sorted(self._pending_src):
+            queue = self.source_queues[node]
             if not queue:
+                self._pending_src.discard(node)
                 continue
-            if self.routers[node].inject_flit(queue[0]):
+            router = self.routers[node]
+            # Sleeping routers never ran arrival this cycle, so refresh
+            # the clock before the flit is timestamped.
+            router.now = cycle
+            if router.inject_flit(queue[0]):
                 queue.popleft()
                 self.flits_injected += 1
                 self.node_flits_injected[node] += 1
                 self._awaiting -= 1
                 injected += 1
+                self._active.add(node)
+                if not queue:
+                    self._pending_src.discard(node)
         return injected
 
     # --- fault application ---------------------------------------------------------------
@@ -323,12 +285,11 @@ class Network:
     def apply_fault(self, event: FaultEvent) -> bool:
         """Apply one fault event to the live network (between cycles).
 
-        The single mutation point both kernels share: the engine drives
-        due events through here, so a fault timeline perturbs dense and
-        sparse runs identically.  Returns ``False`` when the event
-        cannot apply *yet* (a ``vc_stuck`` on a currently-owned output
-        VC — wedging it mid-packet would corrupt the connection) and
-        should be retried next cycle.  Raises :class:`ValueError` for
+        The single mutation point for faults: the engine drives due
+        events through here.  Returns ``False`` when the event cannot
+        apply *yet* (a ``vc_stuck`` on a currently-owned output VC —
+        wedging it mid-packet would corrupt the connection) and should
+        be retried next cycle.  Raises :class:`ValueError` for
         events naming nonexistent hardware.
 
         Link faults have graceful semantics: established connections and
@@ -356,11 +317,10 @@ class Network:
             return True
         if kind == "router_thaw":
             router.thaw()
-            if self.kernel == "sparse":
-                # Re-enrol so buffered work accumulated while frozen
-                # resumes; harmless when there is none (the router
-                # retires again after one scan).
-                self._active.add(event.node)
+            # Re-enrol so buffered work accumulated while frozen resumes;
+            # harmless when there is none (the router retires again
+            # after one scan).
+            self._active.add(event.node)
             return True
         if kind == "vc_stuck":
             owners = getattr(router, "out_vc_owner", None)
@@ -401,8 +361,8 @@ class Network:
     def audit(self) -> None:
         """Flit-conservation check: every injected flit is buffered, in
         flight on a channel, or ejected; the maintained counters match
-        the structures they shadow; and (sparse kernel) no router holding
-        work has retired from the active set.  Raises on violation."""
+        the structures they shadow; and no router holding work has
+        retired from the active set.  Raises on violation."""
         buffered = sum(r.buffered_flits() for r in self.routers)
         on_wire = sum(
             1 for r in self.routers for c in r.out_channels
@@ -451,21 +411,18 @@ class Network:
                     f"buffers hold {actual}"
                 )
             router.check_invariants()
-        if self.kernel == "sparse":
-            for node, queue in enumerate(self.source_queues):
-                if queue and node not in self._pending_src:
-                    raise RuntimeError(
-                        f"sparse kernel invariant violated: node {node} "
-                        f"has queued source flits but is not pending "
-                        f"injection"
-                    )
-            for router in self.routers:
-                if router.node in self._active:
-                    continue
-                if (router._buffered or router._pending_in
-                        or router._pending_credit):
-                    raise RuntimeError(
-                        f"sparse kernel invariant violated: node "
-                        f"{router.node} holds work but retired from the "
-                        f"active set"
-                    )
+        for node, queue in enumerate(self.source_queues):
+            if queue and node not in self._pending_src:
+                raise RuntimeError(
+                    f"active-set invariant violated: node {node} has "
+                    f"queued source flits but is not pending injection"
+                )
+        for router in self.routers:
+            if router.node in self._active:
+                continue
+            if (router._buffered or router._pending_in
+                    or router._pending_credit):
+                raise RuntimeError(
+                    f"active-set invariant violated: node {router.node} "
+                    f"holds work but retired from the active set"
+                )

@@ -1,12 +1,13 @@
 """Shared router machinery: ports, channels and the phase protocol.
 
-Routers are cycle-driven.  Each simulated cycle the network calls, on
-every router in turn:
+Routers are cycle-driven.  Each simulated cycle the network runs, on
+every *active* router (one holding flits or with undrained channel
+work) in ascending node order:
 
 1. ``arrival_phase``   — drain data/credit channels written last cycle;
-2. ``traversal_phase`` — execute switch traversals granted last cycle
-   (the ST pipeline stage);
-3. ``allocation_phase``— arbitrate for next cycle (SA, and VA for VC
+2. ``work_phase``, i.e. ``traversal_phase`` — execute switch traversals
+   granted last cycle (the ST pipeline stage) — then
+   ``allocation_phase`` — arbitrate for next cycle (SA, and VA for VC
    routers);
 
 followed by source injection handled by the network.  This ordering gives
@@ -28,13 +29,20 @@ from repro.sim.topology import LOCAL
 
 class Channel:
     """A unidirectional inter-router channel with one-cycle propagation,
-    plus the reverse credit wire (also one cycle, per section 4.1)."""
+    plus the reverse credit wire (also one cycle, per section 4.1).
 
-    def __init__(self, src_node: int, src_port: int, dst_node: int,
-                 dst_port: int) -> None:
-        self.src_node = src_node
+    Placing a flit (credit) on the wire marks the downstream (upstream)
+    router's pending bitmask and enrols it in the network's ``active``
+    set for the next cycle.  Inline fields rather than a callback hook:
+    the notification fires once per flit and once per credit, so the
+    per-event cost is kept to a few attribute operations."""
+
+    def __init__(self, upstream: "BaseRouter", src_port: int,
+                 downstream: "BaseRouter", dst_port: int,
+                 active: set) -> None:
+        self.src_node = upstream.node
         self.src_port = src_port
-        self.dst_node = dst_node
+        self.dst_node = downstream.node
         self.dst_port = dst_port
         self._flit: Optional[Flit] = None
         self._credits: List[int] = []
@@ -43,17 +51,11 @@ class Channel:
         #: cycle t (drained at t+1), so send counts reproduce per-cycle
         #: utilization scans without scanning (see NetworkMonitor).
         self.flits_sent = 0
-        #: Sparse-kernel wiring (installed by the network): placing a
-        #: flit / credit on the wire marks the endpoint router's pending
-        #: bitmask and enrols it in the network's active set for the next
-        #: cycle.  Inline fields rather than a callback hook — the
-        #: notification fires once per flit and once per credit, so the
-        #: per-event cost is kept to a few attribute operations.
-        self.flit_router = None
-        self.flit_bit = 0
-        self.credit_router = None
-        self.credit_bit = 0
-        self.active_set: Optional[set] = None
+        self.flit_router = downstream
+        self.flit_bit = 1 << dst_port
+        self.credit_router = upstream
+        self.credit_bit = 1 << src_port
+        self.active_set = active
 
     def send_flit(self, flit: Flit) -> None:
         """Place a flit on the wire (at most one per cycle)."""
@@ -65,9 +67,8 @@ class Channel:
         self._flit = flit
         self.flits_sent += 1
         router = self.flit_router
-        if router is not None:
-            router._pending_in |= self.flit_bit
-            self.active_set.add(router.node)
+        router._pending_in |= self.flit_bit
+        self.active_set.add(router.node)
 
     def take_flit(self) -> Optional[Flit]:
         """Remove and return the in-flight flit (receiver side)."""
@@ -78,9 +79,8 @@ class Channel:
         """Return one credit upstream for the given VC."""
         self._credits.append(vc)
         router = self.credit_router
-        if router is not None:
-            router._pending_credit |= self.credit_bit
-            self.active_set.add(router.node)
+        router._pending_credit |= self.credit_bit
+        self.active_set.add(router.node)
 
     def take_credits(self) -> List[int]:
         """Drain pending credits (sender side)."""
@@ -105,8 +105,7 @@ class BaseRouter:
 
     PORTS = 5
 
-    def __init__(self, node: int, config: NetworkConfig, binding,
-                 sparse: bool = False) -> None:
+    def __init__(self, node: int, config: NetworkConfig, binding) -> None:
         self.node = node
         self.config = config
         self.binding = binding
@@ -122,11 +121,6 @@ class BaseRouter:
         #: Current cycle, updated at the start of each arrival phase and
         #: stamped onto arriving flits for stage-eligibility checks.
         self.now = 0
-        #: Event-sparse scheduling (chosen by the network's kernel): the
-        #: router is stepped only while it can do work, arrivals are
-        #: driven by the pending bitmasks below, and hot loops may take
-        #: semantically-equivalent fast paths.
-        self.sparse = sparse
         #: Bitmask of input ports whose channel carries an undrained flit.
         self._pending_in = 0
         #: Bitmask of output ports whose channel holds undrained credits.
@@ -145,14 +139,10 @@ class BaseRouter:
         #: Whether a ``router_freeze`` fault has halted this router's
         #: work phases (see :meth:`freeze`).
         self.frozen = False
-        self._thaw_state = None
         #: Counter-based binding fast path (see CounterBinding): the
         #: per-node link-event counter list, bumped directly in ``_send``
         #: instead of a sink-method call.  ``None`` on any other binding.
-        self._c_link = getattr(binding, "n_link", None) if sparse else None
-        if sparse:
-            # Skip the per-call dense/sparse branch in the hot loop.
-            self.arrival_phase = self._arrival_phase_sparse
+        self._c_link = getattr(binding, "n_link", None)
 
     # --- wiring (done by the network) ---------------------------------------
 
@@ -183,26 +173,10 @@ class BaseRouter:
     def arrival_phase(self, cycle: int) -> None:
         """Drain channels: incoming flits into buffers, credits back.
 
-        Sparse instances have :meth:`_arrival_phase_sparse` pre-bound
-        over this method."""
-        self.now = cycle
-        for port in range(self.PORTS):
-            channel = self.in_channels[port]
-            if channel is not None:
-                flit = channel.take_flit()
-                if flit is not None:
-                    self.accept_flit(port, flit)
-            channel = self.out_channels[port]
-            if channel is not None:
-                for vc in channel.take_credits():
-                    self.credit_return(port, vc)
-
-    def _arrival_phase_sparse(self, cycle: int) -> None:
-        """Event-driven channel drain: the notifiers recorded exactly
-        which ports have work, so only those are touched.  Port order
-        (ascending, flits before credits) leaves all observable state
-        identical to the dense scan: each port's buffers and credit
-        counters are disjoint."""
+        The channel notifiers recorded exactly which ports have work, so
+        only those are touched, in ascending port order, flits before
+        credits (each port's buffers and credit counters are
+        disjoint)."""
         self.now = cycle
         pending = self._pending_in
         if pending:
@@ -246,9 +220,7 @@ class BaseRouter:
 
     def work_phase(self, cycle: int) -> None:
         """Traversal then allocation — the per-router work pass of the
-        sparse kernel's cycle loop.  Subclasses may bind a fused
-        implementation over this instance attribute; the phases stay
-        individually callable (and are what the dense kernel drives)."""
+        network's cycle loop."""
         self.traversal_phase(cycle)
         self.allocation_phase(cycle)
 
@@ -279,8 +251,8 @@ class BaseRouter:
 
     def reset(self) -> None:
         """Restore construction-time dynamic state in place, keeping all
-        wiring (channels, eject, network back-reference, sparse phase
-        bindings and counter-list aliases).
+        wiring (channels, eject, network back-reference and counter-list
+        aliases).
 
         Subclasses extend this with their buffer/allocator state; after
         ``reset()`` the router must behave cycle-for-cycle like a freshly
@@ -311,25 +283,17 @@ class BaseRouter:
         if self.frozen:
             return
         self.frozen = True
-        # Some routers bind fused/sparse twins as instance attributes in
-        # __init__; save whatever instance-level bindings exist (None
-        # marks "was a plain class method") and stub all four over.
-        self._thaw_state = {name: self.__dict__.pop(name, None)
-                            for name in self._FROZEN_NAMES}
         for name in self._FROZEN_NAMES[:-1]:
             setattr(self, name, _frozen_phase)
         self.inject_flit = _frozen_inject
 
     def thaw(self) -> None:
-        """Undo :meth:`freeze`, restoring the saved phase bindings."""
+        """Undo :meth:`freeze`, unmasking the class phase methods."""
         if not self.frozen:
             return
         self.frozen = False
-        saved, self._thaw_state = self._thaw_state, None
         for name in self._FROZEN_NAMES:
             del self.__dict__[name]
-            if saved[name] is not None:
-                self.__dict__[name] = saved[name]
 
     def _fault_redirect(self, head: Flit, in_port: int) -> int:
         """The head's routed output port is faulted: detour around the

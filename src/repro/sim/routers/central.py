@@ -42,9 +42,8 @@ class _PacketRecord:
 class CentralBufferRouter(BaseRouter):
     """Shared-memory (central-buffered) router."""
 
-    def __init__(self, node: int, config: NetworkConfig, binding,
-                 sparse: bool = False) -> None:
-        super().__init__(node, config, binding, sparse)
+    def __init__(self, node: int, config: NetworkConfig, binding) -> None:
+        super().__init__(node, config, binding)
         rc = config.router
         self.depth = rc.buffer_depth
         self.capacity = rc.cb_capacity_flits
@@ -59,10 +58,8 @@ class CentralBufferRouter(BaseRouter):
         self._open_records: Dict[int, _PacketRecord] = {}
         self.occupancy = 0
         self.out_credits: List[Optional[int]] = [None] * self.PORTS
-        self.write_arbiter = make_arbiter(rc.arbiter_type, self.PORTS,
-                                          fast=sparse)
-        self.read_arbiter = make_arbiter(rc.arbiter_type, self.PORTS,
-                                         fast=sparse)
+        self.write_arbiter = make_arbiter(rc.arbiter_type, self.PORTS)
+        self.read_arbiter = make_arbiter(rc.arbiter_type, self.PORTS)
         self._write_grants: List[int] = []
         self._read_grants: List[int] = []
 
@@ -157,7 +154,7 @@ class CentralBufferRouter(BaseRouter):
         for _ in range(self.read_ports):
             if not candidates:
                 break
-            if self.sparse and len(candidates) == 1:
+            if len(candidates) == 1:
                 winner = self.read_arbiter.grant_single(candidates[0])
             else:
                 winner = self.read_arbiter.grant(candidates)
@@ -176,7 +173,7 @@ class CentralBufferRouter(BaseRouter):
         for _ in range(self.write_ports):
             if not candidates or budget <= 0:
                 break
-            if self.sparse and len(candidates) == 1:
+            if len(candidates) == 1:
                 winner = self.write_arbiter.grant_single(candidates[0])
             else:
                 winner = self.write_arbiter.grant(candidates)

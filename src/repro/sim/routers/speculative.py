@@ -56,7 +56,7 @@ class SpeculativeVCRouter(VCRouter):
             if not contenders:
                 continue
             ports = [p for p, _ in contenders]
-            if self.sparse and len(ports) == 1:
+            if len(ports) == 1:
                 winner_port = self.switch_arbiters[out_port] \
                     .grant_single(ports[0])
             else:

@@ -58,9 +58,8 @@ class _InputVC:
 class VCRouter(BaseRouter):
     """Input-buffered virtual-channel router."""
 
-    def __init__(self, node: int, config: NetworkConfig, binding,
-                 sparse: bool = False) -> None:
-        super().__init__(node, config, binding, sparse)
+    def __init__(self, node: int, config: NetworkConfig, binding) -> None:
+        super().__init__(node, config, binding)
         rc = config.router
         self.num_vcs = rc.num_vcs
         self.vc_depth = rc.buffer_depth
@@ -69,7 +68,7 @@ class VCRouter(BaseRouter):
             for _ in range(self.PORTS)
         ]
         #: Per-input-port bitmasks over VC indices, maintained O(1) so
-        #: the sparse kernel's allocation scans visit only live VCs:
+        #: the allocation scans visit only live VCs:
         #: ``_sa_mask`` — active (output VC held) and non-empty, the only
         #: VCs that can request the switch; ``_va_mask`` — idle and
         #: non-empty, the only VCs that can request an output VC.
@@ -89,16 +88,15 @@ class VCRouter(BaseRouter):
         #: Per-output-VC downstream credits; None = unlimited (ejection).
         self.out_credits: List[Optional[List[int]]] = [None] * self.PORTS
         self.switch_arbiters = [
-            make_arbiter(rc.arbiter_type, self.PORTS, fast=sparse)
+            make_arbiter(rc.arbiter_type, self.PORTS)
             for _ in range(self.PORTS)
         ]
         self.local_arbiters = [
-            make_arbiter(rc.arbiter_type, self.num_vcs, fast=sparse)
+            make_arbiter(rc.arbiter_type, self.num_vcs)
             for _ in range(self.PORTS)
         ]
         self.vc_arbiters = [
-            [make_arbiter(rc.arbiter_type, self.PORTS * self.num_vcs,
-                          fast=sparse)
+            [make_arbiter(rc.arbiter_type, self.PORTS * self.num_vcs)
              for _ in range(self.num_vcs)]
             for _ in range(self.PORTS)
         ]
@@ -112,14 +110,14 @@ class VCRouter(BaseRouter):
         # Injection bookkeeping: VC receiving the in-progress packet.
         self._inject_vc: Optional[int] = None
         self._inject_rr = 0
-        # Sparse fast paths.  When the binding is counter-based
+        # Counter fast paths.  When the binding is counter-based
         # (CounterBinding exposes its per-node event counters as stable,
         # in-place-zeroed lists), the hot loops bump the counters
         # directly instead of paying a method call per event — the
         # deposits are identical, only the call is elided.  ``None``
         # keeps every other binding on the sink-method path.
         arb_counts = getattr(binding, "n_arb", None)
-        if sparse and arb_counts is not None:
+        if arb_counts is not None:
             self._c_arb_local = arb_counts["local"][node]
             self._c_arb_switch = arb_counts["switch"][node]
             self._c_arb_vc = arb_counts["vc"][node]
@@ -133,13 +131,6 @@ class VCRouter(BaseRouter):
             self._c_buf_write = None
             self._c_buf_read = None
             self._c_xbar = None
-        if sparse and type(self).allocation_phase is VCRouter.allocation_phase:
-            # Skip the per-call kernel dispatch and fuse the traversal +
-            # allocation pass (the speculative subclass overrides
-            # allocation_phase, so only bind when this class's
-            # dispatcher would run).
-            self.allocation_phase = self._allocation_phase_sparse
-            self.work_phase = self._work_phase_sparse
 
     # --- wiring -----------------------------------------------------------------
 
@@ -190,8 +181,8 @@ class VCRouter(BaseRouter):
                 f"node {self.node} output {port} vc {vc}: credit overflow"
             )
 
-    def _arrival_phase_sparse(self, cycle: int) -> None:
-        """Event-driven channel drain (see the base-class twin), with
+    def arrival_phase(self, cycle: int) -> None:
+        """Event-driven channel drain (see the base class), with
         :meth:`accept_flit` / :meth:`credit_return` and the channel
         accessors inlined — identical mutations and deposits per event,
         only the call frames elided."""
@@ -261,7 +252,12 @@ class VCRouter(BaseRouter):
     # --- pipeline stages ------------------------------------------------------------
 
     def traversal_phase(self, cycle: int) -> None:
-        """ST: execute last cycle's switch grants."""
+        """ST: execute last cycle's switch grants.
+
+        The per-flit helpers (``_send``, ``Channel.send_flit``,
+        ``Channel.send_credit``) are inlined — the same state mutations,
+        energy deposits and channel notifications, only the call frames
+        elided."""
         grants = self._st_grants
         if not grants:
             return
@@ -269,13 +265,15 @@ class VCRouter(BaseRouter):
         vcs = self.vcs
         sa_mask = self._sa_mask
         in_channels = self.in_channels
+        out_channels = self.out_channels
         binding = self.binding
-        buffer_read = binding.buffer_read
-        xbar_traversal = binding.xbar_traversal
         c_buf_read = self._c_buf_read
         c_xbar = self._c_xbar
+        c_link = self._c_link
         node = self.node
         dateline = self.dateline
+        eject = self.eject
+        moved = 0
         for in_port, in_vc, out_port, out_vc in grants:
             vc = vcs[in_port][in_vc]
             flit = vc.fifo.popleft()
@@ -289,11 +287,14 @@ class VCRouter(BaseRouter):
                 c_buf_read[node] += 1
                 c_xbar[node] += 1
             else:
-                buffer_read(node)
-                xbar_traversal(node, out_port, flit.payload)
+                binding.buffer_read(node)
+                binding.xbar_traversal(node, out_port, flit.payload)
             channel = in_channels[in_port]
             if channel is not None:
-                channel.send_credit(in_vc)
+                channel._credits.append(in_vc)
+                upstream = channel.credit_router
+                upstream._pending_credit |= channel.credit_bit
+                channel.active_set.add(upstream.node)
             if dateline and flit.is_head:
                 self._update_dateline(flit, out_port)
             if flit.is_tail:
@@ -306,117 +307,38 @@ class VCRouter(BaseRouter):
                 if not masked:
                     self._sa_ports &= ~(1 << in_port)
                 if vc.fifo:
-                    # The next packet's head is already queued behind
-                    # the departing tail: it now awaits VC allocation.
                     self._va_mask[in_port] |= 1 << in_vc
                     self._va_ports |= 1 << in_port
             flit.vc = out_vc
-            self._send(out_port, flit)
-
-    def _work_phase_sparse(self, cycle: int) -> None:
-        """Fused ST + SA + VA pass for the sparse kernel.
-
-        The traversal block is the twin of :meth:`traversal_phase` with
-        the per-flit helper calls (``_send``, ``Channel.send_flit``,
-        ``Channel.send_credit``) inlined — identical state mutations and
-        energy deposits, only the call frames elided; the sparse kernel
-        wires every channel's notifier fields, so the inlined sends
-        notify unconditionally.  The equivalence suite and the audit
-        invariants pin this twin to the canonical phase methods.
-        """
-        grants = self._st_grants
-        if grants:
-            self._st_grants = []
-            vcs = self.vcs
-            sa_mask = self._sa_mask
-            in_channels = self.in_channels
-            out_channels = self.out_channels
-            binding = self.binding
-            c_buf_read = self._c_buf_read
-            c_xbar = self._c_xbar
-            c_link = self._c_link
-            node = self.node
-            dateline = self.dateline
-            eject = self.eject
-            moved = 0
-            for in_port, in_vc, out_port, out_vc in grants:
-                vc = vcs[in_port][in_vc]
-                flit = vc.fifo.popleft()
-                self._buffered -= 1
-                if not vc.fifo:
-                    masked = sa_mask[in_port] & ~(1 << in_vc)
-                    sa_mask[in_port] = masked
-                    if not masked:
-                        self._sa_ports &= ~(1 << in_port)
-                if c_buf_read is not None:
-                    c_buf_read[node] += 1
-                    c_xbar[node] += 1
+            moved += 1
+            if out_port == LOCAL:
+                eject(flit)
+            else:
+                if flit.is_head:
+                    flit.route_idx += 1
+                channel = out_channels[out_port]
+                if c_link is not None:
+                    c_link[node] += 1
                 else:
-                    binding.buffer_read(node)
-                    binding.xbar_traversal(node, out_port, flit.payload)
-                channel = in_channels[in_port]
-                if channel is not None:
-                    channel._credits.append(in_vc)
-                    upstream = channel.credit_router
-                    upstream._pending_credit |= channel.credit_bit
-                    channel.active_set.add(upstream.node)
-                if dateline and flit.is_head:
-                    self._update_dateline(flit, out_port)
-                if flit.is_tail:
-                    self.out_vc_owner[out_port][out_vc] = None
-                    vc.active = False
-                    vc.out_port = None
-                    vc.out_vc = None
-                    masked = sa_mask[in_port] & ~(1 << in_vc)
-                    sa_mask[in_port] = masked
-                    if not masked:
-                        self._sa_ports &= ~(1 << in_port)
-                    if vc.fifo:
-                        self._va_mask[in_port] |= 1 << in_vc
-                        self._va_ports |= 1 << in_port
-                flit.vc = out_vc
-                moved += 1
-                if out_port == LOCAL:
-                    eject(flit)
-                else:
-                    if flit.is_head:
-                        flit.route_idx += 1
-                    channel = out_channels[out_port]
-                    if c_link is not None:
-                        c_link[node] += 1
-                    else:
-                        binding.link_traversal(node, out_port, flit.payload)
-                    if channel._flit is not None:
-                        raise RuntimeError(
-                            f"channel {channel.src_node}:{channel.src_port}"
-                            f"->{channel.dst_node}:{channel.dst_port} "
-                            f"already carries a flit"
-                        )
-                    channel._flit = flit
-                    channel.flits_sent += 1
-                    downstream = channel.flit_router
-                    downstream._pending_in |= channel.flit_bit
-                    channel.active_set.add(downstream.node)
-            self.moved_flits = moved
-        self._switch_allocation_sparse(cycle)
-        if self._va_ports:
-            self._vc_allocation_sparse(cycle)
+                    binding.link_traversal(node, out_port, flit.payload)
+                if channel._flit is not None:
+                    raise RuntimeError(
+                        f"channel {channel.src_node}:{channel.src_port}"
+                        f"->{channel.dst_node}:{channel.dst_port} "
+                        f"already carries a flit"
+                    )
+                channel._flit = flit
+                channel.flits_sent += 1
+                downstream = channel.flit_router
+                downstream._pending_in |= channel.flit_bit
+                channel.active_set.add(downstream.node)
+        self.moved_flits = moved
 
     def allocation_phase(self, cycle: int) -> None:
         """SA then VA (so VA grants become SA-visible next cycle)."""
-        if self.sparse:
-            self._switch_allocation_sparse(cycle)
-            self._vc_allocation_sparse(cycle)
-        else:
-            self._switch_allocation(cycle)
-            self._vc_allocation(cycle)
-
-    def _allocation_phase_sparse(self, cycle: int) -> None:
-        """Pre-bound sparse allocation (installed as the instance's
-        ``allocation_phase`` to skip the kernel dispatch per call)."""
-        self._switch_allocation_sparse(cycle)
+        self._switch_allocation_masked(cycle)
         if self._va_ports:
-            self._vc_allocation_sparse(cycle)
+            self._vc_allocation_masked(cycle)
 
     #: Allocation iterations per cycle.  A single pass of a separable
     #: allocator wastes input slots (a stage-1 winner that loses the
@@ -431,7 +353,6 @@ class VCRouter(BaseRouter):
         speculative subclass to fill leftover slots)."""
         matched_inputs = set()
         matched_outputs = set()
-        fast = self.sparse
         sa_mask = self._sa_mask
         vcs = self.vcs
         out_credits = self.out_credits
@@ -441,7 +362,7 @@ class VCRouter(BaseRouter):
             for in_port in range(self.PORTS):
                 if in_port in matched_inputs:
                     continue
-                if fast and not sa_mask[in_port]:
+                if not sa_mask[in_port]:
                     continue
                 candidates = []
                 for v, vc in enumerate(vcs[in_port]):
@@ -456,7 +377,7 @@ class VCRouter(BaseRouter):
                     candidates.append(v)
                 if not candidates:
                     continue
-                if fast and len(candidates) == 1:
+                if len(candidates) == 1:
                     winner = self.local_arbiters[in_port].grant_single(
                         candidates[0])
                 else:
@@ -471,7 +392,7 @@ class VCRouter(BaseRouter):
                 by_output.setdefault(out_port, []).append((in_port, v))
             for out_port, contenders in by_output.items():
                 ports = [p for p, _ in contenders]
-                if fast and len(ports) == 1:
+                if len(ports) == 1:
                     winner_port = self.switch_arbiters[out_port] \
                         .grant_single(ports[0])
                 else:
@@ -489,18 +410,18 @@ class VCRouter(BaseRouter):
                     (winner_port, winner_vc, out_port, vc.out_vc))
         return matched_inputs, matched_outputs
 
-    def _switch_allocation_sparse(self, cycle: int) -> None:
-        """Sparse-kernel switch allocation, event-for-event equivalent
-        to :meth:`_switch_allocation`.
+    def _switch_allocation_masked(self, cycle: int) -> None:
+        """Mask-walking switch allocation, event-for-event equivalent to
+        :meth:`_switch_allocation`.
 
         Differences are purely mechanical: the stage-1 scan walks the
         ``_sa_mask`` bitmasks (active non-empty VCs, ascending — the
-        exact candidate set the dense scan filters out of all V VCs),
+        exact candidate set a scan of all V VCs would filter out),
         matched ports are bitmasks, and an iteration ends the loop early
         when no stage-1 winner lost stage 2 — in that case the next
-        dense iteration provably finds no candidates (candidate sets
-        only shrink as outputs match and credits drain), so it would
-        touch no arbiter and emit no event.
+        iteration provably finds no candidates (candidate sets only
+        shrink as outputs match and credits drain), so it would touch no
+        arbiter and emit no event.
         """
         pmask = self._sa_ports
         if not pmask:
@@ -552,7 +473,7 @@ class VCRouter(BaseRouter):
             else:
                 n_req = len(extras)
                 if st is not None and n_req == 2:
-                    # Two candidates: the fast-matrix winner is simply
+                    # Two candidates: the matrix winner is simply
                     # the lower stamp (stamps are unique), restamped —
                     # grant() minus the bounds check and min machinery.
                     a, b = extras
@@ -741,9 +662,8 @@ class VCRouter(BaseRouter):
         Returns the input VCs granted an output VC this cycle (used by
         the speculative subclass)."""
         requests: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        fast = self.sparse
         for in_port in range(self.PORTS):
-            if fast and not self._va_mask[in_port]:
+            if not self._va_mask[in_port]:
                 continue
             for v, vc in enumerate(self.vcs[in_port]):
                 if vc.active or not vc.fifo or \
@@ -766,7 +686,7 @@ class VCRouter(BaseRouter):
         granted: List[Tuple[int, int]] = []
         for (out_port, out_vc), reqs in requests.items():
             ids = [p * self.num_vcs + v for p, v in reqs]
-            if fast and len(ids) == 1:
+            if len(ids) == 1:
                 winner_id = self.vc_arbiters[out_port][out_vc] \
                     .grant_single(ids[0])
             else:
@@ -787,12 +707,12 @@ class VCRouter(BaseRouter):
             granted.append((in_port, v))
         return granted
 
-    def _vc_allocation_sparse(self, cycle: int) -> None:
-        """Sparse-kernel VC allocation, event-for-event equivalent to
+    def _vc_allocation_masked(self, cycle: int) -> None:
+        """Mask-walking VC allocation, event-for-event equivalent to
         :meth:`_vc_allocation`: the request scan walks the ``_va_mask``
-        bitmasks (idle non-empty VCs, ascending — exactly the VCs the
-        dense scan filters out of all V), which are almost always empty
-        since a VC requests only between packets."""
+        bitmasks (idle non-empty VCs, ascending — exactly the VCs a scan
+        of all V would filter out), which are almost always empty since
+        a VC requests only between packets."""
         va_mask = self._va_mask
         vcs = self.vcs
         lowbit = self._lowbit

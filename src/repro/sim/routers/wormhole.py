@@ -22,9 +22,8 @@ from repro.sim.topology import LOCAL
 class WormholeRouter(BaseRouter):
     """Input-buffered wormhole router."""
 
-    def __init__(self, node: int, config: NetworkConfig, binding,
-                 sparse: bool = False) -> None:
-        super().__init__(node, config, binding, sparse)
+    def __init__(self, node: int, config: NetworkConfig, binding) -> None:
+        super().__init__(node, config, binding)
         depth = config.router.buffer_depth
         self.fifos: List[Deque[Flit]] = [deque() for _ in range(self.PORTS)]
         self.depth = depth
@@ -36,8 +35,7 @@ class WormholeRouter(BaseRouter):
         #: ``None`` means unlimited (the ejection port).
         self.out_credits: List[Optional[int]] = [None] * self.PORTS
         self.arbiters = [
-            make_arbiter(config.router.arbiter_type, self.PORTS,
-                         fast=sparse)
+            make_arbiter(config.router.arbiter_type, self.PORTS)
             for _ in range(self.PORTS)
         ]
 
@@ -133,7 +131,7 @@ class WormholeRouter(BaseRouter):
         for out_port, reqs in enumerate(requests):
             if not reqs:
                 continue
-            if self.sparse and len(reqs) == 1:
+            if len(reqs) == 1:
                 winner = self.arbiters[out_port].grant_single(reqs[0])
             else:
                 winner = self.arbiters[out_port].grant(reqs)

@@ -4,13 +4,12 @@ The paper's headline artifacts — the per-component power breakdown
 (Figure 5c) and the spatial energy map (Figure 6) — are observability
 products: they need per-router, per-component event and energy
 accounting over *time*, not just end-of-run totals.  This package adds
-that layer without reintroducing the dense per-cycle scans the sparse
-kernel was built to avoid:
+that layer without reintroducing per-cycle scans of every router:
 
 * :class:`TelemetryRecorder` rides the existing counter-based
   accounting — every ``window`` cycles it snapshots the power binding's
   cumulative per-node energy/event view (integer counter reads for the
-  sparse kernel's :class:`~repro.core.power_binding.CounterBinding`,
+  average-activity :class:`~repro.core.power_binding.CounterBinding`,
   accountant reads otherwise), per-router injection/ejection counts and
   buffer occupancy, and stores the per-window *deltas*;
 * :class:`TelemetryRecord` is the picklable result: per-router ×

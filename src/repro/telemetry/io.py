@@ -3,7 +3,7 @@
 The JSONL layout is stream-friendly — one JSON object per line:
 
 * a ``header`` line with run metadata (grid shape, frequency, window
-  size, kernel, schema version);
+  size, router kind, activity mode, schema version);
 * one ``window`` line per window, column-major (component/event kind to
   a per-node array);
 * a ``footer`` line with the engine phase spans.
@@ -25,14 +25,16 @@ from repro.telemetry.recorder import TelemetryRecord, TelemetryWindow
 #: Bump when the JSONL layout changes; readers reject other versions.
 #: 2: window lines carry ``dropped``/``misrouted`` fault columns
 #: (schema-1 files still read back, the columns defaulting to zero).
-JSONL_SCHEMA = 2
+#: 3: the header drops ``kernel`` (there is one kernel; the key is
+#: ignored when reading schema-1/2 files).
+JSONL_SCHEMA = 3
 
 #: Schema versions :func:`telemetry_from_jsonl` accepts.
-_READABLE_SCHEMAS = (1, 2)
+_READABLE_SCHEMAS = (1, 2, 3)
 
 _HEADER_FIELDS = ("window", "num_nodes", "width", "height",
-                  "frequency_hz", "warmup_cycles", "kernel",
-                  "router_kind", "activity_mode")
+                  "frequency_hz", "warmup_cycles", "router_kind",
+                  "activity_mode")
 
 
 def telemetry_to_jsonl(record: TelemetryRecord, path: str) -> None:

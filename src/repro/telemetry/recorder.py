@@ -87,7 +87,6 @@ class TelemetryRecord:
     height: int
     frequency_hz: float
     warmup_cycles: int
-    kernel: str = "sparse"
     router_kind: str = ""
     activity_mode: str = "average"
     windows: List[TelemetryWindow] = field(default_factory=list)
@@ -230,7 +229,6 @@ class TelemetryRecorder:
             height=config.height,
             frequency_hz=config.tech.frequency_hz,
             warmup_cycles=0,
-            kernel=network.kernel,
             router_kind=config.router.kind,
             activity_mode=config.activity_mode,
         )

@@ -107,7 +107,7 @@ def telemetry_report(record: TelemetryRecord, series: bool = True) -> str:
         f"telemetry: {record.router_kind} {grid}, "
         f"{record.num_windows} windows of {record.window} cycles "
         f"({record.measured_cycles} measured cycles, "
-        f"{record.kernel} kernel, {record.activity_mode} activity)",
+        f"{record.activity_mode} activity)",
         "",
         "power breakdown (summed windows):",
         breakdown_table(record),

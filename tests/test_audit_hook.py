@@ -16,14 +16,11 @@ from repro.sim.topology import topology_for
 from repro.sim.traffic import UniformRandomTraffic
 from tests.conftest import small_config
 
-KERNELS = ["dense", "sparse"]
-
-
-def _simulation(kernel, audit_every, kind="vc"):
+def _simulation(audit_every, kind="vc"):
     config = small_config(kind)
     traffic = UniformRandomTraffic(topology_for(config), 0.05, seed=3)
     protocol = RunProtocol(warmup_cycles=40, sample_packets=25,
-                           kernel=kernel, audit_every=audit_every)
+                           audit_every=audit_every)
     return Simulation(config, traffic, protocol)
 
 
@@ -31,17 +28,15 @@ def test_audit_off_by_default():
     assert RunProtocol().audit_every == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_audit_clean_run(kernel):
-    result = _simulation(kernel, audit_every=5).run()
+def test_audit_clean_run():
+    result = _simulation(audit_every=5).run()
     assert result.packets_delivered > 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_audit_catches_occupancy_corruption(kernel):
+def test_audit_catches_occupancy_corruption():
     """Desynchronising a router's O(1) occupancy counter from its
     buffers must be caught by the next periodic audit."""
-    sim = _simulation(kernel, audit_every=1)
+    sim = _simulation(audit_every=1)
     network = sim.network
     original_step = network.step
 
@@ -56,9 +51,8 @@ def test_audit_catches_occupancy_corruption(kernel):
         sim.run()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_audit_catches_awaiting_counter_corruption(kernel):
-    sim = _simulation(kernel, audit_every=1)
+def test_audit_catches_awaiting_counter_corruption():
+    sim = _simulation(audit_every=1)
     network = sim.network
     original_step = network.step
 
@@ -74,9 +68,9 @@ def test_audit_catches_awaiting_counter_corruption(kernel):
 
 
 def test_audit_catches_active_set_corruption():
-    """A sparse-kernel router holding buffered flits must stay enrolled
-    in the active set; audit flags one evicted behind the kernel's back."""
-    sim = _simulation("sparse", audit_every=1)
+    """A router holding buffered flits must stay enrolled in the active
+    set; audit flags one evicted behind the kernel's back."""
+    sim = _simulation(audit_every=1)
     network = sim.network
     original_step = network.step
 
@@ -95,7 +89,7 @@ def test_audit_catches_active_set_corruption():
 
 
 def test_audit_not_called_when_disabled():
-    sim = _simulation("sparse", audit_every=0)
+    sim = _simulation(audit_every=0)
     calls = []
     network = sim.network
     network.audit = lambda: calls.append(network.cycle)
@@ -103,12 +97,11 @@ def test_audit_not_called_when_disabled():
     assert calls == []
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_awaiting_counter_tracks_queues(kernel):
+def test_awaiting_counter_tracks_queues():
     """``flits_awaiting_injection`` is a maintained O(1) counter; it must
     equal the actual source-queue population at every cycle."""
     config = small_config("wormhole")
-    network = Network(config, kernel=kernel)
+    network = Network(config)
     traffic = UniformRandomTraffic(topology_for(config), 0.2, seed=9)
     for cycle in range(120):
         for src, dst in traffic.packets_at(cycle):

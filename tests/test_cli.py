@@ -236,6 +236,13 @@ class TestErrors:
             main(["run", "--sample", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    def test_kernel_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kernel", "sparse"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
 
 class TestExportFlags:
     def test_run_json_and_csv(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Unit tests for the Peh-Dally-style router delay model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import preset
 from repro.delay import (
@@ -122,3 +124,35 @@ class TestRouterDelayModel:
         report = RouterDelayModel(preset("VC16")).report()
         for token in ("VA", "SA", "ST", "GHz"):
             assert token in report
+
+
+class TestLogicalEffortProperties:
+    @given(st.integers(1, 8), st.floats(1.0, 64.0), st.floats(0.1, 64.0))
+    @settings(max_examples=60)
+    def test_path_delay_positive_and_monotone_in_effort(self, n, b, h):
+        gates = [inverter()] * n
+        base = path_delay_tau(gates, branching=b, electrical=h)
+        more = path_delay_tau(gates, branching=b * 2, electrical=h)
+        assert base > 0
+        assert more > base
+
+    @given(st.integers(1, 16))
+    @settings(max_examples=30)
+    def test_wider_gates_slower(self, fan_in):
+        base = path_delay_tau([nand(fan_in)])
+        wider = path_delay_tau([nand(fan_in + 1)])
+        assert wider > base
+        assert path_delay_tau([nor(fan_in + 1)]) > \
+            path_delay_tau([nor(fan_in)])
+
+    @given(st.integers(2, 64), st.integers(2, 64))
+    @settings(max_examples=40)
+    def test_router_function_delays_monotone(self, a, b):
+        lo, hi = sorted((a, b))
+        if lo == hi:
+            return
+        assert arbiter_delay_fo4(hi) > arbiter_delay_fo4(lo)
+        assert crossbar_delay_fo4(5, hi * 8) >= crossbar_delay_fo4(
+            5, lo * 8)
+        assert buffer_access_delay_fo4(hi * 8, 32) >= \
+            buffer_access_delay_fo4(lo * 8, 32)

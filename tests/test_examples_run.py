@@ -33,15 +33,3 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "Technology scaling" in proc.stdout
         assert "Arbiter types" in proc.stdout
-
-    def test_module_assembly(self):
-        proc = run_example("module_assembly.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "buffer_write" in proc.stdout
-        assert "delta 0.00e+00" in proc.stdout  # matches analytic E_flit
-
-    def test_ring_fabric(self):
-        proc = run_example("ring_fabric.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "all delivered" in proc.stdout
-        assert "True" in proc.stdout  # visits == hops + messages

@@ -65,8 +65,7 @@ class TestOrderingIntegrity:
         packet = Packet(packet_id=0, src=0, dst=4, length_flits=3,
                         creation_cycle=0, route=[NORTH, LOCAL])
         body = packet.make_flits()[1]
-        body.arrived_cycle = -1
-        router.vcs[NORTH][0].fifo.append(body)
+        router.accept_flit(NORTH, body)  # lands on VC 0, awaiting VA
         with pytest.raises(RuntimeError, match="headed by"):
             router.allocation_phase(5)
 

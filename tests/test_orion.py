@@ -3,7 +3,15 @@
 import pytest
 
 from repro import Orion, RunProtocol, preset
+from repro.core.presets import walkthrough_router
 from repro.core.report import SweepResult
+from repro.power import (
+    FIFOBufferPower,
+    MatrixArbiterPower,
+    MatrixCrossbarPower,
+    OnChipLinkPower,
+)
+from repro.tech import Technology
 
 from tests.conftest import small_config
 
@@ -70,6 +78,25 @@ class TestWalkthrough:
         assert energies["E_flit"] == pytest.approx(
             sum(energies[p] for p in parts))
         assert all(energies[p] > 0 for p in parts)
+
+    def test_walkthrough_matches_standalone_models(self):
+        """The facade's E_flit terms are the section 3.3 router's
+        standalone power models: 4-flit 32-bit FIFO, 4:1 matrix arbiter
+        driving the 5x5 crossbar's control lines, 3 mm on-chip link."""
+        tech = Technology(0.1, vdd=1.2, frequency_hz=2e9)
+        buffer = FIFOBufferPower(tech, depth_flits=4, flit_bits=32)
+        xbar = MatrixCrossbarPower(tech, 5, 5, 32)
+        arbiter = MatrixArbiterPower(
+            tech, requesters=4,
+            xbar_control_energy=xbar.control_line_energy)
+        link = OnChipLinkPower(tech, length_mm=3.0, width_bits=32)
+        energies = Orion(walkthrough_router()).flit_energy_walkthrough()
+        assert energies["E_wrt"] == pytest.approx(buffer.write_energy())
+        assert energies["E_arb"] == pytest.approx(
+            arbiter.arbitration_energy(1))
+        assert energies["E_read"] == pytest.approx(buffer.read_energy())
+        assert energies["E_xb"] == pytest.approx(xbar.traversal_energy())
+        assert energies["E_link"] == pytest.approx(link.traversal_energy())
 
     def test_arbiter_is_smallest_term(self):
         energies = Orion(preset("WH64")).flit_energy_walkthrough()

@@ -3,7 +3,7 @@
 The pool's contract is that fan-out through it is *observationally
 identical* to the serial path: same outcomes, in submission order, with
 latency and flit counts exactly equal and energy bit-identical.  This
-file pins that contract across router kinds, kernels and faulted runs,
+file pins that contract across router kinds and faulted runs,
 pins ``Network.reset()`` context reuse against fresh construction, and
 exercises the pool's failure modes (worker death mid-chunk, per-point
 timeouts) against a dedicated pool whose stats make the recovery
@@ -32,21 +32,19 @@ from tests.conftest import small_config
 FAST = RunProtocol(warmup_cycles=100, sample_packets=40)
 
 
-def _points(kinds=("wormhole",), kernels=("sparse",), rates=(0.05, 0.10),
-            seeds=(1, 2), faults=None):
+def _points(kinds=("wormhole",), rates=(0.05, 0.10), seeds=(1, 2),
+            faults=None):
     points = []
     for kind in kinds:
-        for kernel in kernels:
-            for rate in rates:
-                for seed in seeds:
-                    protocol = RunProtocol(
-                        warmup_cycles=100, sample_packets=40, seed=seed,
-                        kernel=kernel, faults=faults)
-                    points.append(RunPoint(
-                        config=small_config(kind),
-                        traffic=TrafficSpec("uniform"),
-                        rate=rate, protocol=protocol,
-                        label=f"{kind}-{kernel}"))
+        for rate in rates:
+            for seed in seeds:
+                protocol = RunProtocol(
+                    warmup_cycles=100, sample_packets=40, seed=seed,
+                    faults=faults)
+                points.append(RunPoint(
+                    config=small_config(kind),
+                    traffic=TrafficSpec("uniform"),
+                    rate=rate, protocol=protocol, label=kind))
     return points
 
 
@@ -86,13 +84,6 @@ def test_pool_matches_serial(kind):
     _assert_outcomes_identical(serial, pooled)
 
 
-def test_pool_matches_serial_both_kernels():
-    points = _points(kernels=("dense", "sparse"))
-    serial = run_points(points, processes=1)
-    pooled = run_points(points, processes=2)
-    _assert_outcomes_identical(serial, pooled)
-
-
 def test_pool_matches_serial_with_faults():
     faults = parse_fault_specs([
         "link_kill:node=5,port=east,at=120",
@@ -124,19 +115,17 @@ def test_pool_keep_results_carries_full_result():
 # --- context reuse vs fresh construction -------------------------------------
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sparse"])
 @pytest.mark.parametrize("kind", ["wormhole", "vc", "central"])
-def test_context_reuse_matches_fresh(kind, kernel):
+def test_context_reuse_matches_fresh(kind):
     """One reused context must reproduce fresh-construction results
     bit-for-bit across a sequence of (rate, seed) workloads."""
     config = small_config(kind)
-    protocol = RunProtocol(warmup_cycles=100, sample_packets=40,
-                           kernel=kernel)
+    protocol = RunProtocol(warmup_cycles=100, sample_packets=40)
     topo = topology_for(config)
     context = SimulationContext(config, protocol)
     for rate, seed in [(0.05, 1), (0.10, 2), (0.05, 3)]:
         proto = RunProtocol(warmup_cycles=100, sample_packets=40,
-                            kernel=kernel, seed=seed)
+                            seed=seed)
         fresh = Simulation(
             config, UniformRandomTraffic(topo, rate, seed=seed),
             proto).run()

@@ -742,7 +742,21 @@ CONFORMANCE = {
                            404, "job_not_found"),
     "cancel-unknown-job": (b"DELETE /v2/jobs/ghost HTTP/1.1\r\n\r\n",
                            404, "job_not_found"),
+    "stale-kernel-run": (post("/v2/jobs", json.dumps({
+        "kind": "run", "spec": {"config": "VC16", "rate": 0.03,
+                                "protocol": {"kernel": "dense"}},
+    }).encode()), 400, "invalid_job"),
+    "stale-kernel-experiment": (post("/v2/jobs", json.dumps({
+        "kind": "experiment", "spec": {"presets": ["VC16"],
+                                       "traffics": ["uniform"],
+                                       "rates": [0.03],
+                                       "protocol": {"kernel": "sparse"}},
+    }).encode()), 400, "invalid_job"),
 }
+
+#: Rows whose error message must name the offending field.
+CONFORMANCE_NAMES = {"stale-kernel-run": "kernel",
+                     "stale-kernel-experiment": "kernel"}
 
 
 class TestRequestConformance:
@@ -772,6 +786,7 @@ class TestRequestConformance:
             got_status, out = raw_exchange(port, data)
             assert (got_status, out["error"]["code"]) == (status, code), front
             assert out["error"]["retryable"] is False
+            assert CONFORMANCE_NAMES.get(case, "") in out["error"]["message"]
         # Declined input is an answer, not a crash: nothing was logged.
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
 

@@ -29,7 +29,7 @@ from tests.conftest import small_config
 PROTOCOLS = [
     RunProtocol(),
     RunProtocol(warmup_cycles=0, sample_packets=1, collect_power=False),
-    RunProtocol(kernel="dense", monitor=True, audit_every=500),
+    RunProtocol(monitor=True, audit_every=500),
     RunProtocol(telemetry_window=128, seed=7, livelock_cycles=10_000,
                 on_stall="finish"),
     RunProtocol(faults=FaultSpec(seed=3, link_kills=2, link_flips=1,
@@ -129,6 +129,17 @@ class TestRunPointRoundTrip:
             rebuilt = RunPoint.from_json(point.to_json())
             assert rebuilt == point
             assert rebuilt.cache_key() == point.cache_key()
+
+    def test_stale_kernel_field_rejected(self):
+        """``kernel`` left the protocol with the dense kernel; a point
+        still carrying it fails loudly instead of silently hashing to a
+        different cache key."""
+        data = json.loads(RunPoint(config=small_config("vc"),
+                                   traffic=TrafficSpec.of("uniform"),
+                                   rate=0.03).to_json())
+        data["protocol"]["kernel"] = "sparse"
+        with pytest.raises((TypeError, ValueError), match="kernel"):
+            RunPoint.from_json(json.dumps(data))
 
 
 class TestExperimentSpecRoundTrip:

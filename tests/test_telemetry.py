@@ -2,7 +2,7 @@
 
 The load-bearing property: summed window deltas must reproduce the
 run-end accounting — per component, per node and per event — within
-1e-9 relative, on both kernels.  Plus JSONL/CSV round-trips, the report
+1e-9 relative.  Plus JSONL/CSV round-trips, the report
 rendering, and the CLI integration.
 """
 
@@ -26,19 +26,46 @@ from repro.telemetry import (
     telemetry_to_csv,
     telemetry_to_jsonl,
 )
-from repro.telemetry.io import telemetry_rows
+from repro.telemetry.io import JSONL_SCHEMA, telemetry_rows
 from tests.conftest import small_config
 
 REL_TOL = 1e-9
 
+#: A schema-2 file as the simulator wrote it while the header still
+#: named the kernel: header, one window, footer.
+SCHEMA2_JSONL = "\n".join([
+    (
+        '{"type": "header", "schema": 2, "window": 16, "num_nodes": 4,'
+        ' "width": 2, "height": 2, "frequency_hz": 1000000000.0,'
+        ' "warmup_cycles": 20, "kernel": "sparse", "router_kind": "vc",'
+        ' "activity_mode": "average"}'
+    ),
+    (
+        '{"type": "window", "index": 0, "cycle_start": 20, "cycle_end": 36,'
+        ' "energy_j": {"input_buffer": [1.359607166208e-11,'
+        ' 1.935474824448e-11, 5.27856770304e-12, 8.9572108032e-12],'
+        ' "crossbar": [1.1531175845810992e-11, 1.812041918627442e-11,'
+        ' 4.941932505347568e-12, 6.5892433404634244e-12], "arbiter":'
+        ' [6.703467231600001e-13, 9.877590547200003e-13,'
+        ' 2.4693976368000007e-13, 4.7838948516e-13], "link": [6.2208e-12,'
+        ' 2.28096e-11, 6.2208e-12, 0.0]}, "events": {"buffer_write": [9,'
+        ' 11, 3, 7], "buffer_read": [7, 11, 3, 4], "arbitration": [19, 28,'
+        ' 7, 16], "xbar_traversal": [7, 11, 3, 4], "link_traversal": [3,'
+        ' 11, 3, 0]}, "injected": [3, 11, 0, 0], "ejected": [4, 0, 0, 4],'
+        ' "occupancy": [2, 1, 0, 3], "dropped": [0, 0, 0, 0], "misrouted":'
+        ' [0, 0, 0, 0]}'
+    ),
+    '{"type": "footer", "spans_s": {"inject": 0.5}}',
+]) + "\n"
 
-def run_with_telemetry(config, kernel="sparse", window=32, rate=0.05,
-                       warmup=60, sample=40, seed=1, **proto_kwargs):
+
+def run_with_telemetry(config, window=32, rate=0.05, warmup=60, sample=40,
+                       seed=1, **proto_kwargs):
     topo = topology_for(config)
     traffic = UniformRandomTraffic(topo, rate, seed=seed)
     protocol = RunProtocol(warmup_cycles=warmup, sample_packets=sample,
-                           seed=seed, kernel=kernel,
-                           telemetry_window=window, audit_every=50,
+                           seed=seed, telemetry_window=window,
+                           audit_every=50,
                            **proto_kwargs)
     return Simulation(config, traffic, protocol).run()
 
@@ -68,9 +95,8 @@ def assert_reproduces_accounting(result):
 
 
 class TestAccountingEquivalence:
-    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
-    def test_summed_windows_match_run_totals(self, kernel):
-        result = run_with_telemetry(PRESETS["VC16"](), kernel=kernel)
+    def test_summed_windows_match_run_totals(self):
+        result = run_with_telemetry(PRESETS["VC16"]())
         assert_reproduces_accounting(result)
 
     @pytest.mark.parametrize("kind", ["wormhole", "vc", "speculative_vc",
@@ -177,7 +203,7 @@ class TestRoundTrip:
         assert back.window == record.window
         assert back.num_windows == record.num_windows
         assert back.warmup_cycles == record.warmup_cycles
-        assert back.kernel == record.kernel
+        assert back.router_kind == record.router_kind
         assert back.spans_s == record.spans_s
         # Python JSON floats round-trip exactly: bit-identical energy.
         assert back.component_energy_totals() == \
@@ -188,6 +214,27 @@ class TestRoundTrip:
             assert read.energy_j == orig.energy_j
             assert read.events == orig.events
             assert read.occupancy == orig.occupancy
+
+    def test_schema2_file_reads_back(self, tmp_path):
+        """A file written before the header dropped ``kernel`` still
+        reads back (the key is ignored) and rewrites as schema 3."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(SCHEMA2_JSONL)
+        record = telemetry_from_jsonl(str(path))
+        assert (record.window, record.num_nodes, record.router_kind) == \
+            (16, 4, "vc")
+        assert not hasattr(record, "kernel")
+        assert record.windows[0].dropped == [0, 0, 0, 0]
+        assert record.spans_s == {"inject": 0.5}
+        again = tmp_path / "new.jsonl"
+        telemetry_to_jsonl(record, str(again))
+        header = json.loads(again.read_text().splitlines()[0])
+        assert header["schema"] == JSONL_SCHEMA == 3
+        assert "kernel" not in header
+        back = telemetry_from_jsonl(str(again))
+        assert back.windows[0].energy_j == record.windows[0].energy_j
+        assert back.component_energy_totals() == \
+            record.component_energy_totals()
 
     def test_jsonl_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
