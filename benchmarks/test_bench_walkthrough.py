@@ -22,7 +22,8 @@ def test_walkthrough_flit_energy(benchmark):
 
 
 def test_event_energy_lookup(benchmark):
-    """Per-event energy deposit — the inner loop of power simulation."""
+    """Per-event counting — the inner loop of power simulation (the
+    counters are priced once, at flush time)."""
     orion = Orion(walkthrough_router())
     binding = orion.power_models()
 

@@ -8,9 +8,11 @@ accumulates the energy consumed."
 
 We substitute LSE's event subsystem with a typed event vocabulary plus an
 :class:`EnergyAccountant` that accumulates per-node, per-component energy
-and event counts.  Routers emit events through a
-:class:`repro.core.power_binding.PowerBinding`, which converts each event
-into joules via the component power models and deposits them here.
+and event counts.  Routers emit events into a
+:class:`repro.core.power_binding.PowerBinding`, which counts them (with
+their observed switching activity in data mode) and, at flush time,
+prices the counts into joules via the component power models and
+deposits them here.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ CLOCK = "clock"
 COMPONENTS = (INPUT_BUFFER, CENTRAL_BUFFER, CROSSBAR, ARBITER, LINK,
               CLOCK)
 
-#: The component each event type is charged to — the routing used by
-#: counter-based accounting when deferred event counts are converted to
-#: joules at finalization (see
-#: :class:`repro.core.power_binding.CounterBinding`).
+#: The component each event type is charged to — the routing used when
+#: the binding prices its event counters into joules (see
+#: :class:`repro.core.power_binding.PowerBinding`).
 EVENT_COMPONENT = {
     BUFFER_WRITE: INPUT_BUFFER,
     BUFFER_READ: INPUT_BUFFER,

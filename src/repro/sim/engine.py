@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import NetworkConfig, RunProtocol
 from repro.core.events import EnergyAccountant
-from repro.core.power_binding import CounterBinding, NullBinding, PowerBinding
+from repro.core.power_binding import NullBinding, PowerBinding
 from repro.sim.network import Network
 from repro.sim.stats import LatencyStats
 from repro.sim.traffic import TrafficPattern
@@ -159,16 +159,14 @@ def structural_key(config: NetworkConfig, protocol: RunProtocol) -> tuple:
 def _power_binding(config: NetworkConfig, protocol: RunProtocol):
     """The ``(accountant, binding)`` pair a run accounts energy through.
 
-    Average activity defers energy into per-node integer event counters
-    converted to joules at finalization; data activity needs per-payload
-    Hamming distances, so it deposits per event; without power
-    collection there is no accountant and a no-op binding.
+    One counting :class:`PowerBinding` serves both activity modes: it
+    keeps integer event counts (plus, in data mode, observed switching
+    sums) and prices them into the accountant at flush time.  Without
+    power collection there is no accountant and the binding only counts.
     """
     if not protocol.collect_power:
-        return None, NullBinding()
+        return None, NullBinding(config)
     accountant = EnergyAccountant(config.num_nodes)
-    if config.activity_mode == "average":
-        return accountant, CounterBinding(config, accountant)
     return accountant, PowerBinding(config, accountant)
 
 

@@ -70,7 +70,8 @@ class Network:
     def __init__(self, config: NetworkConfig, binding=None,
                  payload_seed: int = 7) -> None:
         self.config = config
-        self.binding = binding if binding is not None else NullBinding()
+        self.binding = binding if binding is not None \
+            else NullBinding(config)
         if config.topology == "torus":
             self.topo = Torus(config.width, config.height)
         else:
@@ -237,9 +238,9 @@ class Network:
         # Traversal and allocation share one pass: neither phase reads
         # any state another router's other phase writes within a cycle
         # (traversal output lands on channels drained at next cycle's
-        # arrival; allocation reads only router-local state; energy
-        # deposits are keyed by the depositing node), so per-router
-        # traverse-then-allocate observes exactly what an
+        # arrival; allocation reads only router-local state; event
+        # counters and payload sites are keyed by the emitting node), so
+        # per-router traverse-then-allocate observes exactly what an
         # all-traversals-then-all-allocations order would.  Routers that
         # merely drained credits this cycle skip both stages.
         for node in active:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.config import NetworkConfig
+from repro.core.events import LINK_TRAVERSAL
 from repro.sim.message import Flit
 from repro.sim.routing import route_around_faults
 from repro.sim.topology import LOCAL
@@ -139,10 +140,9 @@ class BaseRouter:
         #: Whether a ``router_freeze`` fault has halted this router's
         #: work phases (see :meth:`freeze`).
         self.frozen = False
-        #: Counter-based binding fast path (see CounterBinding): the
-        #: per-node link-event counter list, bumped directly in ``_send``
-        #: instead of a sink-method call.  ``None`` on any other binding.
-        self._c_link = getattr(binding, "n_link", None)
+        #: The binding's per-node link-event counters, bumped directly
+        #: in ``_send`` instead of a sink-method call.
+        self._c_link = binding.n_link
 
     # --- wiring (done by the network) ---------------------------------------
 
@@ -333,11 +333,10 @@ class BaseRouter:
             raise RuntimeError(
                 f"node {self.node}: no channel on output port {out_port}"
             )
-        counts = self._c_link
-        if counts is not None:
-            counts[self.node] += 1
-        else:
-            self.binding.link_traversal(self.node, out_port, flit.payload)
+        self._c_link[self.node] += 1
+        if flit.payload is not None:
+            self.binding.observe(self.node, LINK_TRAVERSAL, out_port,
+                                 flit.payload)
         channel.send_flit(flit)
 
 

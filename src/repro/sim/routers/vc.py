@@ -21,6 +21,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import NetworkConfig
+from repro.core.events import BUFFER_WRITE, LINK_TRAVERSAL, XBAR_TRAVERSAL
 from repro.sim.arbiters import make_arbiter
 from repro.sim.message import Flit
 from repro.sim.routers.base import BaseRouter
@@ -110,27 +111,16 @@ class VCRouter(BaseRouter):
         # Injection bookkeeping: VC receiving the in-progress packet.
         self._inject_vc: Optional[int] = None
         self._inject_rr = 0
-        # Counter fast paths.  When the binding is counter-based
-        # (CounterBinding exposes its per-node event counters as stable,
-        # in-place-zeroed lists), the hot loops bump the counters
-        # directly instead of paying a method call per event — the
-        # deposits are identical, only the call is elided.  ``None``
-        # keeps every other binding on the sink-method path.
-        arb_counts = getattr(binding, "n_arb", None)
-        if arb_counts is not None:
-            self._c_arb_local = arb_counts["local"][node]
-            self._c_arb_switch = arb_counts["switch"][node]
-            self._c_arb_vc = arb_counts["vc"][node]
-            self._c_buf_write = binding.n_buf_write
-            self._c_buf_read = binding.n_buf_read
-            self._c_xbar = binding.n_xbar
-        else:
-            self._c_arb_local = None
-            self._c_arb_switch = None
-            self._c_arb_vc = None
-            self._c_buf_write = None
-            self._c_buf_read = None
-            self._c_xbar = None
+        # The binding's per-node event counters (stable, zeroed in
+        # place): the hot loops bump them directly instead of paying a
+        # sink-method call per event.
+        arb_counts = binding.n_arb
+        self._c_arb_local = arb_counts["local"][node]
+        self._c_arb_switch = arb_counts["switch"][node]
+        self._c_arb_vc = arb_counts["vc"][node]
+        self._c_buf_write = binding.n_buf_write
+        self._c_buf_read = binding.n_buf_read
+        self._c_xbar = binding.n_xbar
 
     # --- wiring -----------------------------------------------------------------
 
@@ -163,11 +153,9 @@ class VCRouter(BaseRouter):
         else:
             self._va_mask[port] |= 1 << flit.vc
             self._va_ports |= 1 << port
-        counts = self._c_buf_write
-        if counts is not None:
-            counts[self.node] += 1
-        else:
-            self.binding.buffer_write(self.node, port, flit.payload)
+        self._c_buf_write[self.node] += 1
+        if flit.payload is not None:
+            self.binding.observe(self.node, BUFFER_WRITE, port, flit.payload)
 
     def credit_return(self, port: int, vc: int) -> None:
         credits = self.out_credits[port]
@@ -184,8 +172,8 @@ class VCRouter(BaseRouter):
     def arrival_phase(self, cycle: int) -> None:
         """Event-driven channel drain (see the base class), with
         :meth:`accept_flit` / :meth:`credit_return` and the channel
-        accessors inlined — identical mutations and deposits per event,
-        only the call frames elided."""
+        accessors inlined — identical mutations and event counts, only
+        the call frames elided."""
         self.now = cycle
         pending = self._pending_in
         if pending:
@@ -218,11 +206,10 @@ class VCRouter(BaseRouter):
                         else:
                             self._va_mask[port] |= 1 << fv
                             self._va_ports |= 1 << port
-                        if c_buf_write is not None:
-                            c_buf_write[node] += 1
-                        else:
-                            self.binding.buffer_write(node, port,
-                                                      flit.payload)
+                        c_buf_write[node] += 1
+                        if flit.payload is not None:
+                            self.binding.observe(node, BUFFER_WRITE, port,
+                                                 flit.payload)
                 pending >>= 1
                 port += 1
         pending = self._pending_credit
@@ -256,7 +243,7 @@ class VCRouter(BaseRouter):
 
         The per-flit helpers (``_send``, ``Channel.send_flit``,
         ``Channel.send_credit``) are inlined — the same state mutations,
-        energy deposits and channel notifications, only the call frames
+        event counts and channel notifications, only the call frames
         elided."""
         grants = self._st_grants
         if not grants:
@@ -283,12 +270,11 @@ class VCRouter(BaseRouter):
                 sa_mask[in_port] = masked
                 if not masked:
                     self._sa_ports &= ~(1 << in_port)
-            if c_buf_read is not None:
-                c_buf_read[node] += 1
-                c_xbar[node] += 1
-            else:
-                binding.buffer_read(node)
-                binding.xbar_traversal(node, out_port, flit.payload)
+            c_buf_read[node] += 1
+            c_xbar[node] += 1
+            payload = flit.payload
+            if payload is not None:
+                binding.observe(node, XBAR_TRAVERSAL, out_port, payload)
             channel = in_channels[in_port]
             if channel is not None:
                 channel._credits.append(in_vc)
@@ -317,10 +303,9 @@ class VCRouter(BaseRouter):
                 if flit.is_head:
                     flit.route_idx += 1
                 channel = out_channels[out_port]
-                if c_link is not None:
-                    c_link[node] += 1
-                else:
-                    binding.link_traversal(node, out_port, flit.payload)
+                c_link[node] += 1
+                if payload is not None:
+                    binding.observe(node, LINK_TRAVERSAL, out_port, payload)
                 if channel._flit is not None:
                     raise RuntimeError(
                         f"channel {channel.src_node}:{channel.src_port}"
@@ -491,14 +476,8 @@ class VCRouter(BaseRouter):
                 arb._next += 1
             else:
                 arb.grant_single(in_port)
-            c_local = self._c_arb_local
-            if c_local is not None:
-                c_local[n_req] += 1
-                self._c_arb_switch[1] += 1
-            else:
-                arbitration = self.binding.arbitration
-                arbitration(self.node, "local", n_req)
-                arbitration(self.node, "switch", 1)
+            self._c_arb_local[n_req] += 1
+            self._c_arb_switch[1] += 1
             credits = out_credits[out_port]
             if credits is not None:
                 credits[vc.out_vc] -= 1
@@ -508,12 +487,10 @@ class VCRouter(BaseRouter):
         matched_out = 0
         local_arbiters = self.local_arbiters
         switch_arbiters = self.switch_arbiters
-        arbitration = self.binding.arbitration
         c_local = self._c_arb_local
         c_switch = self._c_arb_switch
         st_grants = self._st_grants
         low5 = self._low5
-        node = self.node
         for _ in range(self.SA_ITERATIONS):
             stage1: List[Tuple[int, int]] = []
             out_seen = 0
@@ -554,10 +531,7 @@ class VCRouter(BaseRouter):
                         arb._next += 1
                     else:
                         arb.grant_single(first)
-                    if c_local is not None:
-                        c_local[1] += 1
-                    else:
-                        arbitration(node, "local", 1)
+                    c_local[1] += 1
                 else:
                     arb = local_arbiters[in_port]
                     st = arb._fstamp
@@ -568,10 +542,7 @@ class VCRouter(BaseRouter):
                         arb._next += 1
                     else:
                         winner = arb.grant(extras)
-                    if c_local is not None:
-                        c_local[len(extras)] += 1
-                    else:
-                        arbitration(node, "local", len(extras))
+                    c_local[len(extras)] += 1
                 stage1.append((in_port, winner))
                 bit = 1 << port_vcs[winner].out_port
                 if out_seen & bit:
@@ -593,10 +564,7 @@ class VCRouter(BaseRouter):
                         arb._next += 1
                     else:
                         arb.grant_single(in_port)
-                    if c_switch is not None:
-                        c_switch[1] += 1
-                    else:
-                        arbitration(node, "switch", 1)
+                    c_switch[1] += 1
                     credits = out_credits[out_port]
                     if credits is not None:
                         credits[vc.out_vc] -= 1
@@ -621,10 +589,7 @@ class VCRouter(BaseRouter):
                         arb._next += 1
                     else:
                         arb.grant_single(winner_port)
-                    if c_switch is not None:
-                        c_switch[1] += 1
-                    else:
-                        arbitration(node, "switch", 1)
+                    c_switch[1] += 1
                 else:
                     ports = [p for p, _ in contenders]
                     arb = switch_arbiters[out_port]
@@ -636,10 +601,7 @@ class VCRouter(BaseRouter):
                         arb._next += 1
                     else:
                         winner_port = arb.grant(ports)
-                    if c_switch is not None:
-                        c_switch[len(ports)] += 1
-                    else:
-                        arbitration(node, "switch", len(ports))
+                    c_switch[len(ports)] += 1
                     winner_vc = next(v for p, v in contenders
                                      if p == winner_port)
                 vc = vcs[winner_port][winner_vc]
@@ -748,7 +710,6 @@ class VCRouter(BaseRouter):
         if requests is None:
             return
         num_vcs = self.num_vcs
-        arbitration = self.binding.arbitration
         c_vc = self._c_arb_vc
         for (out_port, out_vc), reqs in requests.items():
             if len(reqs) == 1:
@@ -760,10 +721,7 @@ class VCRouter(BaseRouter):
                     arb._next += 1
                 else:
                     arb.grant_single(in_port * num_vcs + v)
-                if c_vc is not None:
-                    c_vc[1] += 1
-                else:
-                    arbitration(self.node, "vc", 1)
+                c_vc[1] += 1
             else:
                 ids = [p * num_vcs + v for p, v in reqs]
                 arb = self.vc_arbiters[out_port][out_vc]
@@ -775,10 +733,7 @@ class VCRouter(BaseRouter):
                     arb._next += 1
                 else:
                     winner_id = arb.grant(ids)
-                if c_vc is not None:
-                    c_vc[len(ids)] += 1
-                else:
-                    arbitration(self.node, "vc", len(ids))
+                c_vc[len(ids)] += 1
                 in_port, v = divmod(winner_id, num_vcs)
             vc = self.vcs[in_port][v]
             vc.active = True

@@ -8,10 +8,11 @@ that layer without reintroducing per-cycle scans of every router:
 
 * :class:`TelemetryRecorder` rides the existing counter-based
   accounting — every ``window`` cycles it snapshots the power binding's
-  cumulative per-node energy/event view (integer counter reads for the
-  average-activity :class:`~repro.core.power_binding.CounterBinding`,
-  accountant reads otherwise), per-router injection/ejection counts and
-  buffer occupancy, and stores the per-window *deltas*;
+  cumulative per-node energy/event view (the
+  :class:`~repro.core.power_binding.PowerBinding` prices its integer
+  event counters on read, in either activity mode), per-router
+  injection/ejection counts and buffer occupancy, and stores the
+  per-window *deltas*;
 * :class:`TelemetryRecord` is the picklable result: per-router ×
   per-component energy/event time series plus wall-clock profiling
   spans for the engine's phases.  Summed windows telescope back to the

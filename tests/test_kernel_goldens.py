@@ -5,9 +5,10 @@ dense reference kernel (every router, every cycle, per-event energy
 deposits) produced: cycle and flit counts, a sha256 of the per-packet
 latency list, network-wide event counts, and energy per component and
 per node.  The one event-sparse kernel must reproduce every entry — the
-performance figures bit for bit, the energies to ``REL_TOL`` (counter
-accounting sums each per-event constant once instead of event by event,
-which reorders float additions and nothing else).
+performance figures bit for bit, the energies to ``REL_TOL`` (the
+binding prices integer event counts and switching sums once instead of
+adding a float per event, which reorders float arithmetic and nothing
+else).
 
 The configurations are the old dense-vs-sparse matrix (paper
 presets, router kinds x topologies, traffic patterns x seeds, data

@@ -128,7 +128,8 @@ class TestEnergyBookkeeping:
         from repro.core.power_binding import PowerBinding
         cfg = small_config(kind)
         acc = EnergyAccountant(cfg.num_nodes)
-        net = Network(cfg, PowerBinding(cfg, acc))
+        binding = PowerBinding(cfg, acc)
+        net = Network(cfg, binding)
         packets = [net.create_packet(i % 16, (i * 7 + 3) % 16, 0)
                    for i in range(24) if i % 16 != (i * 7 + 3) % 16]
         for _ in range(800):
@@ -136,6 +137,7 @@ class TestEnergyBookkeeping:
             if all(p.eject_cycle is not None for p in packets):
                 break
         assert all(p.eject_cycle is not None for p in packets)
+        binding.finalize(net.cycle, net.links_per_node())
         writes = acc.event_count(ev.BUFFER_WRITE)
         links = acc.event_count(ev.LINK_TRAVERSAL)
         assert writes - links == net.flits_ejected

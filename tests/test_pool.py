@@ -115,11 +115,16 @@ def test_pool_keep_results_carries_full_result():
 # --- context reuse vs fresh construction -------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["wormhole", "vc", "central"])
-def test_context_reuse_matches_fresh(kind):
+@pytest.mark.parametrize("kind,activity_mode", [
+    pytest.param(kind, mode, id=kind if mode == "average" else
+                 f"{kind}-{mode}")
+    for mode in ("average", "data")
+    for kind in ("wormhole", "vc", "central")])
+def test_context_reuse_matches_fresh(kind, activity_mode):
     """One reused context must reproduce fresh-construction results
-    bit-for-bit across a sequence of (rate, seed) workloads."""
-    config = small_config(kind)
+    bit-for-bit across a sequence of (rate, seed) workloads — in data
+    mode only if ``reset_run()`` drops the payload history."""
+    config = small_config(kind).with_(activity_mode=activity_mode)
     protocol = RunProtocol(warmup_cycles=100, sample_packets=40)
     topo = topology_for(config)
     context = SimulationContext(config, protocol)
@@ -136,7 +141,7 @@ def test_context_reuse_matches_fresh(kind):
         assert reused.total_cycles == fresh.total_cycles
         assert reused.flits_ejected == fresh.flits_ejected
         assert reused.total_energy_j == pytest.approx(
-            fresh.total_energy_j, rel=1e-12)
+            fresh.total_energy_j, rel=1e-12, abs=0.0)
 
 
 def test_context_reuse_matches_fresh_with_faults():
@@ -160,7 +165,7 @@ def test_context_reuse_matches_fresh_with_faults():
         assert reused.avg_latency == fresh.avg_latency
         assert reused.flits_dropped == fresh.flits_dropped
         assert reused.total_energy_j == pytest.approx(
-            fresh.total_energy_j, rel=1e-12)
+            fresh.total_energy_j, rel=1e-12, abs=0.0)
 
 
 def test_context_rejects_mismatched_structure():

@@ -5,7 +5,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import events as ev
+from repro.core.config import LinkConfig
+from repro.core.events import EnergyAccountant
+from repro.core.power_binding import PowerBinding
 from repro.power import (
+    BusInvertLinkPower,
+    CentralBufferPower,
     FIFOBufferPower,
     MatrixArbiterPower,
     MatrixCrossbarPower,
@@ -15,6 +21,8 @@ from repro.power import (
     hamming_distance,
 )
 from repro.tech import Technology
+
+from tests.conftest import small_config
 
 features = st.sampled_from([0.35, 0.25, 0.18, 0.13, 0.10, 0.07])
 depths = st.integers(min_value=1, max_value=512)
@@ -160,3 +168,91 @@ class TestLinkProperties:
         double = OnChipLinkPower(t, length_mm=2 * mm, width_bits=w)
         assert double.traversal_energy() > link.traversal_energy()
         assert link.traversal_energy() > 0
+
+
+def _data_dependent_models(t, width):
+    """``(name, energy(old, new), folded)`` for every payload-dependent
+    energy the simulator prices; ``folded`` marks the bus-invert link,
+    whose switching count is ``min(d, W - d)``."""
+    cb = CentralBufferPower(t, rows=64, banks=2, flit_bits=width)
+    return [
+        ("fifo_write",
+         FIFOBufferPower(t, depth_flits=8, flit_bits=width).write_energy,
+         False),
+        ("matrix_crossbar",
+         MatrixCrossbarPower(t, width_bits=width).traversal_energy, False),
+        ("mux_tree_crossbar",
+         MuxTreeCrossbarPower(t, width_bits=width).traversal_energy, False),
+        ("on_chip_link",
+         OnChipLinkPower(t, length_mm=1.0, width_bits=width)
+         .traversal_energy, False),
+        ("bus_invert_link",
+         BusInvertLinkPower(t, length_mm=1.0, width_bits=width)
+         .traversal_energy, True),
+        ("cb_write", cb.write_energy, False),
+        ("cb_read", cb.read_energy, False),
+    ]
+
+
+def _view_energy(binding, node, component):
+    energies, _ = binding.telemetry_view()
+    return energies[node][component]
+
+
+class TestAffineInSwitching:
+    """The premise of counter-based data-mode pricing: every
+    data-dependent model is affine in one integer switching count ``s``,
+    so ``(events, observed events, sum of s)`` per (node, event) prices a
+    run exactly.  A non-affine model added later fails here."""
+
+    @settings(max_examples=40)
+    @given(features, st.integers(1, 96), st.data())
+    def test_energy_is_affine_in_switched_bits(self, f, width, data):
+        a = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        b = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        d = hamming_distance(a, b)
+        for name, energy, folded in _data_dependent_models(tech(f), width):
+            s = min(d, width - d) if folded else d
+            e0 = energy(0, 0)
+            affine = e0 + s * (energy(0, 1) - e0)
+            assert math.isclose(energy(a, b), affine, rel_tol=1e-12), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from(["matrix", "mux_tree"]),
+           st.sampled_from(["none", "bus_invert"]), st.data())
+    def test_binding_prices_the_models(self, width, crossbar, encoding,
+                                       data):
+        """Through the binding, an unobserved event costs the model's
+        ``E(None, None)`` — the average-mode constant — and an observed
+        one exactly ``E(old, new)``."""
+        a = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        b = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        cfg = small_config("central", flit_bits=width,
+                           crossbar_type=crossbar).with_(
+            activity_mode="data",
+            link=LinkConfig(kind="on_chip", length_mm=1.0,
+                            encoding=encoding))
+        binding = PowerBinding(cfg, EnergyAccountant(cfg.num_nodes))
+        sites = [
+            (lambda p: binding.buffer_write(0, 0, p), 0, ev.INPUT_BUFFER,
+             binding.buffer_model.write_energy),
+            (lambda p: binding.xbar_traversal(0, 1, p), 0, ev.CROSSBAR,
+             binding.crossbar_model.traversal_energy),
+            (lambda p: binding.link_traversal(0, 1, p), 0, ev.LINK,
+             binding.link_model.traversal_energy),
+            (lambda p: binding.cb_write(0, p), 0, ev.CENTRAL_BUFFER,
+             binding.central_model.write_energy),
+            (lambda p: binding.cb_read(1, p), 1, ev.CENTRAL_BUFFER,
+             binding.central_model.read_energy),
+        ]
+        for sink, node, component, energy in sites:
+            before = _view_energy(binding, node, component)
+            sink(None)
+            unobserved = _view_energy(binding, node, component) - before
+            assert math.isclose(unobserved, energy(None, None),
+                                rel_tol=1e-12), component
+            sink(a)  # first sighting: still the average constant
+            sink(b)
+            priced = _view_energy(binding, node, component) - before
+            expected = 2 * energy(None, None) + energy(a, b)
+            assert math.isclose(priced, expected, rel_tol=1e-12), component

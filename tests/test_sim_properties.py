@@ -100,7 +100,8 @@ class TestTransportProperties:
         kind = data.draw(kinds)
         cfg = small_config(kind)
         acc = EnergyAccountant(cfg.num_nodes)
-        net = Network(cfg, PowerBinding(cfg, acc))
+        binding = PowerBinding(cfg, acc)
+        net = Network(cfg, binding)
         n = data.draw(st.integers(1, 8))
         for i in range(n):
             src = data.draw(nodes16)
@@ -109,6 +110,7 @@ class TestTransportProperties:
                 net.create_packet(src, dst, 0)
         for _ in range(400):
             net.step()
+        binding.finalize(net.cycle, net.links_per_node())
         total = acc.total_energy()
         by_node = sum(acc.node_total(i) for i in range(16))
         by_component = sum(acc.breakdown().values())
