@@ -49,18 +49,19 @@ class ResultCache:
 
     def __init__(self, root=DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
+        self._prefix = os.path.join(self.root, CAS_DIR, "")
         self.hits = 0
         self.misses = 0
         self.sweep_stale_tmp()
 
-    def _path(self, key: str) -> Path:
-        return self.root / CAS_DIR / key[:2] / key[2:4] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key[2:4]}{os.sep}{key}.pkl"
 
     def _entry_paths(self) -> Iterator[Path]:
         """Every stored entry."""
         return self.root.glob(f"{CAS_DIR}/*/*/*.pkl")
 
-    def _read(self, path: Path):
+    def _read(self, path: str):
         """One entry payload, or ``None`` on any unreadable/stale file."""
         try:
             with open(path, "rb") as f:
@@ -100,9 +101,9 @@ class ResultCache:
         between hosts sharing a cache over a network filesystem — and is
         unlinked on any failure so crashed writes leave no orphan."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f"{path.name}.tmp")
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=f"{key}.pkl.tmp")
         try:
             with os.fdopen(fd, "wb") as f:
                 pickle.dump({"schema": CACHE_SCHEMA, "outcome": outcome}, f)

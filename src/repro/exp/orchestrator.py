@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.report import SweepPoint, SweepResult
@@ -57,6 +57,7 @@ class RunCancelled(RuntimeError):
 class PointOutcome:
     """What one run point produced: a summary, or a recorded failure."""
 
+    #: The run point (``None`` only inside a stored cache entry).
     point: RunPoint
     ok: bool
     #: Terminal status of the point: "ok"; "stalled"/"max_cycles" (the
@@ -335,6 +336,8 @@ def run_points(points: Sequence[RunPoint], *,
     start = time.perf_counter()
     done = cache_hits = failures = cycles = 0
     outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+    keys = [point.cache_key() for point in points] if cache is not None \
+        else None
 
     def finish(index: int, outcome: PointOutcome) -> None:
         nonlocal done, cache_hits, failures, cycles
@@ -345,7 +348,8 @@ def run_points(points: Sequence[RunPoint], *,
         else:
             cycles += outcome.total_cycles
             if cache is not None:
-                cache.store(points[index].cache_key(), outcome)
+                # Entries are point-free: a hit takes the caller's point.
+                cache.store(keys[index], replace(outcome, point=None))
         if not outcome.ok:
             failures += 1
         if progress is not None:
@@ -359,12 +363,13 @@ def run_points(points: Sequence[RunPoint], *,
 
     pending: List[int] = []
     for index, point in enumerate(points):
-        hit = cache.load(point.cache_key()) if cache is not None else None
+        hit = cache.load(keys[index]) if cache is not None else None
         needs_result = _needs_result(point, keep_results)
         if hit is not None and point.protocol.telemetry_window \
                 and hit.telemetry is None:
             hit = None  # entry predates telemetry for this key
         if hit is not None and (not needs_result or hit.result is not None):
+            hit.point = point
             hit.from_cache = True
             if not needs_result:
                 hit.result = None

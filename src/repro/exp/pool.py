@@ -33,6 +33,7 @@ import math
 import multiprocessing
 import multiprocessing.util  # ensures mp's atexit hook registers before ours
 import os
+import socket
 import stat
 import threading
 import time
@@ -288,6 +289,12 @@ class WorkerPool:
         self._batches: List[_Batch] = []
         self._dispatcher: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        #: ``run`` and ``close`` write a byte here so the dispatcher,
+        #: asleep in ``conn_wait``, picks up new work (or the stop flag)
+        #: at once instead of at its next poll.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._closed = False
         # Lifetime counters (surfaced by stats() and /metrics).
         self.tasks_completed = 0
@@ -341,6 +348,7 @@ class WorkerPool:
             self._closed = True
             batches, self._batches = self._batches, []
         self._stop.set()
+        self._wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=join_timeout)
         for batch in batches:
@@ -361,6 +369,15 @@ class WorkerPool:
             except OSError:
                 pass
         self._workers = []
+        if self._dispatcher is None or not self._dispatcher.is_alive():
+            self._wake_r.close()
+            self._wake_w.close()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wake-up is already pending) or closed
 
     def _spawn_worker(self) -> _Worker:
         ctx = multiprocessing.get_context()
@@ -415,6 +432,7 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
             self._batches.append(batch)
+        self._wake()
         delivered = 0
         total = len(batch.results)
         try:
@@ -446,12 +464,15 @@ class WorkerPool:
                     workers = list(self._workers)
                 waitees = [w.conn for w in workers]
                 waitees += [w.process.sentinel for w in workers]
+                waitees.append(self._wake_r)
                 try:
                     ready = conn_wait(waitees, timeout=_POLL_INTERVAL)
                 except OSError:
                     ready = []
                 now = time.monotonic()
                 ready = set(ready)
+                if self._wake_r in ready:
+                    self._drain_wake()
                 for worker in workers:
                     if worker.conn in ready:
                         self._drain_conn(worker, now)
@@ -473,6 +494,13 @@ class WorkerPool:
                 batch.abort(RuntimeError(
                     f"pool dispatcher died: {type(exc).__name__}: {exc}"))
             raise
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass  # drained (BlockingIOError) or closed
 
     def _service_cancellations(self) -> None:
         """Abort batches whose cancel event fired: kill (and respawn

@@ -96,7 +96,32 @@ def protocol_from_dict(data: Mapping[str, Any]) -> RunProtocol:
 #: 2: outcomes carry the windowed telemetry record.
 #: 3: outcomes carry status and fault metadata (drops, misroutes,
 #:    attempts).
-CACHE_SCHEMA = 3
+#: 4: entries no longer hold the run point; a hit carries the caller's.
+CACHE_SCHEMA = 4
+
+#: Bound on the memo behind :func:`_canonical_json` (cleared when full).
+CANONICAL_MEMO_SIZE = 1024
+_canonical_memo: Dict[str, str] = {}
+
+
+def _canonical_json(obj) -> str:
+    """``json.dumps(asdict(obj), sort_keys=True, default=repr)`` for a
+    config or protocol, memoised on ``repr(obj)``.
+
+    The memo is keyed on the repr rather than the object because
+    equality is too coarse: ``vdd=1`` and ``vdd=1.0`` (or ``True`` and
+    ``1``) compare and hash equal but dump to different text, so a memo
+    keyed on ``==`` would make a key depend on which spelling the
+    process saw first.  Concurrent callers need no lock: a race can only
+    recompute or drop an entry, never store a wrong one."""
+    text = repr(obj)
+    blob = _canonical_memo.get(text)
+    if blob is None:
+        if len(_canonical_memo) >= CANONICAL_MEMO_SIZE:
+            _canonical_memo.clear()
+        blob = json.dumps(asdict(obj), sort_keys=True, default=repr)
+        _canonical_memo[text] = blob
+    return blob
 
 
 @dataclass(frozen=True)
@@ -158,19 +183,20 @@ class RunPoint:
 
     def cache_key(self) -> str:
         """Stable content hash of everything that determines the result:
-        configuration, traffic spec, rate, protocol and code version."""
+        configuration, traffic spec, rate, protocol and code version.
+        The blob is byte-for-byte one ``json.dumps(..., sort_keys=True,
+        default=repr)`` of those fields, spliced from memoised parts."""
         import repro
 
-        payload = {
-            "config": asdict(self.config),
-            "traffic": {"name": self.traffic.name,
-                        "params": [list(kv) for kv in self.traffic.params]},
-            "rate": self.rate,
-            "protocol": asdict(self.protocol),
-            "code": repro.__version__,
-            "schema": CACHE_SCHEMA,
-        }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
+        tail = json.dumps(
+            {"rate": self.rate, "schema": CACHE_SCHEMA,
+             "traffic": {"name": self.traffic.name,
+                         "params": [list(kv) for kv in self.traffic.params]}},
+            sort_keys=True, default=repr)
+        # ``tail`` opens with the brace the spliced-in keys replace.
+        blob = (f'{{"code": {json.dumps(repro.__version__)}, '
+                f'"config": {_canonical_json(self.config)}, '
+                f'"protocol": {_canonical_json(self.protocol)}, {tail[1:]}')
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def describe(self) -> str:

@@ -187,6 +187,29 @@ class TestCaching:
         third = run_points(pts, cache=cache, keep_results=True)
         assert third[0].from_cache and third[0].result is not None
 
+    def test_hit_carries_the_callers_point(self, tmp_path):
+        """A hit reports the point it was asked for, not the one that
+        stored the entry: labels are cosmetic and not in the key."""
+        cache = ResultCache(tmp_path / "cache")
+        run_experiment([dataclasses.replace(point(), label="first")],
+                       cache=cache)
+        second = dataclasses.replace(point(), label="second")
+        result = run_experiment([second], cache=cache)
+        (hit,) = result.outcomes
+        assert hit.from_cache
+        assert hit.point is second
+        assert hit.summary_dict()["label"] == "second"
+        assert result.select(label="second") == [hit]
+        assert result.select(label="first") == []
+
+    def test_entries_do_not_hold_the_point(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        (fresh,) = run_points([point()], cache=cache)
+        assert fresh.point == point()  # the stored copy is stripped
+        stored = cache.load(point().cache_key())
+        assert stored.point is None
+        assert stored.avg_latency == fresh.avg_latency
+
     def test_corrupted_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         pts = [point()]

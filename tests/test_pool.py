@@ -308,6 +308,34 @@ def test_pool_stats_and_close_idempotent():
         pool.run([(0, (None, False, 0, 0.25, True))])
 
 
+@fork_only
+def test_submitted_batch_wakes_the_dispatcher(monkeypatch):
+    """A batch submitted to an idle warm pool is dispatched at once,
+    not at the dispatcher's next poll.  Both clocks that could wake an
+    idle dispatcher — its poll and the workers' heartbeats (read by the
+    forked workers) — are slowed to 5 s, so only the wake-up can make
+    the call fast."""
+    import time
+
+    from repro.exp import pool as pool_mod
+
+    monkeypatch.setattr(pool_mod, "_POLL_INTERVAL", 5.0)
+    monkeypatch.setattr(pool_mod, "_HEARTBEAT_INTERVAL", 5.0)
+    pool = WorkerPool(2)
+    try:
+        run_points(_points(rates=(0.05,), seeds=(1,)), processes=2,
+                   pool=pool)  # spawn the workers, warm a context
+        time.sleep(0.1)  # the dispatcher goes back to its 5 s wait
+        start = time.perf_counter()
+        (outcome,) = run_points(_points(rates=(0.05,), seeds=(2,)),
+                                processes=2, pool=pool)
+        elapsed = time.perf_counter() - start
+    finally:
+        pool.close()
+    assert outcome.status == "ok"
+    assert elapsed < 1.0
+
+
 # --- cancellation and elasticity ---------------------------------------------
 
 

@@ -7,10 +7,13 @@ currency).  Property-style: the full preset matrix crossed with
 protocol and fault-grammar variations.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+import repro
 from repro.core.config import RunProtocol
 from repro.core.presets import PRESETS, preset
 from repro.exp import (
@@ -22,6 +25,8 @@ from repro.exp import (
     protocol_from_dict,
     protocol_to_dict,
 )
+from repro.exp import spec as spec_module
+from repro.exp.spec import CACHE_SCHEMA
 from repro.faults import FaultEvent, FaultSpec, parse_fault_specs
 
 from tests.conftest import small_config
@@ -181,3 +186,88 @@ class TestExperimentSpecRoundTrip:
                 assert node is None or isinstance(node, (str, int, float,
                                                          bool))
         assert_plain(payload)
+
+
+def reference_key(point: RunPoint) -> str:
+    """The cache-key formula written out in full: one ``json.dumps``
+    over freshly built dicts, nothing memoised."""
+    payload = {
+        "config": dataclasses.asdict(point.config),
+        "traffic": {"name": point.traffic.name,
+                    "params": [list(kv) for kv in point.traffic.params]},
+        "rate": point.rate,
+        "protocol": dataclasses.asdict(point.protocol),
+        "code": repro.__version__,
+        "schema": CACHE_SCHEMA,
+    }
+    blob = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def vdd_point(vdd) -> RunPoint:
+    config = preset("VC16")
+    return RunPoint(config=config.with_(
+                        tech=dataclasses.replace(config.tech, vdd=vdd)),
+                    traffic=TrafficSpec.of("uniform"), rate=0.05)
+
+
+class TestCacheKeyFormula:
+    """``RunPoint.cache_key`` memoises the config and protocol texts;
+    the keys must stay byte-identical to the plain formula."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("protocol",
+                             [RunProtocol(), PROTOCOLS[4],
+                              RunProtocol(telemetry_window=64)],
+                             ids=["default", "faults", "telemetry"])
+    def test_matches_reference_formula(self, name, protocol):
+        for traffic in TRAFFICS:
+            for _ in range(2):  # first call fills the memo, second reads it
+                point = RunPoint(config=preset(name), traffic=traffic,
+                                 rate=0.0625, protocol=protocol)
+                assert point.cache_key() == reference_key(point)
+
+    def test_pinned_keys(self, monkeypatch):
+        """Literal keys under schema 4; the code version is fixed so a
+        release bump does not move them."""
+        monkeypatch.setattr(repro, "__version__", "pinned")
+        assert CACHE_SCHEMA == 4
+        pinned = {
+            "WH64": "06cb58a082635b6398c5b42cfe22cee5"
+                    "497554221127961ceada9fbecce3d20e",
+            "VC16": "c4d62aa3309b0aa768c4482d41ed38e1"
+                    "11ea2ee2b0a5bb8a046148e8894963d6",
+            "CB": "1c299338f1b6d52a08c69b01793ddae8"
+                  "892cc60c8a9d17cbfcfb6d9467f6fda8",
+        }
+        for name, key in pinned.items():
+            point = RunPoint(config=preset(name),
+                             traffic=TrafficSpec.of("uniform"), rate=0.05)
+            assert point.cache_key() == key
+            assert reference_key(point) == key
+
+    def test_independent_of_spelling_order(self, monkeypatch):
+        """``vdd=1`` and ``vdd=1.0`` are equal configs with different
+        keys; which one the process saw first must not matter."""
+        monkeypatch.setattr(spec_module, "_canonical_memo", {})
+        assert vdd_point(1) == vdd_point(1.0)
+
+        def keys(order):
+            spec_module._canonical_memo.clear()
+            return {repr(vdd): vdd_point(vdd).cache_key() for vdd in order}
+
+        forward, backward = keys([1, 1.0]), keys([1.0, 1])
+        assert forward == backward
+        assert forward["1"] != forward["1.0"]
+        assert forward["1"] == reference_key(vdd_point(1))
+        assert forward["1.0"] == reference_key(vdd_point(1.0))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(spec_module, "_canonical_memo", {})
+        monkeypatch.setattr(spec_module, "CANONICAL_MEMO_SIZE", 4)
+        for seed in range(10):
+            point = RunPoint(config=preset("VC16"),
+                             traffic=TrafficSpec.of("uniform"), rate=0.05,
+                             protocol=RunProtocol(seed=seed))
+            assert point.cache_key() == reference_key(point)
+            assert len(spec_module._canonical_memo) <= 4
