@@ -85,18 +85,32 @@ def _matrix_cases() -> Dict[str, Case]:
         warmup=80, sample=60, monitor=True)
     cases["telemetry"] = Case(PRESETS["VC16"](), rate=0.06,
                               telemetry_window=16)
-    for kind in ("wormhole", "vc"):
+    # Speculative rows run two VCs, so a stuck VC leaves its output a
+    # second one (with one VC the output wedges for good).
+    spec2 = small_config("speculative_vc", num_vcs=2)
+    for kind, config in (("wormhole", small_config("wormhole")),
+                         ("vc", small_config("vc")),
+                         ("speculative_vc", spec2)):
         for policy in ("misroute", "drop"):
             cases[f"random_faults[{policy}-{kind}]"] = Case(
-                small_config(kind), rate=0.06, faults=FaultSpec(
+                config, rate=0.06, faults=FaultSpec(
                     seed=9, policy=policy, link_kills=2, link_flips=1,
                     onset_start=70, onset_end=200))
+    freeze_and_stuck = FaultSpec(events=(
+        FaultEvent("router_freeze", 90, 5),
+        FaultEvent("vc_stuck", 100, 6, 2, 0),
+        FaultEvent("router_thaw", 220, 5),
+    ))
     cases["freeze_and_stuck_vc"] = Case(
-        small_config("vc"), rate=0.06, faults=FaultSpec(events=(
-            FaultEvent("router_freeze", 90, 5),
-            FaultEvent("vc_stuck", 100, 6, 2, 0),
-            FaultEvent("router_thaw", 220, 5),
-        )))
+        small_config("vc"), rate=0.06, faults=freeze_and_stuck)
+    cases["freeze_and_stuck_vc[speculative_vc]"] = Case(
+        spec2, rate=0.06, faults=freeze_and_stuck)
+    # Contested speculative grants (several fresh heads per free
+    # output) need a loaded VC16 fabric.
+    for traffic, rate in (("uniform", 0.09), ("transpose", 0.12)):
+        cases[f"speculative_under_load[{traffic}]"] = Case(
+            PRESETS["VC16"]().with_router(kind="speculative_vc"),
+            traffic=traffic, rate=rate, seed=3, warmup=200, sample=300)
     return cases
 
 
