@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.core.config import NetworkConfig
 from repro.analytic.flows import FlowMatrix, flow_matrix
 from repro.analytic.latency import LatencyEstimate, estimate_latency
-from repro.analytic.power import PowerEstimate, estimate_power, make_binding
+from repro.analytic.power import PowerEstimate, estimate_power
 from repro.analytic.saturation import SaturationEstimate, estimate_saturation
 
 
@@ -87,7 +87,7 @@ def estimate(config: NetworkConfig, traffic: str = "uniform",
     """
     flows = flow_matrix(config, traffic, rate, **params)
     latency = estimate_latency(flows)
-    power = estimate_power(flows, make_binding(config))
+    power = estimate_power(flows)
     saturation = None
     if with_saturation:
         # Loads are linear in rate: rescale this point's matrix to unit

@@ -4,7 +4,7 @@ Orion's premise is that average power is per-event energy times event
 frequency (section 2.1); the simulator *counts* the events, this module
 *predicts* their steady-state rates from the routing-derived flow
 matrix and multiplies by the exact same per-event energies the
-simulator uses (via :meth:`PowerBinding.event_energies`), so the two
+simulator uses (via :meth:`RouterPowerModels.event_energies`), so the two
 paths can only disagree about *rates*, never about joules-per-event.
 
 Per-router-kind event rates (``F`` = flits/cycle entering a router,
@@ -27,7 +27,7 @@ node.  Arbitration energies are taken at one active request — exact at
 low load, a slight undercount as contention grows (contended and
 retried arbitration rounds are second-order in total power).
 Traffic-insensitive power (idle chip-to-chip links, optional leakage
-and clock) comes from :meth:`PowerBinding.constant_power_w`, the
+and clock) comes from :meth:`RouterPowerModels.constant_power_w`, the
 closed-form twin of ``finalize``.
 """
 
@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core import events as ev
-from repro.core.config import NetworkConfig
-from repro.core.events import EnergyAccountant
-from repro.core.power_binding import PowerBinding
+from repro.core.power_models import RouterPowerModels
 from repro.sim.topology import topology_for
 from repro.analytic.flows import FlowMatrix
 
@@ -105,15 +103,8 @@ class PowerEstimate:
     event_rates: Dict[str, float] = field(default_factory=dict)
 
 
-def make_binding(config: NetworkConfig) -> PowerBinding:
-    """A power binding whose accountant is never used — the analytic
-    path only reads its per-event energies and constant power."""
-    topo = topology_for(config)
-    return PowerBinding(config, EnergyAccountant(topo.num_nodes))
-
-
 def estimate_power(flows: FlowMatrix,
-                   binding: PowerBinding = None) -> PowerEstimate:
+                   models: RouterPowerModels = None) -> PowerEstimate:
     """Expected average power of one operating point.
 
     Valid below saturation: the flow matrix assumes offered load equals
@@ -121,10 +112,10 @@ def estimate_power(flows: FlowMatrix,
     under one flit/cycle.
     """
     config = flows.config
-    if binding is None:
-        binding = make_binding(config)
-    energies = binding.event_energies()
-    freq = binding.tech.frequency_hz
+    if models is None:
+        models = RouterPowerModels(config)
+    energies = models.event_energies()
+    freq = models.tech.frequency_hz
     kind = config.router.kind
     num_nodes = len(flows.router_flits)
 
@@ -152,7 +143,7 @@ def estimate_power(flows: FlowMatrix,
     degrees = [topology_for(config).neighbor(n, p) is not None
                for n in range(num_nodes) for p in range(4)]
     out_degree = [sum(degrees[n * 4:(n + 1) * 4]) for n in range(num_nodes)]
-    constant = binding.constant_power_w(out_degree)
+    constant = models.constant_power_w(out_degree)
     total_degree = sum(out_degree)
     for component, watts in constant.items():
         breakdown[component] = breakdown.get(component, 0.0) + watts

@@ -29,22 +29,25 @@ class SpeculativeVCRouter(VCRouter):
         non-speculative pass left free (speculation never displaces a
         confirmed request)."""
         matched_in, matched_out = self._switch_allocation(cycle)
-        fresh = self._vc_allocation(cycle)
-        self._speculative_switch_allocation(cycle, fresh, matched_in,
-                                            matched_out)
+        if self._va_ports:
+            self._speculative_switch_allocation(
+                self._vc_allocation(cycle), matched_in, matched_out)
 
-    def _speculative_switch_allocation(self, cycle: int,
-                                       fresh: List[Tuple[int, int]],
-                                       matched_in: set,
-                                       matched_out: set) -> None:
+    def _speculative_switch_allocation(self, fresh: List[Tuple[int, int]],
+                                       matched_in: int,
+                                       matched_out: int) -> None:
+        """Grant free outputs to the ``fresh`` VA winners; the port
+        bitmasks name what the non-speculative pass already matched."""
+        vcs = self.vcs
+        out_credits = self.out_credits
         by_output: Dict[int, List[Tuple[int, int]]] = {}
         for in_port, v in fresh:
-            if in_port in matched_in:
+            if matched_in >> in_port & 1:
                 continue
-            vc = self.vcs[in_port][v]
-            if vc.out_port in matched_out:
+            vc = vcs[in_port][v]
+            if matched_out >> vc.out_port & 1:
                 continue
-            credits = self.out_credits[vc.out_port]
+            credits = out_credits[vc.out_port]
             if credits is not None and credits[vc.out_vc] <= 0:
                 continue
             by_output.setdefault(vc.out_port, []).append((in_port, v))
@@ -52,23 +55,22 @@ class SpeculativeVCRouter(VCRouter):
             # One speculative winner per free output; inputs granted a
             # speculative slot leave the pool (one grant per input).
             contenders = [(p, v) for p, v in contenders
-                          if p not in matched_in]
+                          if not matched_in >> p & 1]
             if not contenders:
                 continue
-            ports = [p for p, _ in contenders]
-            if len(ports) == 1:
-                winner_port = self.switch_arbiters[out_port] \
-                    .grant_single(ports[0])
+            arb = self.switch_arbiters[out_port]
+            if len(contenders) == 1:
+                winner_port, winner_vc = contenders[0]
+                arb.grant_single(winner_port)
             else:
-                winner_port = self.switch_arbiters[out_port].grant(ports)
-            self.binding.arbitration(self.node, "switch", len(ports))
-            winner_vc = next(v for p, v in contenders
-                             if p == winner_port)
-            vc = self.vcs[winner_port][winner_vc]
-            credits = self.out_credits[out_port]
+                winner_port = arb.grant([p for p, _ in contenders])
+                winner_vc = next(v for p, v in contenders
+                                 if p == winner_port)
+            self._c_arb_switch[len(contenders)] += 1
+            vc = vcs[winner_port][winner_vc]
+            credits = out_credits[out_port]
             if credits is not None:
                 credits[vc.out_vc] -= 1
-            matched_in.add(winner_port)
-            matched_out.add(out_port)
+            matched_in |= 1 << winner_port
             self._st_grants.append(
                 (winner_port, winner_vc, out_port, vc.out_vc))

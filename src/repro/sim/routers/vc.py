@@ -321,9 +321,9 @@ class VCRouter(BaseRouter):
 
     def allocation_phase(self, cycle: int) -> None:
         """SA then VA (so VA grants become SA-visible next cycle)."""
-        self._switch_allocation_masked(cycle)
+        self._switch_allocation(cycle)
         if self._va_ports:
-            self._vc_allocation_masked(cycle)
+            self._vc_allocation(cycle)
 
     #: Allocation iterations per cycle.  A single pass of a separable
     #: allocator wastes input slots (a stage-1 winner that loses the
@@ -331,86 +331,23 @@ class VCRouter(BaseRouter):
     #: of the matching quality, as in iSLIP.
     SA_ITERATIONS = 2
 
-    def _switch_allocation(self, cycle: int) -> Tuple[set, set]:
+    def _switch_allocation(self, cycle: int) -> Tuple[int, int]:
         """Iterative two-stage separable switch allocation.
 
-        Returns the sets of matched input and output ports (used by the
-        speculative subclass to fill leftover slots)."""
-        matched_inputs = set()
-        matched_outputs = set()
-        sa_mask = self._sa_mask
-        vcs = self.vcs
-        out_credits = self.out_credits
-        arbitration = self.binding.arbitration
-        for _ in range(self.SA_ITERATIONS):
-            stage1: List[Tuple[int, int]] = []
-            for in_port in range(self.PORTS):
-                if in_port in matched_inputs:
-                    continue
-                if not sa_mask[in_port]:
-                    continue
-                candidates = []
-                for v, vc in enumerate(vcs[in_port]):
-                    if not vc.active or not vc.fifo or \
-                            vc.fifo[0].arrived_cycle >= cycle:
-                        continue
-                    if vc.out_port in matched_outputs:
-                        continue
-                    credits = out_credits[vc.out_port]
-                    if credits is not None and credits[vc.out_vc] <= 0:
-                        continue
-                    candidates.append(v)
-                if not candidates:
-                    continue
-                if len(candidates) == 1:
-                    winner = self.local_arbiters[in_port].grant_single(
-                        candidates[0])
-                else:
-                    winner = self.local_arbiters[in_port].grant(candidates)
-                arbitration(self.node, "local", len(candidates))
-                stage1.append((in_port, winner))
-            if not stage1:
-                break
-            by_output: Dict[int, List[Tuple[int, int]]] = {}
-            for in_port, v in stage1:
-                out_port = vcs[in_port][v].out_port
-                by_output.setdefault(out_port, []).append((in_port, v))
-            for out_port, contenders in by_output.items():
-                ports = [p for p, _ in contenders]
-                if len(ports) == 1:
-                    winner_port = self.switch_arbiters[out_port] \
-                        .grant_single(ports[0])
-                else:
-                    winner_port = self.switch_arbiters[out_port].grant(ports)
-                arbitration(self.node, "switch", len(ports))
-                winner_vc = next(v for p, v in contenders
-                                 if p == winner_port)
-                vc = vcs[winner_port][winner_vc]
-                credits = out_credits[out_port]
-                if credits is not None:
-                    credits[vc.out_vc] -= 1
-                matched_inputs.add(winner_port)
-                matched_outputs.add(out_port)
-                self._st_grants.append(
-                    (winner_port, winner_vc, out_port, vc.out_vc))
-        return matched_inputs, matched_outputs
+        Stage 1 picks one VC per input port (V:1 local arbiter), stage 2
+        one input per output port (switch arbiter).  The stage-1 scan
+        walks the ``_sa_mask`` bitmasks (active non-empty VCs,
+        ascending), and the iterations stop early once no stage-1 winner
+        lost stage 2: the next iteration would then find no candidates
+        (candidate sets only shrink as outputs match and credits drain),
+        touch no arbiter and emit no event.
 
-    def _switch_allocation_masked(self, cycle: int) -> None:
-        """Mask-walking switch allocation, event-for-event equivalent to
-        :meth:`_switch_allocation`.
-
-        Differences are purely mechanical: the stage-1 scan walks the
-        ``_sa_mask`` bitmasks (active non-empty VCs, ascending — the
-        exact candidate set a scan of all V VCs would filter out),
-        matched ports are bitmasks, and an iteration ends the loop early
-        when no stage-1 winner lost stage 2 — in that case the next
-        iteration provably finds no candidates (candidate sets only
-        shrink as outputs match and credits drain), so it would touch no
-        arbiter and emit no event.
+        Returns the matched input and output ports as bitmasks (the
+        speculative subclass fills the slots left free).
         """
         pmask = self._sa_ports
         if not pmask:
-            return
+            return 0, 0
         sa_mask = self._sa_mask
         vcs = self.vcs
         out_credits = self.out_credits
@@ -444,7 +381,7 @@ class VCRouter(BaseRouter):
                 else:
                     extras.append(v)
             if first < 0:
-                return
+                return 0, 0
             arb = self.local_arbiters[in_port]
             st = arb._fstamp
             if extras is None:
@@ -482,7 +419,7 @@ class VCRouter(BaseRouter):
             if credits is not None:
                 credits[vc.out_vc] -= 1
             self._st_grants.append((in_port, winner, out_port, vc.out_vc))
-            return
+            return 1 << in_port, 1 << out_port
         matched_in = 0
         matched_out = 0
         local_arbiters = self.local_arbiters
@@ -522,10 +459,10 @@ class VCRouter(BaseRouter):
                         extras.append(v)
                 if first < 0:
                     continue
+                arb = local_arbiters[in_port]
+                st = arb._fstamp
                 if extras is None:
                     winner = first
-                    arb = local_arbiters[in_port]
-                    st = arb._fstamp
                     if st is not None:
                         st[first] = arb._next
                         arb._next += 1
@@ -533,8 +470,6 @@ class VCRouter(BaseRouter):
                         arb.grant_single(first)
                     c_local[1] += 1
                 else:
-                    arb = local_arbiters[in_port]
-                    st = arb._fstamp
                     if st is not None and len(extras) == 2:
                         a, b = extras
                         winner = a if st[a] < st[b] else b
@@ -580,10 +515,10 @@ class VCRouter(BaseRouter):
                 out_port = vcs[in_port][v].out_port
                 by_output.setdefault(out_port, []).append((in_port, v))
             for out_port, contenders in by_output.items():
+                arb = switch_arbiters[out_port]
+                st = arb._fstamp
                 if len(contenders) == 1:
                     winner_port, winner_vc = contenders[0]
-                    arb = switch_arbiters[out_port]
-                    st = arb._fstamp
                     if st is not None:
                         st[winner_port] = arb._next
                         arb._next += 1
@@ -592,8 +527,6 @@ class VCRouter(BaseRouter):
                     c_switch[1] += 1
                 else:
                     ports = [p for p, _ in contenders]
-                    arb = switch_arbiters[out_port]
-                    st = arb._fstamp
                     if st is not None and len(ports) == 2:
                         a, b = ports
                         winner_port = a if st[a] < st[b] else b
@@ -617,69 +550,20 @@ class VCRouter(BaseRouter):
                 # no candidates this iteration and cannot gain any, so
                 # the next iteration is a no-op scan.
                 break
+        return matched_in, matched_out
 
     def _vc_allocation(self, cycle: int) -> List[Tuple[int, int]]:
         """Heads of idle VCs request one candidate output VC each.
 
-        Returns the input VCs granted an output VC this cycle (used by
-        the speculative subclass)."""
-        requests: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for in_port in range(self.PORTS):
-            if not self._va_mask[in_port]:
-                continue
-            for v, vc in enumerate(self.vcs[in_port]):
-                if vc.active or not vc.fifo or \
-                        vc.fifo[0].arrived_cycle >= cycle:
-                    continue
-                head = vc.fifo[0]
-                if not head.is_head:
-                    raise RuntimeError(
-                        f"node {self.node} port {in_port} vc {v}: idle VC "
-                        f"headed by a {head.ftype.name} flit"
-                    )
-                out_port = head.next_output_port()
-                if self._faulted_out >> out_port & 1:
-                    out_port = self._fault_redirect(head, in_port)
-                candidate = self._pick_output_vc(head, out_port)
-                if candidate is None:
-                    continue
-                requests.setdefault((out_port, candidate), []).append(
-                    (in_port, v))
-        granted: List[Tuple[int, int]] = []
-        for (out_port, out_vc), reqs in requests.items():
-            ids = [p * self.num_vcs + v for p, v in reqs]
-            if len(ids) == 1:
-                winner_id = self.vc_arbiters[out_port][out_vc] \
-                    .grant_single(ids[0])
-            else:
-                winner_id = self.vc_arbiters[out_port][out_vc].grant(ids)
-            self.binding.arbitration(self.node, "vc", len(ids))
-            in_port, v = divmod(winner_id, self.num_vcs)
-            vc = self.vcs[in_port][v]
-            vc.active = True
-            vc.out_port = out_port
-            vc.out_vc = out_vc
-            self.out_vc_owner[out_port][out_vc] = (in_port, v)
-            masked = self._va_mask[in_port] & ~(1 << v)
-            self._va_mask[in_port] = masked
-            if not masked:
-                self._va_ports &= ~(1 << in_port)
-            self._sa_mask[in_port] |= 1 << v
-            self._sa_ports |= 1 << in_port
-            granted.append((in_port, v))
-        return granted
-
-    def _vc_allocation_masked(self, cycle: int) -> None:
-        """Mask-walking VC allocation, event-for-event equivalent to
-        :meth:`_vc_allocation`: the request scan walks the ``_va_mask``
-        bitmasks (idle non-empty VCs, ascending — exactly the VCs a scan
-        of all V would filter out), which are almost always empty since
-        a VC requests only between packets."""
+        The request scan walks the ``_va_mask`` bitmasks (idle non-empty
+        VCs, ascending), which are almost always empty since a VC
+        requests only between packets.  Returns the input VCs granted an
+        output VC this cycle, as ``(in_port, vc)`` pairs (used by the
+        speculative subclass)."""
         va_mask = self._va_mask
         vcs = self.vcs
         lowbit = self._lowbit
-        requests: Optional[Dict[Tuple[int, int],
-                                List[Tuple[int, int]]]] = None
+        requests: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         for in_port in range(self.PORTS):
             mask = va_mask[in_port]
             if not mask:
@@ -703,19 +587,16 @@ class VCRouter(BaseRouter):
                 candidate = self._pick_output_vc(head, out_port)
                 if candidate is None:
                     continue
-                if requests is None:
-                    requests = {}
                 requests.setdefault((out_port, candidate), []).append(
                     (in_port, v))
-        if requests is None:
-            return
+        granted: List[Tuple[int, int]] = []
         num_vcs = self.num_vcs
         c_vc = self._c_arb_vc
         for (out_port, out_vc), reqs in requests.items():
+            arb = self.vc_arbiters[out_port][out_vc]
+            st = arb._fstamp
             if len(reqs) == 1:
                 in_port, v = reqs[0]
-                arb = self.vc_arbiters[out_port][out_vc]
-                st = arb._fstamp
                 if st is not None:
                     st[in_port * num_vcs + v] = arb._next
                     arb._next += 1
@@ -724,8 +605,6 @@ class VCRouter(BaseRouter):
                 c_vc[1] += 1
             else:
                 ids = [p * num_vcs + v for p, v in reqs]
-                arb = self.vc_arbiters[out_port][out_vc]
-                st = arb._fstamp
                 if st is not None and len(ids) == 2:
                     a, b = ids
                     winner_id = a if st[a] < st[b] else b
@@ -746,6 +625,8 @@ class VCRouter(BaseRouter):
                 self._va_ports &= ~(1 << in_port)
             self._sa_mask[in_port] |= 1 << v
             self._sa_ports |= 1 << in_port
+            granted.append((in_port, v))
+        return granted
 
     def _pick_output_vc(self, head: Flit, out_port: int) -> Optional[int]:
         """First free output VC in the head's allowed class, scanning from
@@ -854,6 +735,7 @@ class VCRouter(BaseRouter):
         self._inject_rr = 0
 
     def check_invariants(self) -> None:
+        sa_ports = va_ports = 0
         for port in range(self.PORTS):
             sa = va = 0
             for v, vc in enumerate(self.vcs[port]):
@@ -869,12 +751,8 @@ class VCRouter(BaseRouter):
                     f"va={self._va_mask[port]:#x}) disagree with VC "
                     f"state (sa={sa:#x}, va={va:#x})"
                 )
-        sa_ports = va_ports = 0
-        for port in range(self.PORTS):
-            if self._sa_mask[port]:
-                sa_ports |= 1 << port
-            if self._va_mask[port]:
-                va_ports |= 1 << port
+            sa_ports |= bool(sa) << port
+            va_ports |= bool(va) << port
         if self._sa_ports != sa_ports or self._va_ports != va_ports:
             raise RuntimeError(
                 f"node {self.node}: port summaries "
@@ -882,3 +760,20 @@ class VCRouter(BaseRouter):
                 f"disagree with per-port masks "
                 f"(sa={sa_ports:#x}, va={va_ports:#x})"
             )
+        # Pending switch grants form a matching, each held by an active,
+        # non-empty input VC that owns the granted output VC.
+        grants = self._st_grants
+        if len({g[0] for g in grants}) < len(grants) or \
+                len({g[2] for g in grants}) < len(grants):
+            raise RuntimeError(f"node {self.node}: pending switch grants "
+                               f"{grants} are not a matching")
+        for in_port, in_vc, out_port, out_vc in grants:
+            vc = self.vcs[in_port][in_vc]
+            if not (vc.active and vc.fifo
+                    and (vc.out_port, vc.out_vc) == (out_port, out_vc)
+                    and self.out_vc_owner[out_port][out_vc]
+                    == (in_port, in_vc)):
+                raise RuntimeError(
+                    f"node {self.node}: switch grant "
+                    f"{(in_port, in_vc, out_port, out_vc)} disagrees with "
+                    f"its input VC or the output VC's owner")

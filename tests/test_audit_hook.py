@@ -88,6 +88,34 @@ def test_audit_catches_active_set_corruption():
         sim.run()
 
 
+@pytest.mark.parametrize("kind", ["vc", "speculative_vc"])
+def test_audit_catches_conflicting_switch_grants(kind):
+    """Pending switch grants must form a matching: a second grant to an
+    output already granted this cycle is caught by the next audit."""
+    sim = _simulation(audit_every=1, kind=kind)
+    network = sim.network
+    original_step = network.step
+    planted = []
+
+    def corrupting_step():
+        moved = original_step()
+        if not planted and network.cycle >= 30:
+            for router in network.routers:
+                if router._st_grants:
+                    in_port, in_vc, out_port, out_vc = router._st_grants[0]
+                    router._st_grants.append(
+                        ((in_port + 1) % router.PORTS, in_vc, out_port,
+                         out_vc))
+                    planted.append(router.node)
+                    break
+        return moved
+
+    network.step = corrupting_step
+    with pytest.raises(RuntimeError, match="not a matching"):
+        sim.run()
+    assert planted
+
+
 def test_audit_not_called_when_disabled():
     sim = _simulation(audit_every=0)
     calls = []
