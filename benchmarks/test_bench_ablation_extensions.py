@@ -1,5 +1,5 @@
 """Ablation benches for the power-model extensions: bus-invert link
-coding, static (leakage) power, and the occupancy monitor's view of
+coding, static (leakage) power, and the telemetry record's view of
 saturation."""
 
 import pytest
@@ -10,6 +10,7 @@ from repro.core.config import LinkConfig
 from repro.sim.engine import Simulation
 from repro.sim.topology import Torus
 from repro.sim.traffic import UniformRandomTraffic
+from repro.telemetry import DEFAULT_WINDOW
 
 from conftest import PROTOCOL, SAMPLE
 
@@ -62,14 +63,15 @@ def test_leakage_floor(benchmark):
 
 
 def test_channel_utilization_tracks_saturation(benchmark):
-    """The occupancy monitor's bottleneck-channel utilization approaches
+    """The telemetry record's bottleneck-channel utilization approaches
     1.0 as the network saturates — the physical mechanism behind the
     latency knees of Figures 5 and 7."""
     def run(rate):
         cfg = preset("VC16")
         traffic = UniformRandomTraffic(Torus(4), rate, seed=3)
         return Simulation(cfg, traffic, PROTOCOL.with_(
-            sample_packets=min(SAMPLE, 400), monitor=True)).run()
+            sample_packets=min(SAMPLE, 400),
+            telemetry_window=DEFAULT_WINDOW)).run()
 
     def collect():
         return {rate: run(rate) for rate in (0.05, 0.17)}
@@ -77,13 +79,13 @@ def test_channel_utilization_tracks_saturation(benchmark):
     results = benchmark.pedantic(collect, rounds=1, iterations=1)
     print("\n== Channel utilization vs injection rate ==")
     for rate, result in results.items():
-        monitor = result.monitor
+        record = result.telemetry
         print(f"rate {rate}: mean "
-              f"{monitor.mean_channel_utilization():.3f}, max "
-              f"{monitor.max_channel_utilization():.3f}, hottest "
-              f"{monitor.hottest_channels(1)[0]}")
+              f"{record.mean_channel_utilization():.3f}, max "
+              f"{record.max_channel_utilization():.3f}, hottest "
+              f"{record.hottest_channels(1)[0]}")
     # The bottleneck channel runs ~3x hotter past the knee; it tops out
     # below 1.0 because allocator inefficiency, not raw link bandwidth,
     # sets the saturation point.
-    assert results[0.17].monitor.max_channel_utilization() > 0.7
-    assert results[0.05].monitor.max_channel_utilization() < 0.5
+    assert results[0.17].telemetry.max_channel_utilization() > 0.7
+    assert results[0.05].telemetry.max_channel_utilization() < 0.5

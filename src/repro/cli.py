@@ -170,8 +170,7 @@ def cmd_run(args) -> int:
         from repro.telemetry import DEFAULT_WINDOW
         window = DEFAULT_WINDOW
     result = orion.run(_make_traffic(args, cfg),
-                       _protocol(args, monitor=args.monitor,
-                                 telemetry_window=window))
+                       _protocol(args, telemetry_window=window))
     per_node = TRAFFIC_REGISTRY[args.traffic].per_node
     print(f"config:        {args.preset} ({cfg.router.kind})")
     print(f"traffic:       {args.traffic} at {args.rate} pkt/cycle"
@@ -194,15 +193,18 @@ def cmd_run(args) -> int:
     print(f"total power:   {format_power(result.total_power_w)}")
     print()
     print(breakdown_table(result))
-    if args.monitor:
-        print("\noccupancy/utilization:")
-        print(result.monitor.report())
     if args.spatial:
         print("\nper-node power:")
         print(spatial_table(result))
     if result.telemetry is not None:
-        from repro.telemetry import telemetry_to_csv, telemetry_to_jsonl
+        from repro.telemetry import (
+            telemetry_to_csv,
+            telemetry_to_jsonl,
+            utilization_report,
+        )
         record = result.telemetry
+        print()
+        print(utilization_report(record))
         print(f"\ntelemetry: {record.num_windows} windows of "
               f"{record.window} cycles recorded "
               f"(render with 'repro report')")
@@ -247,7 +249,7 @@ def cmd_experiment(args) -> int:
                 for t in args.traffic.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     protocol = RunProtocol(warmup_cycles=args.warmup,
-                           sample_packets=args.sample, monitor=False)
+                           sample_packets=args.sample)
     if args.rates.strip() == "auto":
         spec = _guided_points(configs, traffics, seeds, protocol,
                               args.grid_points, quiet=args.quiet)
@@ -638,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one simulation")
     add_common(p)
-    p.add_argument("--monitor", action="store_true",
-                   help="sample per-cycle occupancy/utilization")
     p.add_argument("--spatial", action="store_true",
                    help="print the per-node power map")
     p.add_argument("--json", metavar="PATH",
@@ -648,8 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the per-node power map as CSV")
     p.add_argument("--telemetry-window", type=int, default=0,
                    metavar="CYCLES",
-                   help="record windowed energy/event telemetry every "
-                        "this many cycles (0 disables)")
+                   help="record windowed energy/event/utilization "
+                        "telemetry every this many cycles (0 disables)")
     p.add_argument("--telemetry-jsonl", metavar="PATH",
                    help="write the telemetry record as JSONL "
                         "(implies a default window if none given)")

@@ -136,14 +136,12 @@ class RunProtocol:
     seed: int = 1
     #: Attach power models and account energy per event.
     collect_power: bool = True
-    #: Attach the occupancy/utilization monitor (Figure-6-style spatial
-    #: studies).
-    monitor: bool = False
     #: Run the network's flit-conservation ``audit()`` every this many
     #: cycles (0 disables auditing).
     audit_every: int = 0
-    #: Record windowed energy/event telemetry every this many measured
-    #: cycles (0 disables recording).  See :mod:`repro.telemetry`.
+    #: Record windowed energy, event, channel-utilisation and occupancy
+    #: telemetry every this many measured cycles (0 disables
+    #: recording).  See :mod:`repro.telemetry`.
     telemetry_window: int = 0
     #: Deterministic fault-injection scenario (a
     #: :class:`repro.faults.FaultSpec`), or ``None`` for a healthy

@@ -76,7 +76,7 @@ class PointOutcome:
     wall_seconds: float = 0.0
     from_cache: bool = False
     #: Full simulation result; carried only when the orchestrator ran
-    #: with ``keep_results=True`` or the protocol enabled the monitor.
+    #: with ``keep_results=True``.
     result: Optional[SimulationResult] = None
     #: Windowed telemetry record; carried (and cached) whenever the
     #: protocol's ``telemetry_window`` is non-zero.
@@ -191,10 +191,6 @@ def fanout_progress(*hooks: Optional[ProgressHook]) -> ProgressHook:
         for hook in live:
             hook(progress)
     return fan
-
-
-def _needs_result(point: RunPoint, keep_results: bool) -> bool:
-    return keep_results or point.protocol.monitor
 
 
 def _execute_point(point: RunPoint, keep_result: bool,
@@ -364,14 +360,13 @@ def run_points(points: Sequence[RunPoint], *,
     pending: List[int] = []
     for index, point in enumerate(points):
         hit = cache.load(keys[index]) if cache is not None else None
-        needs_result = _needs_result(point, keep_results)
         if hit is not None and point.protocol.telemetry_window \
                 and hit.telemetry is None:
             hit = None  # entry predates telemetry for this key
-        if hit is not None and (not needs_result or hit.result is not None):
+        if hit is not None and (not keep_results or hit.result is not None):
             hit.point = point
             hit.from_cache = True
-            if not needs_result:
+            if not keep_results:
                 hit.result = None
             finish(index, hit)
         else:
@@ -387,8 +382,7 @@ def run_points(points: Sequence[RunPoint], *,
 
         # Workers always capture crashes as outcomes; the ``finish``
         # closure above applies the ``on_error`` policy parent-side.
-        payloads = [(points[i], _needs_result(points[i], keep_results),
-                     retries, retry_backoff, True)
+        payloads = [(points[i], keep_results, retries, retry_backoff, True)
                     for i in pending]
         workers = max(1, min(processes, len(pending)))
         active = pool if pool is not None else get_default_pool(workers)
@@ -403,8 +397,8 @@ def run_points(points: Sequence[RunPoint], *,
             if cancel_event is not None and cancel_event.is_set():
                 raise RunCancelled("run cancelled before completion")
             finish(index, _pool_point(
-                (points[index], _needs_result(points[index], keep_results),
-                 retries, retry_backoff, capture)))
+                (points[index], keep_results, retries, retry_backoff,
+                 capture)))
     return outcomes
 
 

@@ -81,8 +81,8 @@ def _run_payload(payload, contexts: "OrderedDict") -> PointOutcome:
     point, keep_result, retries, backoff, _capture = payload
     try:
         if keep_result:
-            # The result will hold the monitor/accountant — those must
-            # not alias a graph the next point resets underneath them.
+            # The result will hold ``result.accountant``, which must not
+            # alias a context the next point resets underneath it.
             return _execute_resilient(point, True, retries, backoff, True)
         key = structural_key(point.config, point.protocol)
         context = contexts.get(key)

@@ -97,7 +97,9 @@ def protocol_from_dict(data: Mapping[str, Any]) -> RunProtocol:
 #: 3: outcomes carry status and fault metadata (drops, misroutes,
 #:    attempts).
 #: 4: entries no longer hold the run point; a hit carries the caller's.
-CACHE_SCHEMA = 4
+#: 5: ``RunProtocol`` lost a field, which moved every key; telemetry
+#:    records carry channel and occupancy columns.
+CACHE_SCHEMA = 5
 
 #: Bound on the memo behind :func:`_canonical_json` (cleared when full).
 CANONICAL_MEMO_SIZE = 1024

@@ -48,9 +48,8 @@ class SimulationResult:
     measured_flits_ejected: int
     packets_delivered: int
     accountant: Optional[EnergyAccountant]
-    #: Occupancy/utilization monitor, when enabled.
-    monitor: Optional[object] = None
-    #: Windowed :class:`~repro.telemetry.recorder.TelemetryRecord`, when
+    #: Windowed :class:`~repro.telemetry.recorder.TelemetryRecord` —
+    #: energy, traffic, channel utilisation and buffer occupancy — when
     #: the protocol's ``telemetry_window`` is non-zero.
     telemetry: Optional[object] = None
     #: How the run ended: "ok" (sample drained), or — under
@@ -122,11 +121,10 @@ class SimulationContext:
     every run after the first, which is bit-identical to fresh
     construction (pinned by tests/test_pool.py).
 
-    Not safe for points that carry live object references out of the
-    run: ``protocol.monitor`` results hold the shared network, and
-    callers keeping ``result.accountant`` would see it zeroed by the
-    next reuse — such points must construct fresh (the worker pool gates
-    them out).
+    Not safe for callers that keep ``result.accountant``: it is the
+    context's live accountant, zeroed by the next reuse — such points
+    must construct fresh (the worker pool gates them out).  The
+    telemetry record is a plain value and survives reuse.
     """
 
     def __init__(self, config: NetworkConfig,
@@ -200,11 +198,6 @@ class Simulation:
         self.binding = context.binding
         self.network = context.network
         self.config = config
-        if protocol.monitor:
-            from repro.sim.monitor import NetworkMonitor
-            self.monitor = NetworkMonitor(self.network)
-        else:
-            self.monitor = None
         if protocol.telemetry_window:
             from repro.telemetry import TelemetryRecorder
             self.recorder = TelemetryRecorder(
@@ -267,8 +260,6 @@ class Simulation:
                 ejected_at_warmup = network.flits_ejected
                 if self.accountant is not None:
                     self.binding.reset()
-                if self.monitor is not None:
-                    self.monitor.begin()
                 if recorder is not None:
                     recorder.begin(cycle)
             # The single fault hook: due events mutate the network
@@ -292,11 +283,8 @@ class Simulation:
                 span_step += t2 - t1
             if self.audit_every and network.cycle % self.audit_every == 0:
                 network.audit()
-            if cycle >= self.warmup_cycles:
-                if self.monitor is not None:
-                    self.monitor.sample()
-                if recorder is not None:
-                    recorder.on_cycle(network.cycle)
+            if recorder is not None and cycle >= self.warmup_cycles:
+                recorder.on_cycle(network.cycle)
             if profiling:
                 span_observe += perf_counter() - t2
             if sample_tagged >= self.sample_packets and \
@@ -350,8 +338,8 @@ class Simulation:
                     )
                 status = "max_cycles"
                 break
-        # Drop the delivery/drop closures so results (and the monitor's
-        # network reference) stay picklable across process pools.
+        # Drop the delivery/drop closures: they hold this run's state,
+        # and the network stays a plain, picklable object graph.
         network.on_packet_delivered = None
         network.on_packet_dropped = None
         total_cycles = network.cycle
@@ -381,7 +369,6 @@ class Simulation:
             measured_flits_ejected=network.flits_ejected - ejected_at_warmup,
             packets_delivered=network.packets_delivered,
             accountant=self.accountant,
-            monitor=self.monitor,
             telemetry=recorder.record if recorder is not None else None,
             status=status,
             flits_dropped=network.flits_dropped,

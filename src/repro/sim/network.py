@@ -28,9 +28,8 @@ from repro.sim.topology import LOCAL, OPPOSITE, Mesh, Torus
 class _Ejector:
     """Per-node ejection sink.
 
-    A module-level class rather than a closure so networks (and
-    therefore monitor-bearing simulation results) pickle across process
-    pools.
+    A module-level class rather than a closure, so a network stays a
+    plain, picklable object graph.
     """
 
     def __init__(self, network: "Network", node: int) -> None:
@@ -97,8 +96,8 @@ class Network:
         self._packet_counter = 0
         self.flits_injected = 0
         self.flits_ejected = 0
-        #: Per-node injection/ejection counters (telemetry and monitor
-        #: read these; sums shadow the scalars above — see audit()).
+        #: Per-node injection/ejection counters (telemetry reads these;
+        #: sums shadow the scalars above — see audit()).
         self.node_flits_injected: List[int] = [0] * self.topo.num_nodes
         self.node_flits_ejected: List[int] = [0] * self.topo.num_nodes
         self.packets_created = 0

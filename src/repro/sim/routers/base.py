@@ -50,7 +50,7 @@ class Channel:
         #: Lifetime flits placed on this wire.  A flit sent during cycle
         #: t is exactly the flit a post-step ``busy`` scan observes after
         #: cycle t (drained at t+1), so send counts reproduce per-cycle
-        #: utilization scans without scanning (see NetworkMonitor).
+        #: utilization scans without scanning (see TelemetryRecorder).
         self.flits_sent = 0
         self.flit_router = downstream
         self.flit_bit = 1 << dst_port

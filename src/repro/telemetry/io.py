@@ -3,7 +3,7 @@
 The JSONL layout is stream-friendly — one JSON object per line:
 
 * a ``header`` line with run metadata (grid shape, frequency, window
-  size, router kind, activity mode, schema version);
+  size, router kind, activity mode, the channel list, schema version);
 * one ``window`` line per window, column-major (component/event kind to
   a per-node array);
 * a ``footer`` line with the engine phase spans.
@@ -27,10 +27,18 @@ from repro.telemetry.recorder import TelemetryRecord, TelemetryWindow
 #: (schema-1 files still read back, the columns defaulting to zero).
 #: 3: the header drops ``kernel`` (there is one kernel; the key is
 #: ignored when reading schema-1/2 files).
-JSONL_SCHEMA = 3
+#: 4: the header names the ``channels``; window lines carry per-channel
+#: ``sent`` counts and per-cycle ``occupancy_sum``/``occupancy_peak``
+#: (schema-1-3 files read back without them, so their utilisation and
+#: occupancy queries raise).
+JSONL_SCHEMA = 4
 
 #: Schema versions :func:`telemetry_from_jsonl` accepts.
-_READABLE_SCHEMAS = (1, 2, 3)
+_READABLE_SCHEMAS = (1, 2, 3, 4)
+
+#: Per-window integer columns written as-is (schema-4 names).
+_WINDOW_COLUMNS = ("injected", "ejected", "occupancy", "dropped",
+                   "misrouted", "sent", "occupancy_sum", "occupancy_peak")
 
 _HEADER_FIELDS = ("window", "num_nodes", "width", "height",
                   "frequency_hz", "warmup_cycles", "router_kind",
@@ -43,21 +51,20 @@ def telemetry_to_jsonl(record: TelemetryRecord, path: str) -> None:
         header = {"type": "header", "schema": JSONL_SCHEMA}
         header.update({name: getattr(record, name)
                        for name in _HEADER_FIELDS})
+        header["channels"] = record.channels
         f.write(json.dumps(header) + "\n")
         for window in record.windows:
-            f.write(json.dumps({
+            line = {
                 "type": "window",
                 "index": window.index,
                 "cycle_start": window.cycle_start,
                 "cycle_end": window.cycle_end,
                 "energy_j": window.energy_j,
                 "events": window.events,
-                "injected": window.injected,
-                "ejected": window.ejected,
-                "occupancy": window.occupancy,
-                "dropped": window.dropped,
-                "misrouted": window.misrouted,
-            }) + "\n")
+            }
+            line.update({name: getattr(window, name)
+                         for name in _WINDOW_COLUMNS})
+            f.write(json.dumps(line) + "\n")
         f.write(json.dumps({"type": "footer",
                             "spans_s": record.spans_s}) + "\n")
 
@@ -79,25 +86,28 @@ def telemetry_from_jsonl(path: str) -> TelemetryRecord:
                         f"{path}: unsupported telemetry schema {schema!r} "
                         f"(expected one of {_READABLE_SCHEMAS})"
                     )
+                channels = entry.get("channels")
                 record = TelemetryRecord(
-                    **{name: entry[name] for name in _HEADER_FIELDS})
+                    **{name: entry[name] for name in _HEADER_FIELDS},
+                    channels=None if channels is None
+                    else [tuple(channel) for channel in channels])
             elif kind == "window":
                 if record is None:
                     raise ValueError(
                         f"{path}:{line_no}: window before header")
+                columns = {name: entry.get(name) or []
+                           for name in _WINDOW_COLUMNS}
+                # Schema-1 windows predate the fault columns: zeros.
+                for name in ("dropped", "misrouted"):
+                    columns[name] = columns[name] \
+                        or [0] * len(entry["injected"])
                 record.windows.append(TelemetryWindow(
                     index=entry["index"],
                     cycle_start=entry["cycle_start"],
                     cycle_end=entry["cycle_end"],
                     energy_j=entry["energy_j"],
                     events=entry["events"],
-                    injected=entry["injected"],
-                    ejected=entry["ejected"],
-                    occupancy=entry["occupancy"],
-                    dropped=entry.get("dropped")
-                    or [0] * len(entry["injected"]),
-                    misrouted=entry.get("misrouted")
-                    or [0] * len(entry["injected"]),
+                    **columns,
                 ))
             elif kind == "footer":
                 if record is None:

@@ -2,28 +2,32 @@
 
 :class:`TelemetryRecorder` is driven by the simulation engine: once at
 the end of warm-up (:meth:`~TelemetryRecorder.begin`), once per
-measured cycle (:meth:`~TelemetryRecorder.on_cycle` — a single integer
-comparison until a window boundary is crossed), and once at run end
-(:meth:`~TelemetryRecorder.finalize`, after the power binding deposits
-its traffic-insensitive energy).  At each window boundary it reads the
-binding's cumulative per-node energy/event view and the network's
-per-node injection/ejection counters, and stores the deltas since the
-previous boundary — so the cost is O(nodes) *per window*, not per
-cycle, and summed windows telescope back to the run-end accountant
-totals exactly (up to float re-summation).
+measured cycle (:meth:`~TelemetryRecorder.on_cycle`), and once at run
+end (:meth:`~TelemetryRecorder.finalize`, after the power binding
+deposits its traffic-insensitive energy).  At each window boundary it
+reads the binding's cumulative per-node energy/event view, the
+network's per-node injection/ejection counters and every channel's send
+counter, and stores the deltas since the previous boundary — O(nodes +
+channels) *per window* — so summed windows telescope back to the
+run-end totals exactly (up to float re-summation for energies).
 
-Buffer occupancy is sampled at window boundaries (the routers' O(1)
-maintained counters), so the per-router watermark is a boundary-sampled
-peak, not a per-cycle one — per-cycle peaks are the
-:class:`repro.sim.monitor.NetworkMonitor`'s job.
+The only per-cycle work is buffer occupancy: each measured cycle adds
+the routers' O(1) maintained ``_buffered`` counters into the window's
+per-node sum and peak, visiting only the network's active set (retired
+routers hold zero flits, an audited invariant).  A flit sent during
+cycle *t* is exactly the flit a post-step busy scan would see after
+cycle *t* (single-cycle channels drain at *t*+1), so send-count deltas
+over the measured cycles are the channels' busy cycles, and channel
+utilisation needs no per-cycle scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import events as ev
+from repro.sim.topology import PORT_NAMES
 
 #: Window size the CLI uses when telemetry output is requested without
 #: an explicit ``--telemetry-window``.
@@ -42,7 +46,8 @@ class TelemetryWindow:
     ``energy_j`` and ``events`` are column-major — component (or event
     kind) to a per-node list — and carry only columns with at least one
     non-zero entry.  ``occupancy`` is the flits buffered per router at
-    the instant the window closed.
+    the instant the window closed; ``occupancy_sum`` and
+    ``occupancy_peak`` cover every cycle of the window.
     """
 
     index: int
@@ -59,6 +64,14 @@ class TelemetryWindow:
     #: the columns and read as zero).
     dropped: List[int] = field(default_factory=list)
     misrouted: List[int] = field(default_factory=list)
+    #: Flits sent per channel, aligned with :attr:`TelemetryRecord.channels`
+    #: (empty in records written before JSONL schema 4, as are the two
+    #: per-cycle occupancy columns below).
+    sent: List[int] = field(default_factory=list)
+    #: Per-node flits buffered, summed over the window's cycles.
+    occupancy_sum: List[int] = field(default_factory=list)
+    #: Per-node most flits buffered at the end of any window cycle.
+    occupancy_peak: List[int] = field(default_factory=list)
 
     @property
     def cycles(self) -> int:
@@ -92,6 +105,11 @@ class TelemetryRecord:
     windows: List[TelemetryWindow] = field(default_factory=list)
     #: Wall-clock seconds per engine phase (see ``SPAN_NAMES``).
     spans_s: Dict[str, float] = field(default_factory=dict)
+    #: Every channel as ``(src_node, out_port)``, in the order of the
+    #: windows' ``sent`` column; ``None`` for records written before
+    #: JSONL schema 4, which carry no channel or per-cycle occupancy
+    #: columns.
+    channels: Optional[List[Tuple[int, int]]] = None
 
     # --- aggregate queries (must reproduce the run-end accounting) ----------
 
@@ -167,49 +185,88 @@ class TelemetryRecord:
                        if cycles else 0.0)
         return out
 
-    def occupancy_peaks(self) -> List[int]:
-        """Per-router peak buffered flits across window-boundary
-        samples (a boundary watermark, not a per-cycle peak)."""
-        peaks = [0] * self.num_nodes
+    def _column_sums(self, name: str, width: int) -> List[int]:
+        """One per-window integer column summed over the windows."""
+        totals = [0] * width
         for window in self.windows:
-            for node, buffered in enumerate(window.occupancy):
-                if buffered > peaks[node]:
-                    peaks[node] = buffered
-        return peaks
+            for i, count in enumerate(getattr(window, name)):
+                totals[i] += count
+        return totals
 
     def injected_totals(self) -> List[int]:
         """Per-node flits injected over the measured window."""
-        totals = [0] * self.num_nodes
-        for window in self.windows:
-            for node, count in enumerate(window.injected):
-                totals[node] += count
-        return totals
+        return self._column_sums("injected", self.num_nodes)
 
     def ejected_totals(self) -> List[int]:
         """Per-node flits ejected over the measured window."""
-        totals = [0] * self.num_nodes
-        for window in self.windows:
-            for node, count in enumerate(window.ejected):
-                totals[node] += count
-        return totals
+        return self._column_sums("ejected", self.num_nodes)
 
     def dropped_totals(self) -> List[int]:
         """Per-node flits dropped (fault policy) over the measured
         window."""
-        totals = [0] * self.num_nodes
-        for window in self.windows:
-            for node, count in enumerate(window.dropped):
-                totals[node] += count
-        return totals
+        return self._column_sums("dropped", self.num_nodes)
 
     def misrouted_totals(self) -> List[int]:
         """Per-node packets misrouted around faults over the measured
         window."""
-        totals = [0] * self.num_nodes
+        return self._column_sums("misrouted", self.num_nodes)
+
+    # --- utilisation and occupancy -------------------------------------------
+
+    def _measured(self) -> int:
+        """Measured cycles, checked to carry the per-cycle columns."""
+        if self.channels is None:
+            raise ValueError(
+                "telemetry record has no channel or occupancy columns "
+                "(written before JSONL schema 4); re-record the run")
+        cycles = self.measured_cycles
+        if cycles == 0:
+            raise ValueError("no measured cycles recorded")
+        return cycles
+
+    def channel_utilization(self) -> Dict[Tuple[int, int], float]:
+        """``(src_node, out_port) -> busy fraction`` for every channel
+        over the measured cycles."""
+        cycles = self._measured()
+        sent = self._column_sums("sent", len(self.channels))
+        return {channel: count / cycles
+                for channel, count in zip(self.channels, sent)}
+
+    def max_channel_utilization(self) -> float:
+        """Utilisation of the most loaded channel (the bottleneck)."""
+        return max(self.channel_utilization().values())
+
+    def mean_channel_utilization(self) -> float:
+        """Average utilisation across all channels."""
+        utils = self.channel_utilization()
+        return sum(utils.values()) / len(utils)
+
+    def hottest_channels(self, count: int = 5) -> List[Tuple[str, float]]:
+        """The ``count`` most utilised channels, labelled for humans."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        ranked = sorted(self.channel_utilization().items(),
+                        key=lambda kv: -kv[1])[:count]
+        return [(f"({node % self.width},{node // self.width}) "
+                 f"{PORT_NAMES[port]}", util)
+                for (node, port), util in ranked]
+
+    def occupancy_means(self) -> List[float]:
+        """Per-router mean flits buffered over the measured cycles."""
+        cycles = self._measured()
+        return [total / cycles for total
+                in self._column_sums("occupancy_sum", self.num_nodes)]
+
+    def occupancy_peaks(self) -> List[int]:
+        """Per-router most flits buffered at the end of any measured
+        cycle."""
+        self._measured()
+        peaks = [0] * self.num_nodes
         for window in self.windows:
-            for node, count in enumerate(window.misrouted):
-                totals[node] += count
-        return totals
+            for node, buffered in enumerate(window.occupancy_peak):
+                if buffered > peaks[node]:
+                    peaks[node] = buffered
+        return peaks
 
 
 class TelemetryRecorder:
@@ -221,6 +278,12 @@ class TelemetryRecorder:
         self.network = network
         self.binding = binding
         self.window = window
+        # Both live for the network's lifetime (reset clears in place).
+        self._routers = network.routers
+        self._active = network._active
+        self._channels = [channel for router in network.routers
+                          for channel in router.out_channels
+                          if channel is not None]
         config = network.config
         self.record = TelemetryRecord(
             window=window,
@@ -231,16 +294,17 @@ class TelemetryRecorder:
             warmup_cycles=0,
             router_kind=config.router.kind,
             activity_mode=config.activity_mode,
+            channels=[(channel.src_node, channel.src_port)
+                      for channel in self._channels],
         )
         self.spans = dict.fromkeys(SPAN_NAMES, 0.0)
         self._started = False
         self._window_start = 0
         self._prev_energy: Optional[List[Dict[str, float]]] = None
         self._prev_counts: Optional[List[Dict[str, int]]] = None
-        self._prev_injected: List[int] = []
-        self._prev_ejected: List[int] = []
-        self._prev_dropped: List[int] = []
-        self._prev_misrouted: List[int] = []
+        self._prev_counters: Dict[str, List[int]] = {}
+        self._occupancy_sum = [0] * config.num_nodes
+        self._occupancy_peak = [0] * config.num_nodes
 
     # --- engine hooks --------------------------------------------------------
 
@@ -252,24 +316,30 @@ class TelemetryRecorder:
         self.record.warmup_cycles = cycle
         self._prev_energy, self._prev_counts = \
             self.binding.telemetry_view()
-        self._prev_injected = list(self.network.node_flits_injected)
-        self._prev_ejected = list(self.network.node_flits_ejected)
-        self._prev_dropped = list(self.network.node_flits_dropped)
-        self._prev_misrouted = list(self.network.node_packets_misrouted)
+        self._prev_counters = self._counters()
 
     def on_cycle(self, now: int) -> None:
         """Called once per measured cycle, after the network stepped;
         ``now`` is the count of completed cycles."""
+        routers = self._routers
+        occupancy_sum = self._occupancy_sum
+        occupancy_peak = self._occupancy_peak
+        for node in self._active:
+            buffered = routers[node]._buffered
+            occupancy_sum[node] += buffered
+            if buffered > occupancy_peak[node]:
+                occupancy_peak[node] = buffered
         if now - self._window_start >= self.window:
             self._close(now)
 
     def finalize(self, total_cycles: int) -> None:
         """Close the residual window after the binding's finalization
         deposits, so constant energy (idle links, leakage, clock) lands
-        in the series and summed windows equal the run totals."""
+        in the series and summed windows equal the run totals.  A run
+        that ended inside warm-up keeps a record of zero windows."""
         if not self._started:
-            raise RuntimeError("telemetry recorder never started "
-                               "(begin() was not called)")
+            self.record.spans_s = dict(self.spans)
+            return
         if total_cycles > self._window_start or not self.record.windows:
             self._close(total_cycles)
             return
@@ -302,10 +372,22 @@ class TelemetryRecorder:
 
     # --- window assembly -----------------------------------------------------
 
+    def _counters(self) -> Dict[str, List[int]]:
+        """Snapshot of the cumulative integer counters, by window
+        column."""
+        network = self.network
+        return {
+            "injected": list(network.node_flits_injected),
+            "ejected": list(network.node_flits_ejected),
+            "dropped": list(network.node_flits_dropped),
+            "misrouted": list(network.node_packets_misrouted),
+            "sent": [channel.flits_sent for channel in self._channels],
+        }
+
     def _delta(self, start: int, end: int) -> TelemetryWindow:
         """Snapshot the cumulative views and diff against the previous
-        boundary; advances the previous-snapshot state."""
-        network = self.network
+        boundary; advances the previous-snapshot state and hands the
+        window's occupancy accumulators over."""
         n = self.record.num_nodes
         window = TelemetryWindow(
             index=len(self.record.windows),
@@ -331,24 +413,16 @@ class TelemetryRecorder:
                 if any(col):
                     window.events[event] = col
             self._prev_counts = counts
-        injected = network.node_flits_injected
-        ejected = network.node_flits_ejected
-        window.injected = [injected[node] - self._prev_injected[node]
-                           for node in range(n)]
-        window.ejected = [ejected[node] - self._prev_ejected[node]
-                          for node in range(n)]
-        self._prev_injected = list(injected)
-        self._prev_ejected = list(ejected)
-        dropped = network.node_flits_dropped
-        misrouted = network.node_packets_misrouted
-        window.dropped = [dropped[node] - self._prev_dropped[node]
-                          for node in range(n)]
-        window.misrouted = [misrouted[node] - self._prev_misrouted[node]
-                            for node in range(n)]
-        self._prev_dropped = list(dropped)
-        self._prev_misrouted = list(misrouted)
-        window.occupancy = [router._buffered
-                            for router in network.routers]
+        counters = self._counters()
+        for column, now in counters.items():
+            setattr(window, column, [count - base for count, base
+                                     in zip(now, self._prev_counters[column])])
+        self._prev_counters = counters
+        window.occupancy = [router._buffered for router in self._routers]
+        window.occupancy_sum = self._occupancy_sum
+        window.occupancy_peak = self._occupancy_peak
+        self._occupancy_sum = [0] * n
+        self._occupancy_peak = [0] * n
         return window
 
     def _close(self, now: int) -> None:

@@ -70,6 +70,33 @@ def series_table(record: TelemetryRecord, max_rows: int = 20) -> str:
     return "\n".join(lines)
 
 
+def utilization_report(record: TelemetryRecord) -> str:
+    """The channel-utilisation and buffer-occupancy block (printed by
+    ``repro run`` and ``repro report``)."""
+    lines = ["occupancy/utilization:"]
+    if record.channels is None:
+        return lines[0] + "\n(not recorded: written before JSONL schema 4)"
+    if record.measured_cycles == 0:
+        return lines[0] + "\nno measured cycles"
+    lines += [
+        f"measured cycles: {record.measured_cycles}",
+        f"channel utilization: mean "
+        f"{record.mean_channel_utilization():.3f}, max "
+        f"{record.max_channel_utilization():.3f}",
+        "hottest channels:",
+    ]
+    for label, util in record.hottest_channels():
+        lines.append(f"  {label:<16} {util:.3f}")
+    means = record.occupancy_means()
+    ejected = record.ejected_totals()
+    lines.append(
+        f"buffer occupancy: avg {sum(means) / len(means):.2f} "
+        f"flits/router, peak {max(record.occupancy_peaks())} flits")
+    lines.append(f"flits ejected: {sum(ejected)} "
+                 f"(max {max(ejected)} at one node)")
+    return "\n".join(lines)
+
+
 def spans_table(record: TelemetryRecord) -> str:
     """Wall-clock profiling spans of the engine phases."""
     if not record.spans_s:
@@ -115,6 +142,7 @@ def telemetry_report(record: TelemetryRecord, series: bool = True) -> str:
         "per-node power (mW):",
         spatial_table(record),
     ]
+    lines += ["", utilization_report(record)]
     dropped = sum(record.dropped_totals())
     misrouted = sum(record.misrouted_totals())
     if dropped or misrouted:

@@ -42,10 +42,33 @@ class TestRun:
         assert code == 0
 
     def test_run_monitor(self, capsys):
+        """``--monitor`` is gone: telemetry carries utilisation."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "VC16", "--rate", "0.03",
+                  "--sample", "60", "--warmup", "100", "--monitor"])
+        assert exc.value.code == 2
+        assert "--monitor" in capsys.readouterr().err
+
+    def test_run_telemetry_prints_utilization(self, capsys):
         code = main(["run", "--preset", "VC16", "--rate", "0.03",
-                     "--sample", "60", "--warmup", "100", "--monitor"])
+                     "--sample", "60", "--warmup", "100",
+                     "--telemetry-window", "50"])
         assert code == 0
-        assert "occupancy/utilization" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "occupancy/utilization:" in out
+        assert "hottest channels:" in out
+
+    def test_run_ending_in_warmup_reports_status(self, capsys):
+        """A faulted run that stalls inside warm-up prints its status
+        and an empty utilisation block instead of crashing."""
+        code = main(["run", "--preset", "VC16", "--rate", "0.05",
+                     "--warmup", "60000", "--sample", "50",
+                     "--faults", "router_freeze:node=3,at=10",
+                     "--telemetry-window", "100"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "status:        stalled" in out
+        assert "occupancy/utilization:\nno measured cycles" in out
 
     def test_run_data_activity(self, capsys):
         code = main(["run", "--preset", "VC16", "--rate", "0.03",

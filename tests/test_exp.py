@@ -381,14 +381,32 @@ class TestExperimentResult:
         assert all(o.result is not None for o in outcomes)
         assert all(o.result.accountant is not None for o in outcomes)
 
-    def test_monitor_results_cross_process_boundary(self):
-        monitored = point(protocol=FAST.with_(monitor=True))
-        outcomes = run_points([monitored, point(rate=0.03,
-                                                protocol=FAST.with_(
-                                                    monitor=True))],
-                              processes=2)
-        assert all(o.result is not None for o in outcomes)
-        assert outcomes[0].result.monitor.cycles > 0
+    def test_telemetry_points_reuse_pool_contexts_and_cache(self,
+                                                             tmp_path):
+        """A telemetry point is a plain value: a worker reuses its
+        context, the pool matches the in-process run, and a second call
+        is served from cache with the same utilisation."""
+        from collections import OrderedDict
+
+        from repro.exp.pool import _run_payload
+
+        first = point(protocol=FAST.with_(telemetry_window=25))
+        second = dataclasses.replace(first, rate=0.03)
+        fresh = [run_points([p])[0].telemetry.channel_utilization()
+                 for p in (first, second)]
+        # Worker side: both points run on one context, reset between.
+        contexts = OrderedDict()
+        for p, want in zip((first, second), fresh):
+            outcome = _run_payload((p, False, 0, 0.0, True), contexts)
+            assert outcome.ok and outcome.result is None
+            assert outcome.telemetry.channel_utilization() == want
+        assert len(contexts) == 1
+        cache = ResultCache(tmp_path / "cache")
+        pooled = run_points([first, second], processes=2, cache=cache)
+        assert [o.telemetry.channel_utilization() for o in pooled] == fresh
+        again = run_points([first, second], cache=cache)
+        assert all(o.from_cache for o in again)
+        assert [o.telemetry.channel_utilization() for o in again] == fresh
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,9 @@ from tests.conftest import SMALL_LINK, SMALL_TECH, small_config
 GOLDENS = Path(__file__).parent / "goldens" / "kernel.json"
 REL_TOL = 1e-12
 GENERATED = 28
+#: Telemetry window the ``monitor`` rows record with; their digest is
+#: the same for any window (windows telescope).
+MONITOR_WINDOW = 7
 KINDS = ("wormhole", "vc", "speculative_vc", "central")
 TRAFFICS = {"uniform": UniformRandomTraffic, "transpose": TransposeTraffic}
 
@@ -57,6 +60,8 @@ class Case(NamedTuple):
     seed: int = 1
     warmup: int = 60
     sample: int = 40
+    #: Digest the run's channel utilisation and buffer occupancy into
+    #: the row's ``monitor_sha256``.
     monitor: bool = False
     telemetry_window: int = 0
     faults: Optional[FaultSpec] = None
@@ -161,14 +166,18 @@ def _generated_cases(count: int = GENERATED, seed: int = 2002) -> \
 CASES = {**_matrix_cases(), **_generated_cases()}
 
 
-def _run(case: Case):
+def _run(case: Case, window: Optional[int] = None):
+    """Run one case; ``window`` overrides the telemetry window (the
+    ``monitor`` rows default to ``MONITOR_WINDOW``)."""
+    if window is None:
+        window = case.telemetry_window or (MONITOR_WINDOW if case.monitor
+                                           else 0)
     topo = topology_for(case.config)
     traffic = TRAFFICS[case.traffic](topo, case.rate, seed=case.seed)
     protocol = RunProtocol(
         warmup_cycles=case.warmup, sample_packets=case.sample,
         seed=case.seed, audit_every=40,
-        monitor=case.monitor, telemetry_window=case.telemetry_window,
-        faults=case.faults,
+        telemetry_window=window, faults=case.faults,
         # Degraded fabrics may legitimately stall: record the terminal
         # status instead of raising.
         on_stall="raise" if case.faults is None else "finish",
@@ -182,7 +191,18 @@ def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-def summarize(result) -> dict:
+def monitor_digest(record) -> str:
+    """sha256 of the five utilisation/occupancy figures of a run."""
+    return _sha([
+        record.measured_cycles,
+        sorted(record.channel_utilization().items()),
+        record.ejected_totals(),
+        record.occupancy_means(),
+        record.occupancy_peaks(),
+    ])
+
+
+def summarize(case: Case, result) -> dict:
     """The golden entry for one run: exact figures plus energies."""
     acc = result.accountant
     entry = {
@@ -203,18 +223,10 @@ def summarize(result) -> dict:
         "energy_j": acc.breakdown(),
         "node_energy_j": acc.spatial_map(),
     }
-    monitor = result.monitor
-    if monitor is not None:
-        nodes = range(len(monitor.network.routers))
-        entry["monitor_sha256"] = _sha([
-            monitor.cycles,
-            sorted(monitor.channel_utilization().items()),
-            monitor.ejection_counts(),
-            [monitor.average_occupancy(n) for n in nodes],
-            [monitor.peak_occupancy(n) for n in nodes],
-        ])
     record = result.telemetry
-    if record is not None:
+    if case.monitor:
+        entry["monitor_sha256"] = monitor_digest(record)
+    if case.telemetry_window:
         windows = record.windows
         entry["telemetry_sha256"] = _sha([
             [w.cycle_start, w.cycle_end, w.events, w.injected, w.ejected,
@@ -268,15 +280,27 @@ def test_goldens_cover_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_reproduces_golden(name):
     expected = _load()[name]
-    actual = json.loads(json.dumps(summarize(_run(CASES[name]))))
+    case = CASES[name]
+    actual = json.loads(json.dumps(summarize(case, _run(case))))
     assert_matches(expected, actual)
-    if CASES[name].faults is None:
+    if case.faults is None:
         assert actual["energy_j"] and sum(actual["energy_j"].values()) > 0
+
+
+@pytest.mark.parametrize("window", [1, 7, 16, 100_000])
+def test_monitor_digest_independent_of_window(window):
+    """Windows telescope: every window size, down to one cycle and up to
+    one longer than the run, reproduces the recorded digest."""
+    case = CASES["monitor_under_load"]
+    record = _run(case, window).telemetry
+    assert record.num_windows == -(-record.measured_cycles // window)
+    assert monitor_digest(record) == _load()["monitor_under_load"][
+        "monitor_sha256"]
 
 
 def record() -> None:
     """Re-run every case and rewrite the goldens file."""
-    goldens = {name: summarize(_run(case))
+    goldens = {name: summarize(case, _run(case))
                for name, case in sorted(CASES.items())}
     GOLDENS.parent.mkdir(exist_ok=True)
     GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

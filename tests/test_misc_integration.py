@@ -15,7 +15,7 @@ from tests.conftest import small_config
 
 class TestEverythingOn:
     def test_all_extensions_together(self):
-        """Data-mode activity + leakage + clock + bus-invert + monitor
+        """Data-mode activity + leakage + clock + bus-invert + telemetry
         in one run: totals stay consistent and positive."""
         cfg = (preset("VC16")
                .with_(activity_mode="data",
@@ -28,14 +28,18 @@ class TestEverythingOn:
         sim = Simulation(cfg, UniformRandomTraffic(Torus(4), 0.04,
                                                    seed=2),
                          RunProtocol(warmup_cycles=150, sample_packets=80,
-                                     monitor=True))
+                                     telemetry_window=64))
         result = sim.run()
         breakdown = result.power_breakdown_w()
         assert breakdown[ev.CLOCK] > 0
         assert breakdown[ev.LINK] > 0
         assert sum(breakdown.values()) == pytest.approx(
             result.total_power_w)
-        assert result.monitor.cycles == result.measured_cycles
+        record = result.telemetry
+        assert record.measured_cycles == result.measured_cycles
+        assert record.total_energy_j() == pytest.approx(
+            result.total_energy_j, rel=1e-9, abs=0.0)
+        assert record.mean_channel_utilization() > 0
 
     def test_speculative_router_with_dateline_on_8x8(self):
         cfg = small_config("vc", num_vcs=4,

@@ -752,11 +752,16 @@ CONFORMANCE = {
                                        "rates": [0.03],
                                        "protocol": {"kernel": "sparse"}},
     }).encode()), 400, "invalid_job"),
+    "stale-monitor-run": (post("/v2/jobs", json.dumps({
+        "kind": "run", "spec": {"config": "VC16", "rate": 0.03,
+                                "protocol": {"monitor": True}},
+    }).encode()), 400, "invalid_job"),
 }
 
 #: Rows whose error message must name the offending field.
 CONFORMANCE_NAMES = {"stale-kernel-run": "kernel",
-                     "stale-kernel-experiment": "kernel"}
+                     "stale-kernel-experiment": "kernel",
+                     "stale-monitor-run": "monitor"}
 
 
 class TestRequestConformance:

@@ -34,7 +34,7 @@ from tests.conftest import small_config
 PROTOCOLS = [
     RunProtocol(),
     RunProtocol(warmup_cycles=0, sample_packets=1, collect_power=False),
-    RunProtocol(monitor=True, audit_every=500),
+    RunProtocol(audit_every=500),
     RunProtocol(telemetry_window=128, seed=7, livelock_cycles=10_000,
                 on_stall="finish"),
     RunProtocol(faults=FaultSpec(seed=3, link_kills=2, link_flips=1,
@@ -228,17 +228,17 @@ class TestCacheKeyFormula:
                 assert point.cache_key() == reference_key(point)
 
     def test_pinned_keys(self, monkeypatch):
-        """Literal keys under schema 4; the code version is fixed so a
+        """Literal keys under schema 5; the code version is fixed so a
         release bump does not move them."""
         monkeypatch.setattr(repro, "__version__", "pinned")
-        assert CACHE_SCHEMA == 4
+        assert CACHE_SCHEMA == 5
         pinned = {
-            "WH64": "06cb58a082635b6398c5b42cfe22cee5"
-                    "497554221127961ceada9fbecce3d20e",
-            "VC16": "c4d62aa3309b0aa768c4482d41ed38e1"
-                    "11ea2ee2b0a5bb8a046148e8894963d6",
-            "CB": "1c299338f1b6d52a08c69b01793ddae8"
-                  "892cc60c8a9d17cbfcfb6d9467f6fda8",
+            "WH64": "18360eb4decf99f36d39c7c3919ff0ed"
+                    "40027e8384c60148631a26785bf8db93",
+            "VC16": "116728fa1df03a1bb8b7e4df3182bd0a"
+                    "bfdb0c897fe4e2a9d58ee2f6e8f366e6",
+            "CB": "c6b71034ec6dadaf8997cdf3ab2a48da"
+                  "8a6cf136dc74218baff3a7a783686e03",
         }
         for name, key in pinned.items():
             point = RunPoint(config=preset(name),

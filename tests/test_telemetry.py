@@ -210,14 +210,20 @@ class TestRoundTrip:
             record.component_energy_totals()
         assert back.node_energy_totals() == record.node_energy_totals()
         assert back.event_totals() == record.event_totals()
+        assert back.channels == record.channels
+        assert back.channel_utilization() == record.channel_utilization()
         for orig, read in zip(record.windows, back.windows):
             assert read.energy_j == orig.energy_j
             assert read.events == orig.events
             assert read.occupancy == orig.occupancy
+            assert read.sent == orig.sent
+            assert read.occupancy_sum == orig.occupancy_sum
+            assert read.occupancy_peak == orig.occupancy_peak
 
     def test_schema2_file_reads_back(self, tmp_path):
         """A file written before the header dropped ``kernel`` still
-        reads back (the key is ignored) and rewrites as schema 3."""
+        reads back (the key is ignored) and rewrites as schema 4; it
+        has no utilisation columns, so those queries raise."""
         path = tmp_path / "old.jsonl"
         path.write_text(SCHEMA2_JSONL)
         record = telemetry_from_jsonl(str(path))
@@ -226,15 +232,22 @@ class TestRoundTrip:
         assert not hasattr(record, "kernel")
         assert record.windows[0].dropped == [0, 0, 0, 0]
         assert record.spans_s == {"inject": 0.5}
+        assert record.channels is None
+        with pytest.raises(ValueError, match="schema 4"):
+            record.channel_utilization()
+        with pytest.raises(ValueError, match="schema 4"):
+            record.occupancy_means()
+        assert "before JSONL schema 4" in telemetry_report(record)
         again = tmp_path / "new.jsonl"
         telemetry_to_jsonl(record, str(again))
         header = json.loads(again.read_text().splitlines()[0])
-        assert header["schema"] == JSONL_SCHEMA == 3
+        assert header["schema"] == JSONL_SCHEMA == 4
         assert "kernel" not in header
         back = telemetry_from_jsonl(str(again))
         assert back.windows[0].energy_j == record.windows[0].energy_j
         assert back.component_energy_totals() == \
             record.component_energy_totals()
+        assert back.channels is None
 
     def test_jsonl_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -314,6 +327,8 @@ class TestCli:
         assert main(["report", str(jsonl)]) == 0
         out = capsys.readouterr().out
         assert "power breakdown (summed windows):" in out
+        assert "occupancy/utilization:" in out
+        assert "hottest channels:" in out
         assert "engine phase spans:" in out
 
     def test_jsonl_flag_implies_default_window(self, tmp_path, capsys):
