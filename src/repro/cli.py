@@ -4,10 +4,10 @@ Commands mirror the library's main entry points:
 
 * ``presets``    — list the paper's named configurations;
 * ``run``        — one simulation: latency, power, breakdown, spatial map;
-* ``sweep``      — latency/power versus injection rate (any traffic kind);
 * ``experiment`` — orchestrated grid of (preset × traffic × rate × seed)
-  points with multiprocessing, on-disk result caching and per-point
-  failure isolation;
+  points with multiprocessing, on-disk result caching, per-point
+  failure isolation and one latency/power sweep table per curve;
+* ``estimate``   — closed-form latency/power/saturation of one point;
 * ``report``     — render a recorded telemetry JSONL file (component
   breakdown, spatial map, time series, engine phase spans);
 * ``serve``      — long-lived asyncio HTTP job service (queue, dedup,
@@ -17,6 +17,13 @@ Commands mirror the library's main entry points:
 * ``power``      — standalone power analysis (section 3.3 walkthrough);
 * ``delay``      — pipeline/frequency analysis (Peh-Dally delay model);
 * ``validate``   — section 3.2 ballpark checks against commercial routers.
+
+``run``, ``experiment`` and ``estimate`` describe their work as one job
+dict (``{"kind", "spec", "options"}``) built from the flags declared
+once in :data:`JOB_FIELDS`, decode it with
+:func:`repro.exp.spec.decode_job` — the job service's own decoder — and
+execute it in-process.  ``submit --kind K`` takes exactly kind K's flags
+and posts the identical dict.
 
 Failures are consistent: every handler either returns a non-zero exit
 code or raises an error that :func:`main` turns into ``error: ...`` on
@@ -28,21 +35,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
-from repro.core.config import RunProtocol
 from repro.core.orion import Orion
 from repro.core.presets import PRESETS, preset
 from repro.core.export import (
     experiment_to_csv,
     result_to_json,
     spatial_to_csv,
-    sweep_to_csv,
 )
 from repro.core.report import breakdown_table, format_power, spatial_table
 from repro.delay import RouterDelayModel
+from repro.exp.spec import JOB_KINDS, decode_job
 from repro.sim.topology import topology_for
-from repro.sim.traffic import TRAFFIC_REGISTRY, make_traffic, traffic_names
+from repro.sim.traffic import TRAFFIC_REGISTRY, traffic_names
 
 TRAFFIC_KINDS = traffic_names()
 
@@ -84,64 +91,175 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _traffic_extras(traffic: str, args) -> dict:
-    """Map CLI flags onto the registry-declared parameters of one
-    traffic kind (``--source`` feeds broadcast's ``source`` and
-    hotspot's ``hotspot``; declared defaults cover the rest)."""
-    if traffic not in TRAFFIC_REGISTRY:
-        raise SystemExit(
-            f"error: unknown traffic {traffic!r}; "
-            f"options: {', '.join(traffic_names())}")
-    extras = {}
-    for param in TRAFFIC_REGISTRY[traffic].params:
-        if param.name in ("source", "hotspot"):
-            extras[param.name] = args.source
-    return extras
+# --- job fields ---------------------------------------------------------------
+
+_SIM = ("run", "experiment")
+
+#: Every flag that describes a job, declared once: option string, the
+#: job kinds that take it, argparse keywords.  ``repro run/experiment/
+#: estimate`` and ``repro submit --kind K`` add exactly their kind's
+#: rows; :func:`job_from_args` turns the parsed values into the job dict.
+JOB_FIELDS = (
+    ("--preset", ("run", "estimate"),
+     dict(default="VC16", help="configuration name (see 'presets')")),
+    ("--presets", ("experiment",),
+     dict(default="VC16", help="comma-separated configuration names")),
+    ("--rate", ("run", "estimate"),
+     dict(type=float, default=0.05, help="packet injection rate")),
+    ("--rates", ("experiment",),
+     dict(default="0.02,0.06,0.10,0.14",
+          help="comma-separated injection rates, or 'auto' to place the "
+               "grid analytically around predicted saturation "
+               "(local only)")),
+    ("--seeds", ("experiment",),
+     dict(default="1", help="comma-separated traffic seeds")),
+    ("--traffic", ("run", "estimate"),
+     dict(choices=TRAFFIC_KINDS, default="uniform")),
+    ("--traffic", ("experiment",),
+     dict(default="uniform",
+          help=f"comma-separated traffic kinds "
+               f"(options: {', '.join(TRAFFIC_KINDS)})")),
+    ("--source", JOB_KINDS,
+     dict(type=int, default=9, help="broadcast/hotspot node id")),
+    ("--sample", _SIM,
+     dict(type=_positive_int, default=1000,
+          help="measured packets per point (paper uses 10000)")),
+    ("--warmup", _SIM,
+     dict(type=_nonneg_int, default=1000,
+          help="warm-up cycles per point")),
+    ("--seed", ("run",), dict(type=int, default=1)),
+    ("--leakage", JOB_KINDS,
+     dict(action="store_true", help="add static power (extension)")),
+    ("--activity", JOB_KINDS,
+     dict(choices=("average", "data"), help="switching-activity mode")),
+    ("--topology", ("estimate",),
+     dict(choices=("mesh", "torus"),
+          help="override the preset's topology")),
+    ("--width", ("estimate",), dict(type=int, help="override grid width")),
+    ("--height", ("estimate",),
+     dict(type=int, help="override grid height")),
+    ("--telemetry-window", ("run",),
+     dict(type=int, default=0, metavar="CYCLES",
+          help="record windowed energy/event/utilization telemetry every "
+               "this many cycles (0 disables)")),
+    ("--faults", _SIM,
+     dict(action="append", metavar="SPEC",
+          help="inject a fault (repeatable), e.g. "
+               "'link_kill:node=5,port=east,at=1200', "
+               "'link_flip:node=5,port=2,at=1000,for=500', "
+               "'router_freeze:node=3,at=500,for=800', "
+               "'vc_stuck:node=2,port=east,vc=0,at=800', or "
+               "'random:kills=2,flips=1'")),
+    ("--fault-policy", _SIM,
+     dict(choices=("misroute", "drop"), default="misroute",
+          help="what traffic does at a faulted link")),
+    ("--fault-seed", _SIM,
+     dict(type=int, default=0, help="seed for 'random:' fault placement")),
+    ("--on-stall", _SIM,
+     dict(choices=("raise", "finish"),
+          help="watchdog behaviour: raise (default on healthy runs) or "
+               "finish with status='stalled' (default with --faults)")),
+    ("--processes", ("experiment",),
+     dict(type=_positive_int,
+          help="worker processes (default: 1 locally, the server's "
+               "--job-processes when submitted)")),
+    ("--point-timeout", ("experiment",),
+     dict(type=_positive_float, metavar="SECONDS",
+          help="wall-clock cap per point (runs each point in its own "
+               "subprocess; expired points record status='timeout')")),
+    ("--retries", ("experiment",),
+     dict(type=_nonneg_int,
+          help="re-run a point whose worker crashed this many times "
+               "before recording status='crashed' (default 0)")),
+)
+
+#: Job fields that land in the job's ``options`` rather than its spec.
+_OPTION_FIELDS = ("processes", "point_timeout", "retries")
 
 
-def _make_traffic(args, config):
-    return make_traffic(args.traffic, topology_for(config), args.rate,
-                        seed=args.seed, **_traffic_extras(args.traffic, args))
+def _add_job_fields(parser: argparse.ArgumentParser, kind: str) -> None:
+    for flag, kinds, kwargs in JOB_FIELDS:
+        if kind in kinds:
+            parser.add_argument(flag, **kwargs)
 
 
-def _protocol(args, **overrides) -> RunProtocol:
-    fields = dict(warmup_cycles=args.warmup, sample_packets=args.sample,
-                  seed=getattr(args, "seed", 1))
-    faults = _fault_spec(args)
-    if faults is not None:
-        fields["faults"] = faults
+def _split(text: str) -> List[str]:
+    return [part.strip() for part in text.split(",")]
+
+
+def _job_config(name: str, args):
+    """A preset name, or ``{"preset", "overrides"}`` when flags change
+    it."""
+    overrides = {}
+    if args.leakage:
+        overrides["include_leakage"] = True
+    if args.activity:
+        overrides["activity_mode"] = args.activity
+    for field in ("topology", "width", "height"):
+        if getattr(args, field, None):
+            overrides[field] = getattr(args, field)
+    return {"preset": name, "overrides": overrides} if overrides else name
+
+
+def _job_traffic(name: str, args) -> dict:
+    """``--source`` feeds broadcast's ``source`` and hotspot's
+    ``hotspot``; declared defaults cover the rest (an unknown name is
+    left for the decoder to reject)."""
+    kind = TRAFFIC_REGISTRY.get(name)
+    return {"name": name,
+            "params": {param.name: args.source
+                       for param in (kind.params if kind else ())
+                       if param.name in ("source", "hotspot")}}
+
+
+def _job_protocol(kind: str, args) -> dict:
+    protocol = {"warmup_cycles": args.warmup, "sample_packets": args.sample}
+    if kind == "run":
+        protocol["seed"] = args.seed
+        protocol["telemetry_window"] = args.telemetry_window
+    if args.faults:
+        from repro.faults import parse_fault_specs
         # Faulted fabrics can legitimately stall (e.g. a frozen router
         # holding traffic); report that as a status unless overridden.
-        fields["on_stall"] = getattr(args, "on_stall", None) or "finish"
-        fields["livelock_cycles"] = 50_000
-    elif getattr(args, "on_stall", None):
-        fields["on_stall"] = args.on_stall
-    fields.update(overrides)
-    return RunProtocol(**fields)
+        protocol["faults"] = asdict(parse_fault_specs(
+            args.faults, seed=args.fault_seed, policy=args.fault_policy))
+        protocol["on_stall"] = args.on_stall or "finish"
+        protocol["livelock_cycles"] = 50_000
+    elif args.on_stall:
+        protocol["on_stall"] = args.on_stall
+    return protocol
 
 
-def _fault_spec(args):
-    specs = getattr(args, "faults", None)
-    if not specs:
-        return None
-    from repro.faults import parse_fault_specs
-    return parse_fault_specs(specs,
-                             seed=getattr(args, "fault_seed", 0),
-                             policy=getattr(args, "fault_policy",
-                                            "misroute"))
+def job_from_args(kind: str, args) -> dict:
+    """The job dict (``{"kind", "spec", "options"}``) one command's
+    parsed flags describe: run in-process by ``run``/``experiment``/
+    ``estimate``, posted unchanged by ``submit``.  ``--rates auto``
+    stays the string ``"auto"`` for :func:`cmd_experiment` to expand."""
+    if kind == "experiment":
+        rates = args.rates.strip()
+        spec = {
+            "configs": [[name, _job_config(name, args)]
+                        for name in dict.fromkeys(_split(args.presets))],
+            "traffics": [_job_traffic(name, args)
+                         for name in _split(args.traffic)],
+            "rates": rates if rates == "auto"
+            else [float(rate) for rate in _split(rates)],
+            "seeds": [int(seed) for seed in _split(args.seeds)],
+        }
+    else:
+        spec = {"config": _job_config(args.preset, args),
+                "traffic": _job_traffic(args.traffic, args),
+                "rate": args.rate}
+    if kind == "run":
+        spec["label"] = args.preset
+    if kind != "estimate":
+        spec["protocol"] = _job_protocol(kind, args)
+    options = {name: getattr(args, name) for name in _OPTION_FIELDS
+               if getattr(args, name, None) is not None}
+    return {"kind": kind, "spec": spec, "options": options}
 
 
-def _config(args, name: Optional[str] = None):
-    cfg = preset(name or args.preset)
-    overrides = {}
-    if getattr(args, "leakage", False):
-        overrides["include_leakage"] = True
-    if getattr(args, "activity", None):
-        overrides["activity_mode"] = args.activity
-    if overrides:
-        cfg = cfg.with_(**overrides)
-    return cfg
-
+# --- commands -----------------------------------------------------------------
 
 def cmd_presets(args) -> int:
     print(f"{'name':<8} {'router':<10} {'flit':>5} {'buffering':>24} "
@@ -163,14 +281,16 @@ def cmd_presets(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _config(args)
-    orion = Orion(cfg)
-    window = args.telemetry_window
-    if window == 0 and (args.telemetry_jsonl or args.telemetry_csv):
+    if args.telemetry_window == 0 and (args.telemetry_jsonl
+                                       or args.telemetry_csv):
         from repro.telemetry import DEFAULT_WINDOW
-        window = DEFAULT_WINDOW
-    result = orion.run(_make_traffic(args, cfg),
-                       _protocol(args, telemetry_window=window))
+        args.telemetry_window = DEFAULT_WINDOW
+    (point,), _ = decode_job(job_from_args("run", args))
+    cfg = point.config
+    result = Orion(cfg).run(
+        point.traffic.build(topology_for(cfg), point.rate,
+                            point.protocol.seed),
+        point.protocol)
     per_node = TRAFFIC_REGISTRY[args.traffic].per_node
     print(f"config:        {args.preset} ({cfg.router.kind})")
     print(f"traffic:       {args.traffic} at {args.rate} pkt/cycle"
@@ -223,40 +343,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _config(args)
-    orion = Orion(cfg)
-    rates = [float(r) for r in args.rates.split(",")]
-    sweep = orion.sweep_traffic(args.traffic, rates, _protocol(args),
-                                label=args.preset,
-                                processes=args.processes,
-                                **_traffic_extras(args.traffic, args))
-    print(sweep.table())
-    if args.csv:
-        sweep_to_csv(sweep, args.csv)
-        print(f"wrote {args.csv}")
-    return 0
-
-
 def cmd_experiment(args) -> int:
-    from repro.exp import ExperimentSpec, ResultCache, TrafficSpec, \
-        run_experiment
+    from repro.exp import ResultCache, run_experiment
 
-    names = [n.strip() for n in args.presets.split(",")]
-    configs = {name: _config(args, name) for name in names}
-    traffics = [TrafficSpec.of(t.strip(),
-                               **_traffic_extras(t.strip(), args))
-                for t in args.traffic.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    protocol = RunProtocol(warmup_cycles=args.warmup,
-                           sample_packets=args.sample)
-    if args.rates.strip() == "auto":
-        spec = _guided_points(configs, traffics, seeds, protocol,
-                              args.grid_points, quiet=args.quiet)
+    job = job_from_args("experiment", args)
+    if job["spec"]["rates"] == "auto":
+        points = _guided_points(job, args.grid_points, quiet=args.quiet)
     else:
-        rates = [float(r) for r in args.rates.split(",")]
-        spec = ExperimentSpec.of(configs, traffics, rates, seeds,
-                                 protocol=protocol)
+        points, _ = decode_job(job)
+    options = job["options"]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     def show(progress) -> None:
@@ -272,10 +367,12 @@ def cmd_experiment(args) -> int:
               f"{progress.total}] {outcome.point.describe():<40} "
               f"{body}  {status}", flush=True)
 
-    result = run_experiment(spec, processes=args.processes, cache=cache,
+    result = run_experiment(points,
+                            processes=options.get("processes", 1),
+                            cache=cache,
                             progress=None if args.quiet else show,
-                            point_timeout=args.point_timeout,
-                            retries=args.retries)
+                            point_timeout=options.get("point_timeout"),
+                            retries=options.get("retries", 0))
     print()
     for sweep in result.sweeps().values():
         print(sweep.table())
@@ -290,46 +387,39 @@ def cmd_experiment(args) -> int:
     return 0 if any(o.ok for o in result.outcomes) else 1
 
 
-def _guided_points(configs, traffics, seeds, protocol, grid_points,
-                   quiet=False):
-    """Expand an analytic-guided run-point list: one guided rate grid
-    per (preset, traffic), rates dense around predicted saturation."""
+def _guided_points(job: dict, grid_points: int, quiet: bool = False):
+    """Expand ``--rates auto``: one analytic guided rate grid per
+    (preset, traffic) curve, rates dense around predicted saturation.
+    The grid is decoded at a placeholder rate, then each curve's points
+    move onto its own rates."""
     from dataclasses import replace
-    from repro.exp import RunPoint, guided_rate_grid
+    from repro.exp import guided_rate_grid
 
+    probes, _ = decode_job(dict(job, spec=dict(job["spec"], rates=[1.0])))
+    grids = {}
     points = []
-    for name, cfg in configs.items():
-        for tspec in traffics:
-            grid = guided_rate_grid(cfg, tspec.name, points=grid_points,
-                                    **dict(tspec.params))
+    for probe in probes:
+        curve = (probe.label, probe.traffic)
+        if curve not in grids:
+            grid = grids[curve] = guided_rate_grid(
+                probe.config, probe.traffic.name, points=grid_points,
+                **dict(probe.traffic.params))
             if not quiet:
                 rates = ",".join(f"{r:g}" for r in grid.rates)
-                print(f"guided grid {name}/{tspec.describe()}: predicted "
-                      f"saturation {grid.prediction.rate:.4f}, "
-                      f"rates [{rates}]")
-            for seed in seeds:
-                proto = replace(protocol, seed=seed)
-                points.extend(
-                    RunPoint(config=cfg, traffic=tspec, rate=rate,
-                             protocol=proto, label=name)
-                    for rate in grid.rates)
+                print(f"guided grid {probe.label}/"
+                      f"{probe.traffic.describe()}: predicted saturation "
+                      f"{grid.prediction.rate:.4f}, rates [{rates}]")
+        points.extend(replace(probe, rate=rate)
+                      for rate in grids[curve].rates)
     return points
 
 
 def cmd_estimate(args) -> int:
-    cfg = _config(args)
-    overrides = {}
-    if args.topology:
-        overrides["topology"] = args.topology
-    if args.width:
-        overrides["width"] = args.width
-    if args.height:
-        overrides["height"] = args.height
-    if overrides:
-        cfg = cfg.with_(**overrides)
-    orion = Orion(cfg)
-    est = orion.estimate_traffic(args.traffic, args.rate,
-                                 **_traffic_extras(args.traffic, args))
+    from repro.analytic import estimate
+
+    _, spec = decode_job(job_from_args("estimate", args))
+    cfg = spec["config"]
+    est = estimate(cfg, spec["traffic"], spec["rate"], **spec["params"])
     print(f"config:   {args.preset} ({cfg.router.kind}, {cfg.topology} "
           f"{cfg.width}x{cfg.height}) — analytic estimate, no simulation")
     print(est.describe())
@@ -361,8 +451,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_power(args) -> int:
-    cfg = _config(args)
-    orion = Orion(cfg)
+    orion = Orion(preset(args.preset))
     print(f"== {args.preset}: section 3.3 walkthrough ==")
     for name, joules in orion.flit_energy_walkthrough().items():
         print(f"  {name:<8} {joules * 1e12:10.3f} pJ")
@@ -378,8 +467,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_delay(args) -> int:
-    cfg = _config(args)
-    print(RouterDelayModel(cfg).report())
+    print(RouterDelayModel(preset(args.preset)).report())
     return 0
 
 
@@ -426,34 +514,6 @@ def cmd_gateway(args) -> int:
     return gateway_forever(config)
 
 
-def _submit_payload(args) -> dict:
-    """Build a job payload from ``repro submit`` flags (or --file)."""
-    if args.file:
-        with open(args.file) as f:
-            return json.load(f)
-    spec: dict = {}
-    if args.kind in ("run", "estimate"):
-        spec["config"] = args.preset
-        spec["traffic"] = {"name": args.traffic,
-                           "params": _traffic_extras(args.traffic, args)}
-        spec["rate"] = args.rate
-        if args.kind == "run":
-            spec["protocol"] = {"warmup_cycles": args.warmup,
-                                "sample_packets": args.sample,
-                                "seed": args.seed}
-    else:
-        spec["presets"] = [n.strip() for n in args.preset.split(",")]
-        spec["traffics"] = [
-            {"name": t.strip(),
-             "params": _traffic_extras(t.strip(), args)}
-            for t in args.traffic.split(",")]
-        spec["rates"] = [float(r) for r in args.rates.split(",")]
-        spec["seeds"] = [int(s) for s in args.seeds.split(",")]
-        spec["protocol"] = {"warmup_cycles": args.warmup,
-                            "sample_packets": args.sample}
-    return {"kind": args.kind, "spec": spec, "priority": args.priority}
-
-
 def _print_job_result(state: dict) -> None:
     result = state.get("result") or {}
     if "estimate" in result:
@@ -477,19 +537,13 @@ def _print_job_result(state: dict) -> None:
 
 def _submit_batch(client, args) -> int:
     """``repro submit --batch-file``: many payloads, one request."""
-    from repro.serve import ServeError
-
     with open(args.batch_file) as f:
         payloads = json.load(f)
     if not isinstance(payloads, list):
         print("error: batch file must hold a JSON list of job payloads",
               file=sys.stderr)
         return 2
-    try:
-        results = client.submit_many(payloads)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    results = client.submit_many(payloads)
     bounced = 0
     for position, entry in enumerate(results):
         status = entry.get("http_status")
@@ -507,11 +561,7 @@ def _submit_batch(client, args) -> int:
     for position, entry in enumerate(results):
         if entry.get("http_status") not in (200, 202):
             continue
-        try:
-            state = client.wait(entry["id"], timeout=args.timeout)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        state = client.wait(entry["id"], timeout=args.timeout)
         print(f"[{position}] job {entry['id']} {state['status']} "
               f"in {state.get('wall_seconds') or 0.0:.2f}s")
         _print_job_result(state)
@@ -522,28 +572,34 @@ def _submit_batch(client, args) -> int:
 
 
 def cmd_submit(args) -> int:
+    """Post one job (or a batch, or a cancellation).  A
+    :class:`~repro.serve.ServeError` is a ``RuntimeError``, so
+    :func:`main` reports any other server failure as ``error: ...``."""
     from repro.serve import ServeClient, ServeError
 
     client = ServeClient(args.server, timeout=args.timeout)
     if args.cancel:
-        try:
-            out = client.cancel(args.cancel)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        out = client.cancel(args.cancel)
         print(f"job {out['id']} {out['status']}")
         if args.no_wait or out["status"] == "cancelled":
             return 0
-        try:
-            state = client.wait(out["id"], timeout=args.timeout)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        state = client.wait(out["id"], timeout=args.timeout)
         print(f"job {out['id']} {state['status']}")
         return 0 if state["status"] == "cancelled" else 1
     if args.batch_file:
         return _submit_batch(client, args)
-    payload = _submit_payload(args)
+    if args.file:
+        with open(args.file) as f:
+            payload = json.load(f)
+    else:
+        payload = job_from_args(args.kind, args)
+        if payload["spec"].get("rates") == "auto":
+            raise ValueError("--rates auto places its grids locally; run "
+                             "'repro experiment --rates auto' or submit "
+                             "explicit --rates")
+        decode_job(payload)  # a malformed job never reaches the server
+        if args.priority:
+            payload = dict(payload, priority=args.priority)
     try:
         accepted = client.submit(payload)
     except ServeError as exc:
@@ -558,16 +614,12 @@ def cmd_submit(args) -> int:
           f"{' (deduplicated onto an identical active job)' if accepted.get('deduped') else ''}")
     if args.no_wait:
         return 0
-    try:
-        if args.stream:
-            for event in client.stream(job_id):
-                print(json.dumps(event, sort_keys=True), flush=True)
-            state = client.status(job_id)
-        else:
-            state = client.wait(job_id, timeout=args.timeout)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.stream:
+        for event in client.stream(job_id):
+            print(json.dumps(event, sort_keys=True), flush=True)
+        state = client.status(job_id)
+    else:
+        state = client.wait(job_id, timeout=args.timeout)
     print(f"job {job_id} {state['status']} "
           f"in {state.get('wall_seconds') or 0.0:.2f}s")
     _print_job_result(state)
@@ -608,7 +660,8 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(submit_kind: str = "run") -> argparse.ArgumentParser:
+    """The full parser; ``submit`` takes ``submit_kind``'s job fields."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Orion power-performance network simulator "
@@ -618,113 +671,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("presets", help="list the paper's configurations")
     p.set_defaults(handler=cmd_presets)
 
-    def add_common(p, with_rate=True):
-        p.add_argument("--preset", default="VC16",
-                       help="configuration name (see 'presets')")
-        if with_rate:
-            p.add_argument("--rate", type=float, default=0.05,
-                           help="packet injection rate")
-        p.add_argument("--traffic", choices=TRAFFIC_KINDS,
-                       default="uniform")
-        p.add_argument("--source", type=int, default=9,
-                       help="broadcast/hotspot node id")
-        p.add_argument("--sample", type=_positive_int, default=1000,
-                       help="measured packets (paper uses 10000)")
-        p.add_argument("--warmup", type=_nonneg_int, default=1000,
-                       help="warm-up cycles")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--leakage", action="store_true",
-                       help="add static power (extension)")
-        p.add_argument("--activity", choices=("average", "data"),
-                       help="switching-activity mode")
-
     p = sub.add_parser("run", help="run one simulation")
-    add_common(p)
+    _add_job_fields(p, "run")
     p.add_argument("--spatial", action="store_true",
                    help="print the per-node power map")
     p.add_argument("--json", metavar="PATH",
                    help="write the result summary as JSON")
     p.add_argument("--csv", metavar="PATH",
                    help="write the per-node power map as CSV")
-    p.add_argument("--telemetry-window", type=int, default=0,
-                   metavar="CYCLES",
-                   help="record windowed energy/event/utilization "
-                        "telemetry every this many cycles (0 disables)")
     p.add_argument("--telemetry-jsonl", metavar="PATH",
                    help="write the telemetry record as JSONL "
                         "(implies a default window if none given)")
     p.add_argument("--telemetry-csv", metavar="PATH",
                    help="write the telemetry record as long-format CSV "
                         "(implies a default window if none given)")
-    p.add_argument("--faults", action="append", metavar="SPEC",
-                   help="inject a fault (repeatable), e.g. "
-                        "'link_kill:node=5,port=east,at=1200', "
-                        "'link_flip:node=5,port=2,at=1000,for=500', "
-                        "'router_freeze:node=3,at=500,for=800', "
-                        "'vc_stuck:node=2,port=east,vc=0,at=800', or "
-                        "'random:kills=2,flips=1'")
-    p.add_argument("--fault-policy", choices=("misroute", "drop"),
-                   default="misroute",
-                   help="what traffic does at a faulted link")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed for 'random:' fault placement")
-    p.add_argument("--on-stall", choices=("raise", "finish"),
-                   help="watchdog behaviour: raise (default on healthy "
-                        "runs) or finish with status='stalled' "
-                        "(default with --faults)")
     p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("sweep", help="sweep injection rates")
-    add_common(p, with_rate=False)
-    p.add_argument("--rates", default="0.02,0.06,0.10,0.14",
-                   help="comma-separated injection rates")
-    p.add_argument("--processes", type=_positive_int, default=1,
-                   help="worker processes for the rate points")
-    p.add_argument("--csv", metavar="PATH",
-                   help="write the sweep as CSV")
-    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser(
         "experiment",
         help="run a (preset x traffic x rate x seed) grid with "
              "multiprocessing and result caching")
-    p.add_argument("--presets", default="VC16",
-                   help="comma-separated configuration names")
-    p.add_argument("--traffic", default="uniform",
-                   help=f"comma-separated traffic kinds "
-                        f"(options: {', '.join(TRAFFIC_KINDS)})")
-    p.add_argument("--rates", default="0.02,0.06,0.10,0.14",
-                   help="comma-separated injection rates, or 'auto' to "
-                        "place the grid analytically around predicted "
-                        "saturation")
+    _add_job_fields(p, "experiment")
     p.add_argument("--grid-points", type=_positive_int, default=8,
                    help="points per guided grid (with --rates auto)")
-    p.add_argument("--seeds", default="1",
-                   help="comma-separated traffic seeds")
-    p.add_argument("--source", type=int, default=9,
-                   help="broadcast/hotspot node id")
-    p.add_argument("--sample", type=_positive_int, default=1000,
-                   help="measured packets per point")
-    p.add_argument("--warmup", type=_nonneg_int, default=1000,
-                   help="warm-up cycles per point")
-    p.add_argument("--processes", type=_positive_int, default=1,
-                   help="worker processes")
-    p.add_argument("--point-timeout", type=_positive_float, default=None,
-                   metavar="SECONDS",
-                   help="wall-clock cap per point (runs each point in "
-                        "its own subprocess; expired points record "
-                        "status='timeout')")
-    p.add_argument("--retries", type=_nonneg_int, default=0,
-                   help="re-run a point whose worker crashed this many "
-                        "times before recording status='crashed'")
     p.add_argument("--cache-dir", default="results/.cache",
                    help="result cache directory")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the result cache")
-    p.add_argument("--leakage", action="store_true",
-                   help="add static power (extension)")
-    p.add_argument("--activity", choices=("average", "data"),
-                   help="switching-activity mode")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-point progress lines")
     p.add_argument("--csv", metavar="PATH",
@@ -735,11 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate",
         help="closed-form latency/power/saturation estimate (no "
              "simulation, milliseconds)")
-    add_common(p)
-    p.add_argument("--topology", choices=("mesh", "torus"),
-                   help="override the preset's topology")
-    p.add_argument("--width", type=int, help="override grid width")
-    p.add_argument("--height", type=int, help="override grid height")
+    _add_job_fields(p, "estimate")
     p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser(
@@ -850,8 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a job to a running 'repro serve' instance")
     p.add_argument("--server", default="http://127.0.0.1:8421",
                    help="server base URL")
-    p.add_argument("--kind", choices=("run", "estimate", "experiment"),
-                   default="run")
+    p.add_argument("--kind", choices=JOB_KINDS, default="run",
+                   help="job kind; the job flags this command takes are "
+                        "that kind's command's (see 'repro submit --kind "
+                        "K --help')")
     p.add_argument("--file", metavar="PATH",
                    help="submit a raw job payload JSON file instead of "
                         "building one from flags")
@@ -862,25 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cancel", metavar="JOB_ID",
                    help="cancel a queued or running job instead of "
                         "submitting (DELETE /v2/jobs/<id>)")
-    p.add_argument("--preset", default="VC16",
-                   help="configuration name(s); comma-separated for "
-                        "--kind experiment")
-    p.add_argument("--traffic", default="uniform",
-                   help="traffic kind(s); comma-separated for "
-                        "--kind experiment")
-    p.add_argument("--source", type=int, default=9,
-                   help="broadcast/hotspot node id")
-    p.add_argument("--rate", type=_positive_float, default=0.05,
-                   help="injection rate (run/estimate)")
-    p.add_argument("--rates", default="0.02,0.06,0.10,0.14",
-                   help="comma-separated rates (experiment)")
-    p.add_argument("--seeds", default="1",
-                   help="comma-separated seeds (experiment)")
-    p.add_argument("--sample", type=_positive_int, default=1000,
-                   help="measured packets per point")
-    p.add_argument("--warmup", type=_nonneg_int, default=1000,
-                   help="warm-up cycles per point")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs first")
     p.add_argument("--timeout", type=_positive_float, default=600.0,
@@ -890,6 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="follow the NDJSON progress stream instead of "
                         "polling")
+    _add_job_fields(p, submit_kind)
     p.set_defaults(handler=cmd_submit)
 
     p = sub.add_parser("cache", help="result-cache maintenance")
@@ -906,9 +859,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _submit_kind(argv: List[str]) -> str:
+    """The ``--kind`` of a ``submit`` command line, read ahead of the
+    full parse because it decides which job flags ``submit`` takes."""
+    if argv[:1] != ["submit"]:
+        return "run"
+    pre = argparse.ArgumentParser(prog="repro submit", add_help=False)
+    pre.add_argument("--kind", choices=JOB_KINDS, default="run")
+    return pre.parse_known_args(argv[1:])[0].kind
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_submit_kind(argv)).parse_args(argv)
     try:
         return args.handler(args)
     except KeyboardInterrupt:

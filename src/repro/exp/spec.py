@@ -9,19 +9,23 @@ can be dispatched to a worker process or hashed into a cache key:
 * :class:`RunPoint` — one simulation: config + traffic + rate +
   :class:`RunProtocol`;
 * :class:`ExperimentSpec` — the full cartesian grid, expanded with
-  :meth:`ExperimentSpec.points`.
+  :meth:`ExperimentSpec.points`;
+* :func:`decode_job` — a job payload's run points or estimate, the one
+  decoder behind both the CLI and the job service.
 
 Every spec also round-trips through plain JSON — ``to_dict``/``to_json``
 and the matching ``from_dict``/``from_json`` constructors rebuild an
 equal object (same dataclass equality, same cache keys), so specs can
 cross process and *machine* boundaries as text: the ``repro.serve`` job
-service accepts exactly these dictionaries as its wire format.
+service accepts exactly these dictionaries as its wire format (job
+configs may also be presets: ``"VC16"`` or ``{"preset", "overrides"}``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -32,6 +36,7 @@ from repro.core.config import (
     RunProtocol,
     TechConfig,
 )
+from repro.core.presets import PRESETS, preset
 from repro.sim.topology import Topology
 from repro.sim.traffic import (
     TrafficPattern,
@@ -327,3 +332,166 @@ class ExperimentSpec:
                                             rate=rate, protocol=protocol,
                                             label=label))
         return out
+
+
+# --- Job specs -----------------------------------------------------------------
+#
+# A job is ``{"kind", "spec", "options"}``.  The CLI decodes the dict it
+# builds from flags here, and the job service decodes the same dict when
+# ``repro submit`` posts it: one decoder, so the same points and keys.
+
+JOB_KINDS = ("run", "experiment", "estimate")
+
+
+class JobError(ValueError):
+    """A malformed job payload (maps to HTTP 400)."""
+
+
+def _resolve_config(data: Any, context: str) -> NetworkConfig:
+    """A config from a preset name, a ``{"preset": ..., "overrides":
+    {...}}`` dict, or a full :func:`config_to_dict` dict."""
+    if isinstance(data, str):
+        if data not in PRESETS:
+            raise JobError(f"{context}: unknown preset {data!r}; "
+                           f"options: {', '.join(sorted(PRESETS))}")
+        return preset(data)
+    if not isinstance(data, Mapping):
+        raise JobError(f"{context}: config must be a preset name or an "
+                       f"object, got {type(data).__name__}")
+    if "preset" in data:
+        config = _resolve_config(data["preset"], context)
+        overrides = dict(data.get("overrides") or {})
+        unknown = set(data) - {"preset", "overrides"}
+        if unknown:
+            raise JobError(f"{context}: unknown config fields "
+                           f"{sorted(unknown)}")
+        try:
+            router = overrides.pop("router", None)
+            if router:
+                config = config.with_router(**router)
+            if overrides:
+                config = config.with_(**overrides)
+        except (TypeError, ValueError) as exc:
+            raise JobError(f"{context}: bad config overrides: {exc}") \
+                from None
+        return config
+    try:
+        return config_from_dict(data)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise JobError(f"{context}: bad config: {exc}") from None
+
+
+def _resolve_protocol(data: Any, context: str) -> RunProtocol:
+    try:
+        return protocol_from_dict(data or {})
+    except (TypeError, ValueError, KeyError) as exc:
+        raise JobError(f"{context}: bad protocol: {exc}") from None
+
+
+def _resolve_traffic(data: Any, context: str) -> TrafficSpec:
+    try:
+        return TrafficSpec.from_dict(data)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise JobError(f"{context}: bad traffic: {exc}") from None
+
+
+def _resolve_rate(value: Any, context: str, allow_zero: bool = False
+                  ) -> float:
+    """One injection rate: finite and in (0, 1] for a simulation, whose
+    sample could never drain at rate 0, or in [0, 1] for an estimate."""
+    try:
+        rate = float(value)
+    except (TypeError, ValueError):
+        raise JobError(f"{context}: rate must be a number, "
+                       f"got {value!r}") from None
+    if not (math.isfinite(rate) and 0 <= rate <= 1
+            and (allow_zero or rate > 0)):
+        bounds = "[0, 1]" if allow_zero else "(0, 1]"
+        raise JobError(f"{context}: rate must be in {bounds}, got {rate!r}")
+    return rate
+
+
+def _parse_run_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
+    for name in ("config", "rate"):
+        if name not in spec:
+            raise JobError(f"run spec is missing {name!r}")
+    config = _resolve_config(spec["config"], "run spec")
+    traffic = _resolve_traffic(spec.get("traffic", "uniform"), "run spec")
+    protocol = _resolve_protocol(spec.get("protocol"), "run spec")
+    rate = _resolve_rate(spec["rate"], "run spec")
+    return [RunPoint(config=config, traffic=traffic, rate=rate,
+                     protocol=protocol, label=str(spec.get("label", "")))]
+
+
+def _parse_experiment_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
+    fields = dict(spec)
+    if "presets" in fields:
+        if "configs" in fields:
+            raise JobError("experiment spec: give presets or configs, "
+                           "not both")
+        fields["configs"] = [[name, name] for name in fields.pop("presets")]
+    if "configs" not in fields:
+        raise JobError("experiment spec is missing configs (or presets)")
+    try:
+        configs = tuple(
+            (str(label), _resolve_config(config, f"config {label!r}"))
+            for label, config in fields["configs"])
+    except JobError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise JobError(f"experiment spec: configs must be "
+                       f"[label, config] pairs: {exc}") from None
+    for name in ("traffics", "rates"):
+        if not fields.get(name):
+            raise JobError(f"experiment spec is missing {name!r}")
+    try:
+        experiment = ExperimentSpec(
+            configs=configs,
+            traffics=tuple(_resolve_traffic(t, "experiment spec")
+                           for t in fields["traffics"]),
+            rates=tuple(_resolve_rate(r, "experiment spec")
+                        for r in fields["rates"]),
+            seeds=tuple(int(s) for s in fields.get("seeds") or (1,)),
+            protocol=_resolve_protocol(fields.get("protocol"),
+                                       "experiment spec"))
+    except JobError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise JobError(f"experiment spec: {exc}") from None
+    return experiment.points()
+
+
+def _parse_estimate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
+    for name in ("config", "rate"):
+        if name not in spec:
+            raise JobError(f"estimate spec is missing {name!r}")
+    traffic = _resolve_traffic(spec.get("traffic", "uniform"),
+                               "estimate spec")
+    rate = _resolve_rate(spec["rate"], "estimate spec", allow_zero=True)
+    return {
+        "config": _resolve_config(spec["config"], "estimate spec"),
+        "traffic": traffic.name,
+        "params": dict(traffic.params),
+        "rate": rate,
+    }
+
+
+def decode_job(payload: Mapping[str, Any]
+               ) -> Tuple[List[RunPoint], Union[Dict[str, Any], None]]:
+    """The work one job payload describes: its run points (``run`` and
+    ``experiment`` kinds) or its estimate arguments (``estimate``:
+    ``config``, ``traffic``, ``params``, ``rate``).  Only ``kind`` and
+    ``spec`` are read; raises :class:`JobError` naming the offending
+    field on malformed input."""
+    kind = payload.get("kind")
+    spec = payload.get("spec")
+    if kind not in JOB_KINDS:
+        raise JobError(f"unknown job kind {kind!r}; "
+                       f"options: {', '.join(JOB_KINDS)}")
+    if not isinstance(spec, Mapping):
+        raise JobError("job payload needs a 'spec' object")
+    if kind == "run":
+        return _parse_run_spec(spec), None
+    if kind == "experiment":
+        return _parse_experiment_spec(spec), None
+    return [], _parse_estimate_spec(spec)

@@ -11,10 +11,9 @@ kinds map onto the library's entry points:
 * ``estimate`` — a closed-form analytic estimate (``repro estimate``),
   answered in milliseconds without simulating.
 
-The payload schema deliberately reuses the JSON round-trips of
-:mod:`repro.exp.spec`; configs may additionally be named presets
-(``"VC16"`` or ``{"preset": "VC16", "overrides": {...}}``) so clients
-do not need to ship 30-field config dicts for standard studies.
+The ``spec`` of a payload is decoded by :func:`repro.exp.spec.decode_job`
+— the same decoder the CLI runs its own jobs through — so this module
+only checks the envelope (kind, priority, execution options) around it.
 
 Every simulation job also has a deterministic **key**: the hash of its
 run points' cache keys.  Two payloads that would simulate exactly the
@@ -38,26 +37,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.core.config import NetworkConfig
-from repro.core.presets import PRESETS, preset
 from repro.exp.spec import (
-    ExperimentSpec,
+    JOB_KINDS,
+    JobError,
     RunPoint,
-    TrafficSpec,
-    config_from_dict,
     config_to_dict,
-    protocol_from_dict,
+    decode_job,
 )
 
-JOB_KINDS = ("run", "experiment", "estimate")
 JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled")
 
 #: Default journal location, relative to the working directory.
 DEFAULT_JOURNAL_DIR = os.path.join("results", ".serve")
-
-
-class JobError(ValueError):
-    """A malformed job payload (maps to HTTP 400)."""
 
 
 @dataclass
@@ -142,54 +133,6 @@ class Job:
         return out
 
 
-def _resolve_config(data: Any, context: str) -> NetworkConfig:
-    """A config from a preset name, a ``{"preset": ..., "overrides":
-    {...}}`` dict, or a full :func:`config_to_dict` dict."""
-    if isinstance(data, str):
-        if data not in PRESETS:
-            raise JobError(f"{context}: unknown preset {data!r}; "
-                           f"options: {', '.join(sorted(PRESETS))}")
-        return preset(data)
-    if not isinstance(data, Mapping):
-        raise JobError(f"{context}: config must be a preset name or an "
-                       f"object, got {type(data).__name__}")
-    if "preset" in data:
-        config = _resolve_config(data["preset"], context)
-        overrides = dict(data.get("overrides") or {})
-        unknown = set(data) - {"preset", "overrides"}
-        if unknown:
-            raise JobError(f"{context}: unknown config fields "
-                           f"{sorted(unknown)}")
-        try:
-            router = overrides.pop("router", None)
-            if router:
-                config = config.with_router(**router)
-            if overrides:
-                config = config.with_(**overrides)
-        except (TypeError, ValueError) as exc:
-            raise JobError(f"{context}: bad config overrides: {exc}") \
-                from None
-        return config
-    try:
-        return config_from_dict(data)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise JobError(f"{context}: bad config: {exc}") from None
-
-
-def _resolve_protocol(data: Any, context: str):
-    try:
-        return protocol_from_dict(data or {})
-    except (TypeError, ValueError, KeyError) as exc:
-        raise JobError(f"{context}: bad protocol: {exc}") from None
-
-
-def _resolve_traffic(data: Any, context: str) -> TrafficSpec:
-    try:
-        return TrafficSpec.from_dict(data)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise JobError(f"{context}: bad traffic: {exc}") from None
-
-
 def _parse_options(data: Any) -> Dict[str, Any]:
     """Validated execution options with server-side defaults filled in
     later (``None`` means "use the server default")."""
@@ -223,78 +166,6 @@ def _parse_options(data: Any) -> Dict[str, Any]:
     return options
 
 
-def _parse_run_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
-    for name in ("config", "rate"):
-        if name not in spec:
-            raise JobError(f"run spec is missing {name!r}")
-    config = _resolve_config(spec["config"], "run spec")
-    traffic = _resolve_traffic(spec.get("traffic", "uniform"), "run spec")
-    protocol = _resolve_protocol(spec.get("protocol"), "run spec")
-    try:
-        rate = float(spec["rate"])
-    except (TypeError, ValueError):
-        raise JobError(f"run spec: rate must be a number, "
-                       f"got {spec['rate']!r}") from None
-    return [RunPoint(config=config, traffic=traffic, rate=rate,
-                     protocol=protocol, label=str(spec.get("label", "")))]
-
-
-def _parse_experiment_spec(spec: Mapping[str, Any]) -> List[RunPoint]:
-    fields = dict(spec)
-    if "presets" in fields:
-        if "configs" in fields:
-            raise JobError("experiment spec: give presets or configs, "
-                           "not both")
-        fields["configs"] = [[name, name] for name in fields.pop("presets")]
-    if "configs" not in fields:
-        raise JobError("experiment spec is missing configs (or presets)")
-    try:
-        configs = tuple(
-            (str(label), _resolve_config(config, f"config {label!r}"))
-            for label, config in fields["configs"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, JobError):
-            raise
-        raise JobError(f"experiment spec: configs must be "
-                       f"[label, config] pairs: {exc}") from None
-    for name in ("traffics", "rates"):
-        if not fields.get(name):
-            raise JobError(f"experiment spec is missing {name!r}")
-    try:
-        experiment = ExperimentSpec(
-            configs=configs,
-            traffics=tuple(_resolve_traffic(t, "experiment spec")
-                           for t in fields["traffics"]),
-            rates=tuple(float(r) for r in fields["rates"]),
-            seeds=tuple(int(s) for s in fields.get("seeds") or (1,)),
-            protocol=_resolve_protocol(fields.get("protocol"),
-                                       "experiment spec"))
-    except JobError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise JobError(f"experiment spec: {exc}") from None
-    return experiment.points()
-
-
-def _parse_estimate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    for name in ("config", "rate"):
-        if name not in spec:
-            raise JobError(f"estimate spec is missing {name!r}")
-    traffic = _resolve_traffic(spec.get("traffic", "uniform"),
-                               "estimate spec")
-    try:
-        rate = float(spec["rate"])
-    except (TypeError, ValueError):
-        raise JobError(f"estimate spec: rate must be a number, "
-                       f"got {spec['rate']!r}") from None
-    return {
-        "config": _resolve_config(spec["config"], "estimate spec"),
-        "traffic": traffic.name,
-        "params": dict(traffic.params),
-        "rate": rate,
-    }
-
-
 def _job_key(kind: str, points: List[RunPoint],
              estimate: Optional[Dict[str, Any]]) -> str:
     """Deterministic dedup key: identical server-side work hashes
@@ -318,7 +189,8 @@ def _job_key(kind: str, points: List[RunPoint],
 
 
 def parse_job(payload: Any, job_id: str) -> Job:
-    """Validate one submitted payload into a :class:`Job`.
+    """Validate one submitted payload into a :class:`Job`: the spec via
+    :func:`~repro.exp.spec.decode_job`, then the envelope around it.
 
     Raises :class:`JobError` (→ HTTP 400) with a message naming the
     offending field on any malformed input.
@@ -326,31 +198,17 @@ def parse_job(payload: Any, job_id: str) -> Job:
     if not isinstance(payload, Mapping):
         raise JobError(f"job payload must be a JSON object, "
                        f"got {type(payload).__name__}")
-    kind = payload.get("kind")
-    if kind not in JOB_KINDS:
-        raise JobError(f"unknown job kind {kind!r}; "
-                       f"options: {', '.join(JOB_KINDS)}")
+    points, estimate = decode_job(payload)
     unknown = set(payload) - {"kind", "spec", "priority", "options"}
     if unknown:
         raise JobError(f"unknown job fields {sorted(unknown)}")
-    spec = payload.get("spec")
-    if not isinstance(spec, Mapping):
-        raise JobError("job payload needs a 'spec' object")
     try:
         priority = int(payload.get("priority", 0))
     except (TypeError, ValueError):
         raise JobError(f"priority must be an integer, "
                        f"got {payload.get('priority')!r}") from None
     options = _parse_options(payload.get("options"))
-
-    points: List[RunPoint] = []
-    estimate = None
-    if kind == "run":
-        points = _parse_run_spec(spec)
-    elif kind == "experiment":
-        points = _parse_experiment_spec(spec)
-    else:
-        estimate = _parse_estimate_spec(spec)
+    kind = payload["kind"]
     return Job(id=job_id, kind=kind,
                key=_job_key(kind, points, estimate),
                payload=dict(payload), priority=priority,

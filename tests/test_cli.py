@@ -86,26 +86,32 @@ class TestRun:
 
 
 class TestSweep:
+    """Latency/power-versus-rate sweeps run through ``experiment``,
+    which prints one sweep table per (preset, traffic, seed) curve."""
+
     def test_sweep_prints_table(self, capsys):
-        code = main(["sweep", "--preset", "VC16",
+        code = main(["experiment", "--presets", "VC16",
                      "--rates", "0.02,0.05", "--sample", "60",
-                     "--warmup", "100"])
+                     "--warmup", "100", "--no-cache"])
         assert code == 0
         out = capsys.readouterr().out
         assert "0.020" in out and "0.050" in out
         assert "saturation" in out
 
     def test_sweep_any_traffic_kind(self, capsys):
-        code = main(["sweep", "--preset", "VC16", "--traffic", "hotspot",
-                     "--source", "5", "--rates", "0.02,0.04",
-                     "--sample", "50", "--warmup", "80"])
+        code = main(["experiment", "--presets", "VC16",
+                     "--traffic", "hotspot", "--source", "5",
+                     "--rates", "0.02,0.04", "--sample", "50",
+                     "--warmup", "80", "--no-cache"])
         assert code == 0
-        assert "0.040" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "hotspot(hotspot=5)" in out
+        assert "0.040" in out
 
     def test_sweep_parallel(self, capsys):
-        code = main(["sweep", "--preset", "VC16",
+        code = main(["experiment", "--presets", "VC16",
                      "--rates", "0.02,0.05", "--sample", "60",
-                     "--warmup", "100", "--processes", "2"])
+                     "--warmup", "100", "--processes", "2", "--no-cache"])
         assert code == 0
         assert "saturation" in capsys.readouterr().out
 
@@ -266,6 +272,29 @@ class TestErrors:
         assert excinfo.value.code == 2
         assert "--kernel" in capsys.readouterr().err
 
+    def test_sweep_command_is_gone(self, capsys):
+        """``sweep`` was a one-preset, cache-less ``experiment``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--rates", "0.02,0.05"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--rate", "0"],
+        ["run", "--rate", "nan"],
+        ["experiment", "--rates", "0.02,0", "--no-cache"],
+        ["estimate", "--rate", "-1"],
+    ])
+    def test_out_of_range_rate_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        assert "rate must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sample", "--warmup", "--seed"])
+    def test_estimate_takes_no_protocol_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", flag, "5"])
+        assert excinfo.value.code == 2
+
 
 class TestExportFlags:
     def test_run_json_and_csv(self, tmp_path, capsys):
@@ -280,9 +309,10 @@ class TestExportFlags:
 
     def test_sweep_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
-        code = main(["sweep", "--preset", "VC16",
+        code = main(["experiment", "--presets", "VC16",
                      "--rates", "0.02,0.04", "--sample", "50",
-                     "--warmup", "80", "--csv", str(csv_path)])
+                     "--warmup", "80", "--no-cache",
+                     "--csv", str(csv_path)])
         assert code == 0
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 3  # header + two rates
@@ -294,3 +324,242 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "Alpha 21364" in out
         assert "InfiniBand" in out
+
+
+# --- one job decoder ----------------------------------------------------------
+
+FAST = ["--sample", "60", "--warmup", "100"]
+FAULT_FLAGS = ["--faults", "link_kill:node=5,port=east,at=120",
+               "--fault-policy", "drop", "--fault-seed", "3"]
+
+
+def _faulted():
+    from repro.faults import parse_fault_specs
+    return dict(faults=parse_fault_specs(["link_kill:node=5,port=east,at=120"],
+                                         seed=3, policy="drop"),
+                on_stall="finish", livelock_cycles=50_000)
+
+
+def _points(names=("VC16",), traffics=("uniform",), rates=(0.03,),
+            seeds=(1,), overrides=None, **protocol):
+    """The run points a library caller builds by hand (FAST protocol)."""
+    from repro.core.config import RunProtocol
+    from repro.core.presets import preset
+    from repro.exp import RunPoint, TrafficSpec
+
+    out = []
+    for name in names:
+        config = preset(name)
+        if overrides:
+            config = config.with_(**overrides)
+        for traffic in traffics:
+            spec = traffic if isinstance(traffic, TrafficSpec) \
+                else TrafficSpec.of(traffic)
+            for seed in seeds:
+                proto = RunProtocol(warmup_cycles=100, sample_packets=60,
+                                    seed=seed, **protocol)
+                out.extend(RunPoint(config=config, traffic=spec, rate=rate,
+                                    protocol=proto, label=name)
+                           for rate in rates)
+    return out
+
+
+def _estimate(name="VC16", traffic="uniform", params=None, rate=0.03,
+              **overrides):
+    from repro.core.presets import preset
+    config = preset(name)
+    if overrides:
+        config = config.with_(**overrides)
+    return {"config": config, "traffic": traffic,
+            "params": params or {}, "rate": rate}
+
+
+def _traffic(name, **params):
+    from repro.exp import TrafficSpec
+    return TrafficSpec.of(name, **params)
+
+
+RUN = ["--preset", "VC16", "--rate", "0.03", *FAST]
+EXPERIMENT = ["--presets", "VC16", "--rates", "0.02,0.05", *FAST]
+EXP_RATES = (0.02, 0.05)
+ESTIMATE = ["--preset", "VC16", "--rate", "0.03"]
+
+#: (kind, flags, expected run points or estimate arguments)
+JOB_TABLE = {
+    "run-plain": ("run", RUN, lambda: _points()),
+    "run-leakage": ("run", RUN + ["--leakage"],
+                    lambda: _points(overrides={"include_leakage": True})),
+    "run-activity": ("run", RUN + ["--activity", "data"],
+                     lambda: _points(overrides={"activity_mode": "data"})),
+    "run-faults": ("run", RUN + FAULT_FLAGS,
+                   lambda: _points(**_faulted())),
+    "run-on-stall": ("run", RUN + ["--on-stall", "finish"],
+                     lambda: _points(on_stall="finish")),
+    "run-hotspot": ("run", RUN + ["--traffic", "hotspot", "--source", "5"],
+                    lambda: _points(traffics=[_traffic("hotspot",
+                                                       hotspot=5)])),
+    "run-broadcast": ("run",
+                      RUN + ["--traffic", "broadcast", "--source", "3"],
+                      lambda: _points(traffics=[_traffic("broadcast",
+                                                         source=3)])),
+    "run-telemetry": ("run", RUN + ["--telemetry-window", "50"],
+                      lambda: _points(telemetry_window=50)),
+    "run-seed": ("run", RUN + ["--seed", "7"],
+                 lambda: _points(seeds=(7,))),
+    "experiment-plain": ("experiment", EXPERIMENT,
+                         lambda: _points(rates=EXP_RATES)),
+    "experiment-leakage": ("experiment", EXPERIMENT + ["--leakage"],
+                           lambda: _points(rates=EXP_RATES, overrides={
+                               "include_leakage": True})),
+    "experiment-activity": ("experiment",
+                            EXPERIMENT + ["--activity", "data"],
+                            lambda: _points(rates=EXP_RATES, overrides={
+                                "activity_mode": "data"})),
+    "experiment-faults": ("experiment", EXPERIMENT + FAULT_FLAGS,
+                          lambda: _points(rates=EXP_RATES, **_faulted())),
+    "experiment-on-stall": ("experiment",
+                            EXPERIMENT + ["--on-stall", "finish"],
+                            lambda: _points(rates=EXP_RATES,
+                                            on_stall="finish")),
+    "experiment-hotspot": ("experiment", EXPERIMENT + [
+        "--traffic", "hotspot", "--source", "5"],
+        lambda: _points(rates=EXP_RATES,
+                        traffics=[_traffic("hotspot", hotspot=5)])),
+    "experiment-broadcast": ("experiment", EXPERIMENT + [
+        "--traffic", "broadcast", "--source", "3"],
+        lambda: _points(rates=EXP_RATES,
+                        traffics=[_traffic("broadcast", source=3)])),
+    "experiment-grid": ("experiment", [
+        "--presets", "WH64,VC16", "--traffic", "uniform,transpose",
+        "--seeds", "1,2", "--rates", "0.03", *FAST],
+        lambda: _points(names=("WH64", "VC16"),
+                        traffics=("uniform", "transpose"), seeds=(1, 2))),
+    "experiment-options": ("experiment", EXPERIMENT + [
+        "--processes", "2", "--retries", "1", "--point-timeout", "30"],
+        lambda: _points(rates=EXP_RATES)),
+    "estimate-plain": ("estimate", ESTIMATE, lambda: _estimate()),
+    "estimate-leakage": ("estimate", ESTIMATE + ["--leakage"],
+                         lambda: _estimate(include_leakage=True)),
+    "estimate-activity": ("estimate", ESTIMATE + ["--activity", "data"],
+                          lambda: _estimate(activity_mode="data")),
+    "estimate-hotspot": ("estimate", ESTIMATE + [
+        "--traffic", "hotspot", "--source", "5"],
+        lambda: _estimate(traffic="hotspot", params={"hotspot": 5})),
+    "estimate-broadcast": ("estimate", ESTIMATE + [
+        "--traffic", "broadcast", "--source", "3"],
+        lambda: _estimate(traffic="broadcast", params={"source": 3})),
+    "estimate-mesh": ("estimate", ESTIMATE + [
+        "--topology", "mesh", "--width", "8", "--height", "8"],
+        lambda: _estimate(topology="mesh", width=8, height=8)),
+}
+
+
+class _Decoded(Exception):
+    """Stops a local command right after it decodes its job."""
+
+
+@pytest.fixture
+def posted(monkeypatch):
+    """``repro submit`` against a stub client: returns the posted dicts."""
+    from repro.serve import ServeClient
+
+    payloads = []
+
+    def submit(self, payload):
+        payloads.append(payload)
+        return {"id": "job1", "status": "queued"}
+
+    monkeypatch.setattr(ServeClient, "submit", submit)
+    return payloads
+
+
+class TestOneJobDecoder:
+    """``run``/``experiment``/``estimate`` decode exactly the dict
+    ``submit --kind K`` posts with the same flags, and that dict expands
+    to the points a library caller would build by hand."""
+
+    @pytest.mark.parametrize("case", sorted(JOB_TABLE))
+    def test_local_and_submitted_jobs_agree(self, case, monkeypatch,
+                                            posted, capsys):
+        import json
+
+        import repro.cli as cli
+        from repro.exp.spec import decode_job
+
+        kind, flags, expected = JOB_TABLE[case]
+        assert main(["submit", "--kind", kind, "--no-wait", *flags]) == 0
+        assert len(posted) == 1
+        local = []
+
+        def capture(job):
+            local.append(job)
+            raise _Decoded
+
+        monkeypatch.setattr(cli, "decode_job", capture)
+        with pytest.raises(_Decoded):
+            main([kind, *flags])
+        assert local == posted
+        # The server decodes the dict after a trip through JSON.
+        points, estimate = decode_job(json.loads(json.dumps(posted[0])))
+        if kind == "estimate":
+            assert points == [] and estimate == expected()
+        else:
+            assert [p.cache_key() for p in points] \
+                == [p.cache_key() for p in expected()]
+
+    def test_options_ride_in_the_job(self, posted, capsys):
+        assert main(["submit", "--kind", "experiment", "--no-wait",
+                     *EXPERIMENT, "--processes", "2", "--retries", "1",
+                     "--point-timeout", "30"]) == 0
+        assert posted[0]["options"] == {"processes": 2, "retries": 1,
+                                        "point_timeout": 30.0}
+
+    def test_priority_is_submit_only(self, posted, capsys):
+        assert main(["submit", "--no-wait", *RUN, "--priority", "3"]) == 0
+        assert posted[0]["priority"] == 3
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *RUN, "--priority", "3"])
+        assert excinfo.value.code == 2
+
+    def test_rates_auto_is_rejected_by_submit(self, posted, capsys):
+        assert main(["submit", "--kind", "experiment", "--no-wait",
+                     "--rates", "auto"]) == 1
+        assert "--rates auto" in capsys.readouterr().err
+        assert posted == []
+
+    def test_zero_rate_never_reaches_the_server(self, posted, capsys):
+        assert main(["submit", "--kind", "run", "--rate", "0"]) == 1
+        assert "rate must be in (0, 1]" in capsys.readouterr().err
+        assert posted == []
+
+    @pytest.mark.parametrize("kind,flag", [
+        ("estimate", "--sample"), ("estimate", "--faults"),
+        ("run", "--rates"), ("experiment", "--telemetry-window"),
+    ])
+    def test_submit_takes_only_its_kinds_flags(self, kind, flag, posted,
+                                               capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--kind", kind, flag, "1"])
+        assert excinfo.value.code == 2
+        assert posted == []
+
+
+def test_cli_never_imports_the_service():
+    """The CLI decodes jobs with :mod:`repro.exp.spec`; only ``serve``,
+    ``gateway`` and ``submit`` load the service package."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
+                                     "src") + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    script = ("import sys\n"
+              "from repro.cli import main\n"
+              "assert main(['run', '--rate', '0.03', '--sample', '20',\n"
+              "             '--warmup', '50']) == 0\n"
+              "assert 'repro.serve' not in sys.modules, 'serve imported'\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -211,6 +211,20 @@ class TestParseJob:
          "not both"),
         ({"kind": "estimate", "spec": {"config": "VC16"}},
          "missing 'rate'"),
+        ({"kind": "run", "spec": {"config": "VC16", "rate": 0}},
+         r"rate must be in \(0, 1\], got 0.0"),
+        ({"kind": "run", "spec": {"config": "VC16", "rate": -0.1}},
+         r"rate must be in \(0, 1\], got -0.1"),
+        ({"kind": "run", "spec": {"config": "VC16", "rate": 1.5}},
+         r"rate must be in \(0, 1\], got 1.5"),
+        ({"kind": "run", "spec": {"config": "VC16", "rate": float("nan")}},
+         r"rate must be in \(0, 1\], got nan"),
+        ({"kind": "experiment",
+          "spec": {"presets": ["VC16"], "traffics": ["uniform"],
+                   "rates": [0.02, 0.0]}},
+         r"experiment spec: rate must be in \(0, 1\], got 0.0"),
+        ({"kind": "estimate", "spec": {"config": "VC16", "rate": -1}},
+         r"estimate spec: rate must be in \[0, 1\], got -1.0"),
     ])
     def test_malformed_payloads_raise_job_error(self, payload, fragment):
         with pytest.raises(JobError, match=fragment):
@@ -756,12 +770,16 @@ CONFORMANCE = {
         "kind": "run", "spec": {"config": "VC16", "rate": 0.03,
                                 "protocol": {"monitor": True}},
     }).encode()), 400, "invalid_job"),
+    "zero-rate-run": (post("/v2/jobs", json.dumps({
+        "kind": "run", "spec": {"config": "VC16", "rate": 0},
+    }).encode()), 400, "invalid_job"),
 }
 
 #: Rows whose error message must name the offending field.
 CONFORMANCE_NAMES = {"stale-kernel-run": "kernel",
                      "stale-kernel-experiment": "kernel",
-                     "stale-monitor-run": "monitor"}
+                     "stale-monitor-run": "monitor",
+                     "zero-rate-run": "rate"}
 
 
 class TestRequestConformance:
