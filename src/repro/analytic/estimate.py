@@ -59,6 +59,18 @@ class AnalyticEstimate:
                 and math.isfinite(self.saturation.rate)
                 and self.rate >= self.saturation.rate)
 
+    def summary_dict(self) -> Dict[str, object]:
+        """A flat, JSON-safe summary — the ``estimate`` result of a
+        ``repro.serve`` job."""
+        out = {name: getattr(self, name) for name in (
+            "traffic", "rate", "avg_latency", "zero_load_latency",
+            "avg_hops", "total_power_w", "throughput_flits_per_cycle",
+            "is_saturated")}
+        out["power_breakdown_w"] = dict(self.power_breakdown_w)
+        out["saturation_rate"] = self.saturation.rate \
+            if self.saturation else None
+        return out
+
     def describe(self) -> str:
         sat = self.saturation
         lines = [

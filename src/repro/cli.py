@@ -756,7 +756,8 @@ def build_parser(submit_kind: str = "run") -> argparse.ArgumentParser:
                    help="graceful-drain budget after SIGTERM")
     p.add_argument("--point-timeout", type=_positive_float, default=300.0,
                    metavar="SECONDS",
-                   help="default wall-clock cap per simulation point")
+                   help="default wall-clock cap per simulation point "
+                        "or estimate")
     p.add_argument("--retries", type=_nonneg_int, default=0,
                    help="default crash retries per point")
     p.add_argument("--job-processes", type=_positive_int, default=1,

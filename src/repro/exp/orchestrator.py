@@ -43,12 +43,12 @@ _ERROR_TYPES = {
 
 
 class RunCancelled(RuntimeError):
-    """The caller cancelled an in-flight ``run_points`` call.
+    """A worker-pool batch was cancelled before it drained.
 
-    Raised out of :func:`run_points` when its ``cancel_event`` fires:
-    in-flight pool workers are killed and respawned warm (the same
-    mechanism as a ``point_timeout`` expiry) and unstarted points are
-    abandoned.  The ``repro.serve`` job service maps this onto the
+    :meth:`repro.exp.pool.Batch.cancel` records it as the batch's
+    failure: in-flight pool workers are killed and respawned warm (the
+    same mechanism as a ``point_timeout`` expiry) and unstarted tasks
+    are abandoned.  The ``repro.serve`` job service maps this onto the
     terminal ``"cancelled"`` job status.
     """
 
@@ -57,7 +57,8 @@ class RunCancelled(RuntimeError):
 class PointOutcome:
     """What one run point produced: a summary, or a recorded failure."""
 
-    #: The run point (``None`` only inside a stored cache entry).
+    #: The run point (``None`` inside a stored cache entry and for an
+    #: analytic estimate run as a pool task).
     point: RunPoint
     ok: bool
     #: Terminal status of the point: "ok"; "stalled"/"max_cycles" (the
@@ -76,7 +77,8 @@ class PointOutcome:
     wall_seconds: float = 0.0
     from_cache: bool = False
     #: Full simulation result; carried only when the orchestrator ran
-    #: with ``keep_results=True``.
+    #: with ``keep_results=True``.  An estimate task carries its JSON
+    #: summary here instead.
     result: Optional[SimulationResult] = None
     #: Windowed telemetry record; carried (and cached) whenever the
     #: protocol's ``telemetry_window`` is non-zero.
@@ -158,14 +160,8 @@ class Progress:
         return self.cache_hits / self.done if self.done else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe snapshot of this progress event.
-
-        Progress hooks run on whatever thread executes the sweep, so a
-        hook that feeds an event loop (or a socket, or a queue) wants a
-        plain dict it can hand across the boundary without touching the
-        live outcome again; this is that dict.  The ``repro.serve``
-        NDJSON progress stream emits these verbatim.
-        """
+        """A JSON-safe snapshot of this progress event; the
+        ``repro.serve`` NDJSON progress stream emits these verbatim."""
         return {
             "done": self.done,
             "total": self.total,
@@ -271,11 +267,94 @@ def _execute_resilient(point: RunPoint, keep_result: bool,
             )
 
 
-def _pool_point(payload) -> PointOutcome:
-    """Module-level worker entry for the serial path (and a stable,
-    picklable target tests can call directly)."""
-    point, keep_result, retries, backoff, capture = payload
-    return _execute_resilient(point, keep_result, retries, backoff, capture)
+def _estimate_task(spec) -> PointOutcome:
+    """Pool-worker entry for one analytic estimate (a ``repro serve``
+    job); its JSON-safe summary rides in ``result``."""
+    from repro.analytic import estimate
+
+    start = time.perf_counter()
+    est = estimate(spec["config"], spec["traffic"], spec["rate"],
+                   **spec["params"])
+    return PointOutcome(point=None, ok=True, result=est.summary_dict(),
+                        wall_seconds=time.perf_counter() - start)
+
+
+class PointLedger:
+    """One ``run_points`` call's bookkeeping, shared by the blocking
+    :func:`run_points` and the ``repro serve`` job loop: construction
+    runs the cache pre-pass (misses land in :attr:`pending`), and
+    :meth:`finish` records each outcome — cache store, counters,
+    progress hook, ``on_error`` policy."""
+
+    def __init__(self, points: Sequence[RunPoint], *,
+                 cache: Optional[ResultCache] = None,
+                 keep_results: bool = False,
+                 progress: Optional[ProgressHook] = None,
+                 on_error: str = "record") -> None:
+        self.points = list(points)
+        self.cache = cache
+        self.keep_results = keep_results
+        self.progress = progress
+        self.on_error = on_error
+        self.outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+        self.done = self.cache_hits = self.failures = self.cycles = 0
+        self._start = time.perf_counter()
+        self._keys = [point.cache_key() for point in self.points] \
+            if cache is not None else None
+        #: Indices of the points the cache could not serve.
+        self.pending: List[int] = []
+        for index, point in enumerate(self.points):
+            hit = cache.load(self._keys[index]) if cache is not None \
+                else None
+            if hit is not None and point.protocol.telemetry_window \
+                    and hit.telemetry is None:
+                hit = None  # entry predates telemetry for this key
+            if hit is not None and (not keep_results
+                                    or hit.result is not None):
+                hit.point = point
+                hit.from_cache = True
+                if not keep_results:
+                    hit.result = None
+                self.finish(index, hit)
+            else:
+                self.pending.append(index)
+
+    def tasks(self, retries: int = 0, retry_backoff: float = 0.25):
+        """The pending points as worker-pool ``(index, payload)`` tasks;
+        workers capture crashes, :meth:`finish` applies ``on_error``."""
+        return [(index, (self.points[index], self.keep_results, retries,
+                         retry_backoff, True))
+                for index in self.pending]
+
+    def finish(self, index: int, outcome: PointOutcome) -> None:
+        self.outcomes[index] = outcome
+        self.done += 1
+        if outcome.from_cache:
+            self.cache_hits += 1
+        else:
+            self.cycles += outcome.total_cycles
+            if self.cache is not None:
+                # Entries are point-free: a hit takes the caller's point.
+                self.cache.store(self._keys[index],
+                                 replace(outcome, point=None))
+        if not outcome.ok:
+            self.failures += 1
+        if self.progress is not None:
+            self.progress(Progress(
+                done=self.done, total=len(self.points), outcome=outcome,
+                cache_hits=self.cache_hits, failures=self.failures,
+                cycles_simulated=self.cycles,
+                elapsed_seconds=time.perf_counter() - self._start,
+                cache_misses=self.done - self.cache_hits))
+        if not outcome.ok and self.on_error == "raise":
+            outcome.raise_error()
+
+    def summary_dict(self) -> Dict[str, object]:
+        """The JSON-safe result of a run or experiment job."""
+        return {"num_points": len(self.outcomes), "failures": self.failures,
+                "cache_hits": self.cache_hits,
+                "cycles_simulated": self.cycles,
+                "points": [o.summary_dict() for o in self.outcomes]}
 
 
 def run_points(points: Sequence[RunPoint], *,
@@ -287,8 +366,7 @@ def run_points(points: Sequence[RunPoint], *,
                point_timeout: Optional[float] = None,
                retries: int = 0,
                retry_backoff: float = 0.25,
-               pool: Optional[object] = None,
-               cancel_event: Optional[object] = None) -> List[PointOutcome]:
+               pool: Optional[object] = None) -> List[PointOutcome]:
     """Execute run points, in order, with caching and parallelism.
 
     ``on_error="record"`` isolates per-point failures; ``"raise"``
@@ -306,11 +384,6 @@ def run_points(points: Sequence[RunPoint], *,
     the batch.  ``retries`` re-runs a point whose worker crashed with an
     unexpected exception (or died outright), sleeping
     ``retry_backoff * 2**(attempt-1)`` seconds between attempts.
-
-    ``cancel_event`` (a ``threading.Event``) aborts the call early:
-    once set, in-flight pool workers are killed and respawned (the
-    ``point_timeout`` mechanism), unstarted points never run, and
-    :class:`RunCancelled` is raised.
     """
     if on_error not in ("record", "raise"):
         raise ValueError(f"on_error must be 'record' or 'raise', "
@@ -329,49 +402,9 @@ def run_points(points: Sequence[RunPoint], *,
     if not points:
         raise ValueError("experiment needs at least one run point")
 
-    start = time.perf_counter()
-    done = cache_hits = failures = cycles = 0
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    keys = [point.cache_key() for point in points] if cache is not None \
-        else None
-
-    def finish(index: int, outcome: PointOutcome) -> None:
-        nonlocal done, cache_hits, failures, cycles
-        outcomes[index] = outcome
-        done += 1
-        if outcome.from_cache:
-            cache_hits += 1
-        else:
-            cycles += outcome.total_cycles
-            if cache is not None:
-                # Entries are point-free: a hit takes the caller's point.
-                cache.store(keys[index], replace(outcome, point=None))
-        if not outcome.ok:
-            failures += 1
-        if progress is not None:
-            progress(Progress(done=done, total=len(points), outcome=outcome,
-                              cache_hits=cache_hits, failures=failures,
-                              cycles_simulated=cycles,
-                              elapsed_seconds=time.perf_counter() - start,
-                              cache_misses=done - cache_hits))
-        if not outcome.ok and on_error == "raise":
-            outcome.raise_error()
-
-    pending: List[int] = []
-    for index, point in enumerate(points):
-        hit = cache.load(keys[index]) if cache is not None else None
-        if hit is not None and point.protocol.telemetry_window \
-                and hit.telemetry is None:
-            hit = None  # entry predates telemetry for this key
-        if hit is not None and (not keep_results or hit.result is not None):
-            hit.point = point
-            hit.from_cache = True
-            if not keep_results:
-                hit.result = None
-            finish(index, hit)
-        else:
-            pending.append(index)
-
+    ledger = PointLedger(points, cache=cache, keep_results=keep_results,
+                         progress=progress, on_error=on_error)
+    pending = ledger.pending
     use_pool = bool(pending) and (
         pool is not None
         or point_timeout is not None
@@ -380,26 +413,19 @@ def run_points(points: Sequence[RunPoint], *,
     if use_pool:
         from repro.exp.pool import get_default_pool
 
-        # Workers always capture crashes as outcomes; the ``finish``
-        # closure above applies the ``on_error`` policy parent-side.
-        payloads = [(points[i], keep_results, retries, retry_backoff, True)
-                    for i in pending]
         workers = max(1, min(processes, len(pending)))
         active = pool if pool is not None else get_default_pool(workers)
-        active.run(list(zip(pending, payloads)),
+        active.run(ledger.tasks(retries, retry_backoff),
                    point_timeout=point_timeout,
                    retries=retries, retry_backoff=retry_backoff,
-                   max_workers=workers, finish=finish,
-                   cancel_event=cancel_event)
+                   max_workers=workers, finish=ledger.finish)
     else:
         capture = on_error == "record"
         for index in pending:
-            if cancel_event is not None and cancel_event.is_set():
-                raise RunCancelled("run cancelled before completion")
-            finish(index, _pool_point(
-                (points[index], keep_results, retries, retry_backoff,
-                 capture)))
-    return outcomes
+            ledger.finish(index, _execute_resilient(
+                points[index], keep_results, retries, retry_backoff,
+                capture))
+    return ledger.outcomes
 
 
 @dataclass
@@ -509,8 +535,7 @@ def run_experiment(spec: Union[ExperimentSpec, Sequence[RunPoint]], *,
                    point_timeout: Optional[float] = None,
                    retries: int = 0,
                    retry_backoff: float = 0.25,
-                   pool: Optional[object] = None,
-                   cancel_event: Optional[object] = None) -> ExperimentResult:
+                   pool: Optional[object] = None) -> ExperimentResult:
     """Run a whole experiment grid (or explicit point list).
 
     ``cache`` may be a :class:`ResultCache`, a directory path, or
@@ -526,6 +551,6 @@ def run_experiment(spec: Union[ExperimentSpec, Sequence[RunPoint]], *,
                           keep_results=keep_results, progress=progress,
                           on_error=on_error, point_timeout=point_timeout,
                           retries=retries, retry_backoff=retry_backoff,
-                          pool=pool, cancel_event=cancel_event)
+                          pool=pool)
     return ExperimentResult(outcomes=outcomes,
                             wall_seconds=time.perf_counter() - start)

@@ -1,29 +1,26 @@
-"""Warm persistent worker pool for grid fan-out.
+"""Warm persistent worker pool for grid fan-out and service jobs.
 
-``run_points`` used to pay process-spawn + import + construction cost
-per call (a throwaway ``multiprocessing.Pool``) and per point when a
-``point_timeout`` was set (one dedicated subprocess per point).  This
-module replaces both with a :class:`WorkerPool`: spawn-once worker
-processes that stay warm across calls, speak a small pipe protocol
-(task chunks down, begin/done/heartbeat up), enforce per-point timeouts
-by killing and respawning the one worker whose in-flight point blew its
-deadline, and survive worker crashes by respawning and retrying per the
-existing backoff policy.
+A :class:`WorkerPool` keeps spawn-once worker processes warm across
+calls.  They speak a small pipe protocol (task chunks down,
+begin/done/heartbeat up); a task is one simulation point or one
+analytic estimate.  The pool enforces per-task timeouts by killing and
+respawning the one worker whose in-flight task blew its deadline, and
+survives worker crashes by respawning and retrying per the backoff
+policy.
 
 Inside each worker, a simulation-context cache keyed on
 :func:`repro.sim.engine.structural_key` reuses the constructed
 network/router/technology/power-binding graph across points that differ
 only in injection rate, seed or traffic (via ``Network.reset()`` —
-bit-identical to fresh construction, pinned by tests/test_pool.py), so
-construction cost is paid once per configuration instead of once per
-point.
+bit-identical to fresh construction, pinned by tests/test_pool.py).
 
-The pool is shared: multiple threads may call :meth:`WorkerPool.run`
-concurrently (the ``repro.serve`` worker threads do) and a single
-dispatcher thread multiplexes their batches over the workers, capping
-each batch at its own ``max_workers``.  Results are delivered to each
-caller in submission order, so pool execution is observationally
-identical to the serial path.
+The parent side is a single-owner state machine with no threads or locks:
+:meth:`WorkerPool.step` is one non-blocking turn.  Its owner drives
+it — :meth:`WorkerPool.run` in the calling thread until its batch
+drains (the CLI, the library), or the asyncio loop given to
+:meth:`WorkerPool.attach` (``repro serve``).  Each :class:`Batch`
+delivers its outcomes in submission order, so pool execution is
+observationally identical to the serial path.
 """
 
 from __future__ import annotations
@@ -33,16 +30,18 @@ import math
 import multiprocessing
 import multiprocessing.util  # ensures mp's atexit hook registers before ours
 import os
-import socket
+import signal
 import stat
 import threading
 import time
 from collections import OrderedDict, deque
+from multiprocessing.connection import wait as conn_wait
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.exp.orchestrator import (
     PointOutcome,
     RunCancelled,
+    _estimate_task,
     _execute_resilient,
 )
 from repro.sim.engine import SimulationContext, structural_key
@@ -76,10 +75,14 @@ def _ensure_traffic_kind(entry) -> None:
 
 
 def _run_payload(payload, contexts: "OrderedDict") -> PointOutcome:
-    """Execute one orchestrator payload, reusing a cached context when
-    the point carries no live references out of the run."""
-    point, keep_result, retries, backoff, _capture = payload
+    """Execute one task: an estimate's decoded spec (a dict), or an
+    orchestrator point payload, reusing a cached context when the point
+    carries no live references out of the run."""
+    point = None
     try:
+        if isinstance(payload, dict):
+            return _estimate_task(payload)
+        point, keep_result, retries, backoff, _capture = payload
         if keep_result:
             # The result will hold ``result.accountant``, which must not
             # alias a context the next point resets underneath it.
@@ -111,7 +114,7 @@ def _close_inherited_sockets(keep_fd: int) -> None:
     connections.  A long-lived child keeping those fds open means the
     parent's ``close()`` never sends FIN, so NDJSON streams (which end
     on connection close) hang at the client.  Only sockets are swept:
-    the duplex task pipe is a socketpair (kept via ``keep_fd``), while
+    the duplex task pipe is a socket pair (kept via ``keep_fd``), while
     files, pipes and the parent's epoll/eventfds are left alone."""
     try:
         fds = [int(name) for name in os.listdir("/proc/self/fd")]
@@ -133,8 +136,11 @@ def _worker_main(conn) -> None:
     A daemon thread heartbeats every ``_HEARTBEAT_INTERVAL`` seconds —
     pure-Python simulation loops still yield the GIL, so a silent pipe
     means the worker is truly wedged, not merely busy.  ``begin``
-    messages give the parent the per-point wall-clock anchor it enforces
+    messages give the parent the per-task wall-clock anchor it enforces
     ``point_timeout`` against."""
+    # The fork copies the parent's handlers, and ``repro serve``'s loop
+    # traps SIGTERM; the kill path's ``terminate()`` must still kill.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _close_inherited_sockets(conn.fileno())
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -173,96 +179,119 @@ def _worker_main(conn) -> None:
 
 
 class _Task:
-    """One point queued on the pool, owned by one batch."""
+    """One task queued on the pool, owned by one batch."""
 
-    __slots__ = ("batch", "pos", "payload", "kind_entry", "hard_attempts",
-                 "not_before")
+    __slots__ = ("batch", "pos", "payload", "point", "kind_entry",
+                 "hard_attempts", "not_before")
 
-    def __init__(self, batch: "_Batch", pos: int, payload: tuple,
-                 kind_entry) -> None:
+    def __init__(self, batch: "Batch", pos: int, payload) -> None:
         self.batch = batch
         self.pos = pos
         self.payload = payload
-        self.kind_entry = kind_entry
+        #: The run point (None for an estimate), for parent-made outcomes.
+        self.point = None if isinstance(payload, dict) else payload[0]
+        self.kind_entry = (TRAFFIC_REGISTRY.get(self.point.traffic.name)
+                           if self.point is not None else None)
         #: Worker deaths this task has survived (parent-side retries).
         self.hard_attempts = 0
         #: Earliest monotonic time this task may be reassigned (backoff).
         self.not_before = 0.0
 
 
-class _Batch:
-    """One :meth:`WorkerPool.run` call's tasks and completion state."""
+class Batch:
+    """One submission's ``(index, payload)`` tasks and completion state.
 
-    def __init__(self, indices: Sequence[int], payloads: Sequence[tuple],
-                 point_timeout: Optional[float], retries: int,
-                 backoff: float, max_workers: int,
-                 cancel_event: Optional[threading.Event] = None) -> None:
-        self.indices = list(indices)
+    Outcomes go to ``finish(index, outcome)`` in submission order as
+    they arrive; ``on_done(batch)`` runs once, when the last outcome is
+    delivered or the batch is aborted.  A ``finish`` that raises aborts
+    the batch with that error (its unassigned tasks never run).
+    ``max_workers`` (default: the pool size) caps how many workers the
+    batch occupies at once, so concurrent batches share fairly."""
+
+    def __init__(self, pool: "WorkerPool",
+                 tasks: Sequence[Tuple[int, object]], *,
+                 point_timeout: Optional[float] = None, retries: int = 0,
+                 retry_backoff: float = 0.25,
+                 max_workers: Optional[int] = None,
+                 finish: Optional[Callable[[int, PointOutcome], None]] = None,
+                 on_done: Optional[Callable[["Batch"], None]] = None) -> None:
+        self.pool = pool
+        self.indices = [index for index, _ in tasks]
         self.point_timeout = point_timeout
         self.retries = retries
-        self.backoff = backoff
-        self.max_workers = max(1, max_workers)
-        #: External abort switch: once set, the dispatcher kills this
-        #: batch's in-flight workers and aborts with RunCancelled.
-        self.cancel_event = cancel_event
-        self.cond = threading.Condition()
-        self.results: List[Optional[PointOutcome]] = [None] * len(payloads)
-        self.completed = 0
+        self.backoff = retry_backoff
+        self.max_workers = max(1, max_workers or pool.size)
+        self.finish = finish
+        self.on_done = on_done
+        self.results: List[Optional[PointOutcome]] = [None] * len(tasks)
+        #: Outcomes handed to ``finish`` so far (a prefix of results).
+        self.delivered = 0
         self.cancelled = False
         self.failed: Optional[BaseException] = None
         self.ready: Deque[_Task] = deque(
-            _Task(self, pos, payload,
-                  TRAFFIC_REGISTRY.get(payload[0].traffic.name))
-            for pos, payload in enumerate(payloads)
-        )
+            _Task(self, pos, payload)
+            for pos, (_, payload) in enumerate(tasks))
         #: Workers currently holding a chunk of this batch.
         self.workers_active = 0
 
-    def complete(self, task: _Task, outcome: PointOutcome) -> None:
-        with self.cond:
-            if self.cancelled or self.results[task.pos] is not None:
-                return
-            self.results[task.pos] = outcome
-            self.completed += 1
-            self.cond.notify_all()
-
-    def abort(self, error: BaseException) -> None:
-        with self.cond:
-            self.cancelled = True
-            self.failed = error
-            self.cond.notify_all()
-
     @property
     def drained(self) -> bool:
-        return self.cancelled or self.completed == len(self.results)
+        return self.cancelled or self.delivered == len(self.results)
+
+    def complete(self, task: _Task, outcome: PointOutcome) -> None:
+        if self.cancelled or self.results[task.pos] is not None:
+            return
+        self.results[task.pos] = outcome
+        while self.delivered < len(self.results) \
+                and self.results[self.delivered] is not None:
+            if self.finish is not None:
+                try:
+                    self.finish(self.indices[self.delivered],
+                                self.results[self.delivered])
+                except Exception as exc:  # noqa: BLE001 - re-raised by run
+                    self.abort(exc)
+                    return
+            self.delivered += 1
+        if self.drained and self.on_done is not None:
+            self.on_done(self)
+
+    def abort(self, error: BaseException) -> None:
+        if self.drained:
+            return
+        self.cancelled = True
+        self.failed = error
+        self.ready.clear()
+        if self.on_done is not None:
+            self.on_done(self)
+
+    def cancel(self) -> None:
+        """Abort with :class:`RunCancelled`: unstarted tasks never run,
+        and every worker holding one of this batch's chunks is killed
+        and respawned warm — the ``point_timeout`` mechanism.  Call it
+        from the pool's owner."""
+        if self.drained:
+            return
+        self.pool._evict(self)
+        self.abort(RunCancelled("run cancelled"))
 
 
 class _Worker:
-    """Parent-side handle on one worker process."""
+    """Parent-side handle on one worker process (fields set by
+    ``_start``): ``tasks`` is its chunk in execution order, head first;
+    ``idle_since`` (None while busy) is what reaping measures."""
 
     __slots__ = ("process", "conn", "tasks", "begun", "deadline", "last_msg",
                  "batch", "idle_since")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-        #: Assigned tasks in execution order (head is next/current).
-        self.tasks: Deque[_Task] = deque()
-        self.begun = False
-        self.deadline: Optional[float] = None
-        self.last_msg = time.monotonic()
-        self.batch: Optional[_Batch] = None
-        #: Monotonic time this worker last went idle (None while busy);
-        #: what ``idle_timeout_s`` reaping measures against.
-        self.idle_since: Optional[float] = time.monotonic()
 
 
 class WorkerPool:
     """Long-lived pool of spawn-once simulation worker processes.
 
-    Thread-safe: concurrent :meth:`run` calls multiplex over the same
-    warm workers.  Workers are spawned lazily on first use and respawned
-    on crash, kill or timeout; :meth:`close` shuts them down.
+    Single-owner: one caller drives it at a time — a thread inside
+    :meth:`run`, or the asyncio loop given to :meth:`attach`.  A second
+    thread calling :meth:`run` meanwhile gets a :class:`RuntimeError`.
+    Workers are spawned lazily on first use and respawned on crash,
+    kill or timeout; :meth:`close` shuts them down.
     """
 
     def __init__(self, processes: int = 1, *,
@@ -281,20 +310,18 @@ class WorkerPool:
         #: Elasticity: a worker idle longer than this is reaped (its
         #: process shut down and dropped from the pool), never shrinking
         #: below a floor of one warm worker.  The pool re-grows to its
-        #: target size lazily on the next ``run`` call.  ``None``
-        #: disables reaping.
+        #: target size lazily on the next submission.  ``None`` disables
+        #: reaping.
         self.idle_timeout_s = idle_timeout_s
-        self._lock = threading.Lock()
         self._workers: List[_Worker] = []
-        self._batches: List[_Batch] = []
-        self._dispatcher: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        #: ``run`` and ``close`` write a byte here so the dispatcher,
-        #: asleep in ``conn_wait``, picks up new work (or the stop flag)
-        #: at once instead of at its next poll.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
+        self._batches: List[Batch] = []
+        #: Ownership token: whoever pops it drives the pool.  ``pop`` is
+        #: atomic, so two threads can never both hold it.
+        self._token = [True]
+        #: The asyncio loop driving the pool after :meth:`attach`, and
+        #: its one pending ``call_later`` tick.
+        self._loop = None
+        self._tick = None
         self._closed = False
         # Lifetime counters (surfaced by stats() and /metrics).
         self.tasks_completed = 0
@@ -317,22 +344,18 @@ class WorkerPool:
     def ensure_size(self, processes: int) -> None:
         """Grow the pool to at least ``processes`` workers (never
         shrinks — warm workers are the point)."""
-        if processes > self._size:
-            with self._lock:
-                self._size = max(self._size, processes)
+        self._size = max(self._size, processes)
 
     def stats(self) -> Dict[str, int]:
         """Lifetime pool counters (JSON-safe).  ``workers`` is the
         number of live worker processes right now — after idle reaping
         it can sit below ``workers_target`` until demand re-grows the
         pool."""
-        with self._lock:
-            spawned = len(self._workers)
-            alive = sum(1 for w in self._workers if w.process.is_alive())
         return {
-            "workers": spawned,
+            "workers": len(self._workers),
             "workers_target": self._size,
-            "workers_alive": alive,
+            "workers_alive": sum(1 for w in self._workers
+                                 if w.process.is_alive()),
             "tasks_completed": self.tasks_completed,
             "respawns": self.respawns,
             "timeouts": self.timeouts,
@@ -340,26 +363,52 @@ class WorkerPool:
             "cancelled_batches": self.cancelled_batches,
         }
 
+    def attach(self, loop) -> None:
+        """Hand the pool to an asyncio ``loop`` until :meth:`close`:
+        readers on every worker pipe and sentinel, plus one
+        ``call_later`` tick while work is in flight or a reap is due,
+        run :meth:`step`.  Call it on the loop."""
+        self._claim()
+        self._loop = loop
+        for worker in self._workers:
+            self._watch(worker, True)
+        self._rearm()
+
     def close(self, join_timeout: float = 5.0) -> None:
-        """Shut the workers down and stop the dispatcher."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            batches, self._batches = self._batches, []
-        self._stop.set()
-        self._wake()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=join_timeout)
+        """Shut the workers down and abort unfinished batches."""
+        if self._closed:
+            return
+        self._closed = True
+        batches, self._batches = self._batches, []
         for batch in batches:
             batch.abort(RuntimeError("worker pool closed"))
-        for worker in self._workers:
+        self._retire(self._workers, join_timeout)
+        self._workers = []
+        if self._loop is not None:
+            if self._tick is not None:
+                self._tick.cancel()
+            self._loop = None
+            self._token.append(True)
+
+    def _claim(self) -> None:
+        try:
+            self._token.pop()
+        except IndexError:
+            raise RuntimeError("worker pool is already driven by another "
+                               "caller (WorkerPool is single-owner)") \
+                from None
+
+    def _retire(self, workers: List[_Worker], timeout: float) -> None:
+        """Ask workers to exit, join them (terminating stragglers) and
+        close their pipes."""
+        for worker in workers:
+            self._watch(worker, False)
             try:
                 worker.conn.send(None)
             except OSError:
                 pass
-        deadline = time.monotonic() + join_timeout
-        for worker in self._workers:
+        deadline = time.monotonic() + timeout
+        for worker in workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -368,161 +417,142 @@ class WorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-        self._workers = []
-        if self._dispatcher is None or not self._dispatcher.is_alive():
-            self._wake_r.close()
-            self._wake_w.close()
 
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass  # buffer full (a wake-up is already pending) or closed
-
-    def _spawn_worker(self) -> _Worker:
+    def _start(self, worker: _Worker) -> _Worker:
+        """Fork a fresh process into ``worker`` with a clean slate."""
         ctx = multiprocessing.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(target=_worker_main, args=(child_conn,),
-                              daemon=True, name="repro-pool-worker")
-        process.start()
+        worker.conn, child_conn = ctx.Pipe(duplex=True)
+        worker.process = ctx.Process(target=_worker_main, args=(child_conn,),
+                                     daemon=True, name="repro-pool-worker")
+        worker.process.start()
         child_conn.close()
-        return _Worker(process, parent_conn)
+        worker.tasks = deque()
+        worker.begun = False
+        worker.deadline = None
+        worker.batch = None
+        worker.last_msg = worker.idle_since = time.monotonic()
+        self._watch(worker, True)
+        return worker
 
     def _ensure_running(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            while len(self._workers) < self._size:
-                self._workers.append(self._spawn_worker())
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop, daemon=True,
-                    name="repro-pool-dispatcher")
-                self._dispatcher.start()
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        while len(self._workers) < self._size:
+            self._workers.append(self._start(_Worker()))
+
+    def _watch(self, worker: _Worker, on: bool) -> None:
+        """Add (or remove) the attached loop's readers on the worker's
+        pipe and sentinel.  Removal must precede closing either fd."""
+        if self._loop is None:
+            return
+        for fd in (worker.conn.fileno(), worker.process.sentinel):
+            if on:
+                self._loop.add_reader(fd, self._loop_step)
+            else:
+                self._loop.remove_reader(fd)
 
     # --- submission ----------------------------------------------------------
 
-    def run(self, tasks: Sequence[Tuple[int, tuple]], *,
-            point_timeout: Optional[float] = None,
-            retries: int = 0,
-            retry_backoff: float = 0.25,
-            max_workers: Optional[int] = None,
-            finish: Callable[[int, PointOutcome], None] = None,
-            cancel_event: Optional[threading.Event] = None) -> None:
-        """Execute ``(index, payload)`` tasks on the pool.
+    def submit(self, tasks: Sequence[Tuple[int, object]],
+               **options) -> Batch:
+        """Queue ``tasks`` as one :class:`Batch` (``options`` are its
+        keywords), hand idle workers their first chunks, and return at
+        once; the owner's later :meth:`step` calls complete it.  An
+        empty batch is done on return."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        batch = Batch(self, tasks, **options)
+        if batch.drained:
+            if batch.on_done is not None:
+                batch.on_done(batch)
+            return batch
+        self._ensure_running()
+        self._batches.append(batch)
+        self._assign_work(time.monotonic())
+        self._rearm()
+        return batch
 
-        Blocks until every task completes, calling ``finish(index,
-        outcome)`` in submission order (exactly the serial path's
-        ordering).  ``max_workers`` caps how many pool workers this
-        batch may occupy at once, so concurrent callers share fairly.
-        A ``finish`` that raises cancels the batch's unassigned tasks
-        and propagates.  Setting ``cancel_event`` mid-run kills the
-        batch's in-flight workers (respawned warm — the point_timeout
-        mechanism) and raises :class:`RunCancelled` here.
-        """
+    def run(self, tasks: Sequence[Tuple[int, object]], **options) -> None:
+        """:meth:`submit` ``tasks``, then drive the pool in the calling
+        thread until they drain.  ``finish(index, outcome)`` sees them
+        in submission order (exactly the serial path's ordering); the
+        error of a ``finish`` that raises propagates from here."""
         if not tasks:
             return
-        self._ensure_running()
-        batch = _Batch([index for index, _ in tasks],
-                       [payload for _, payload in tasks],
-                       point_timeout, retries, retry_backoff,
-                       max_workers or self._size,
-                       cancel_event=cancel_event)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            self._batches.append(batch)
-        self._wake()
-        delivered = 0
-        total = len(batch.results)
+        self._claim()
         try:
-            while delivered < total:
-                with batch.cond:
-                    while batch.results[delivered] is None:
-                        if batch.failed is not None:
-                            raise batch.failed
-                        batch.cond.wait(timeout=1.0)
-                    outcome = batch.results[delivered]
-                index = batch.indices[delivered]
-                delivered += 1
-                finish(index, outcome)
-        except BaseException:
-            with batch.cond:
-                batch.cancelled = True
-            raise
+            batch = self.submit(tasks, **options)
+            try:
+                while not batch.drained:
+                    conn_wait([w.conn for w in self._workers]
+                              + [w.process.sentinel for w in self._workers],
+                              timeout=_POLL_INTERVAL)
+                    self.step()
+            except BaseException as exc:
+                batch.abort(exc)
+                raise
+        finally:
+            self._token.append(True)
+        if batch.failed is not None:
+            raise batch.failed
 
-    # --- dispatcher ----------------------------------------------------------
+    # --- the state machine ---------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
+    def step(self) -> None:
+        """One non-blocking turn: read every worker pipe, handle deaths,
+        expired deadlines and silent workers, reap idle workers, then
+        hand out work."""
+        now = time.monotonic()
+        for worker in list(self._workers):
+            self._drain_conn(worker, now)
+            if not worker.process.is_alive():
+                self._handle_death(worker)
+            elif worker.begun and worker.deadline is not None \
+                    and now > worker.deadline:
+                self._handle_timeout(worker)
+            elif worker.tasks and \
+                    now - worker.last_msg > self.heartbeat_timeout:
+                self._kill_process(worker)
+                self._handle_death(worker)
+        self._reap_idle(now)
+        self._assign_work(time.monotonic())
+        self._rearm()
 
+    def _on_tick(self) -> None:
+        self._tick = None
+        self._loop_step()
+
+    def _loop_step(self) -> None:
+        """:meth:`step` for the loop; if it raises, no batch hangs."""
         try:
-            while not self._stop.is_set():
-                self._service_cancellations()
-                self._assign_work()
-                with self._lock:
-                    workers = list(self._workers)
-                waitees = [w.conn for w in workers]
-                waitees += [w.process.sentinel for w in workers]
-                waitees.append(self._wake_r)
-                try:
-                    ready = conn_wait(waitees, timeout=_POLL_INTERVAL)
-                except OSError:
-                    ready = []
-                now = time.monotonic()
-                ready = set(ready)
-                if self._wake_r in ready:
-                    self._drain_wake()
-                for worker in workers:
-                    if worker.conn in ready:
-                        self._drain_conn(worker, now)
-                for worker in workers:
-                    if not worker.process.is_alive():
-                        self._handle_death(worker)
-                    elif worker.begun and worker.deadline is not None \
-                            and now > worker.deadline:
-                        self._handle_timeout(worker)
-                    elif worker.tasks and \
-                            now - worker.last_msg > self.heartbeat_timeout:
-                        self._kill_process(worker)
-                        self._handle_death(worker)
-                self._reap_idle(time.monotonic())
+            self.step()
         except Exception as exc:  # noqa: BLE001 - fail loudly, not silently
-            with self._lock:
-                batches, self._batches = self._batches, []
+            batches, self._batches = self._batches, []
             for batch in batches:
                 batch.abort(RuntimeError(
-                    f"pool dispatcher died: {type(exc).__name__}: {exc}"))
+                    f"pool step failed: {type(exc).__name__}: {exc}"))
             raise
 
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except OSError:
-            pass  # drained (BlockingIOError) or closed
+    def _rearm(self) -> None:
+        """Keep one tick pending on the attached loop while a deadline,
+        heartbeat or backoff could expire, or a worker could be
+        reaped."""
+        if self._loop is None or self._tick is not None:
+            return
+        if self._batches or any(w.tasks for w in self._workers):
+            delay = _POLL_INTERVAL
+        elif self.idle_timeout_s is not None and len(self._workers) > 1:
+            delay = self.idle_timeout_s
+        else:
+            return
+        self._tick = self._loop.call_later(delay, self._on_tick)
 
-    def _service_cancellations(self) -> None:
-        """Abort batches whose cancel event fired: kill (and respawn
-        warm) every worker holding one of their chunks — the same
-        mechanism as a ``point_timeout`` expiry — and wake the waiting
-        ``run`` call with :class:`RunCancelled`."""
-        with self._lock:
-            batches = list(self._batches)
-            workers = list(self._workers)
-        for batch in batches:
-            if batch.cancelled or batch.cancel_event is None \
-                    or not batch.cancel_event.is_set():
-                continue
-            batch.ready.clear()
-            batch.abort(RunCancelled("run cancelled"))
-            self.cancelled_batches += 1
-            for worker in workers:
-                if worker.batch is not batch:
-                    continue
+    def _evict(self, batch: Batch) -> None:
+        """Kill and respawn every worker holding a chunk of ``batch``."""
+        self.cancelled_batches += 1
+        for worker in self._workers:
+            if worker.batch is batch:
                 self._kill_process(worker)
-                worker.tasks = deque()
-                self._release_batch(worker)
                 self._respawn(worker)
 
     def _reap_idle(self, now: float) -> None:
@@ -530,40 +560,22 @@ class WorkerPool:
         ``idle_timeout_s``, never below a floor of one warm worker."""
         if self.idle_timeout_s is None:
             return
-        doomed: List[_Worker] = []
-        with self._lock:
-            for worker in list(self._workers):
-                if len(self._workers) - len(doomed) <= 1:
-                    break  # floor: keep one warm worker
-                if worker.tasks or worker.idle_since is None:
-                    continue
-                if now - worker.idle_since < self.idle_timeout_s:
-                    continue
-                doomed.append(worker)
-            for worker in doomed:
-                self._workers.remove(worker)
-            self.reaped += len(doomed)
-        for worker in doomed:
-            try:
-                worker.conn.send(None)
-            except OSError:
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+        for worker in list(self._workers):
+            if len(self._workers) <= 1:
+                break  # floor: keep one warm worker
+            if worker.idle_since is None \
+                    or now - worker.idle_since < self.idle_timeout_s:
+                continue
+            self._workers.remove(worker)
+            self._retire([worker], 2.0)
+            self.reaped += 1
 
-    def _assign_work(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            self._batches = [b for b in self._batches
-                             if not (b.drained and not b.ready)]
-            batches = list(self._batches)
-            workers = list(self._workers)
-        for worker in workers:
+    def _assign_work(self, now: float) -> None:
+        self._batches = [b for b in self._batches if not b.drained]
+        for worker in self._workers:
             if worker.tasks or not worker.process.is_alive():
                 continue
-            chunk = self._next_chunk(batches, now)
+            chunk = self._next_chunk(now)
             if chunk is None:
                 return
             batch = chunk[0].batch
@@ -575,15 +587,11 @@ class WorkerPool:
             try:
                 worker.conn.send([(t.payload, t.kind_entry) for t in chunk])
             except (OSError, ValueError):
-                # Death handler requeues the chunk next loop iteration.
+                # The death handler requeues the chunk at the next step.
                 pass
 
-    def _next_chunk(self, batches: List[_Batch],
-                    now: float) -> Optional[List[_Task]]:
-        for batch in batches:
-            if batch.cancelled:
-                batch.ready.clear()
-                continue
+    def _next_chunk(self, now: float) -> Optional[List[_Task]]:
+        for batch in self._batches:
             if not batch.ready or batch.workers_active >= batch.max_workers:
                 continue
             slots = batch.max_workers - batch.workers_active
@@ -622,11 +630,11 @@ class WorkerPool:
                     worker.deadline = None
                     outcome = message[1]
                     outcome.attempts += task.hard_attempts
-                    task.batch.complete(task, outcome)
-                    self.tasks_completed += 1
                     if not worker.tasks:
                         self._release_batch(worker)
                         worker.idle_since = now
+                    self.tasks_completed += 1
+                    task.batch.complete(task, outcome)
                 # "hb" only refreshes last_msg.
         except (EOFError, OSError):
             pass  # the liveness pass handles the death
@@ -639,7 +647,8 @@ class WorkerPool:
     def _requeue(self, tasks: Deque[_Task]) -> None:
         """Put unstarted tasks back at the front of their batches."""
         for task in reversed(tasks):
-            task.batch.ready.appendleft(task)
+            if not task.batch.cancelled:
+                task.batch.ready.appendleft(task)
 
     def _kill_process(self, worker: _Worker) -> None:
         worker.process.terminate()
@@ -649,68 +658,57 @@ class WorkerPool:
             worker.process.join()
 
     def _respawn(self, worker: _Worker) -> None:
+        """Drop the worker's chunk; fork a fresh process in its place."""
+        worker.tasks = deque()
+        self._release_batch(worker)
         # Never respawn while shutting down: interpreter exit terminates
         # daemon workers, and resurrecting them would fight the
         # multiprocessing atexit join forever.
-        if self._stop.is_set() or self._closed:
+        if self._closed:
             return
+        self._watch(worker, False)
         try:
             worker.conn.close()
         except OSError:
             pass
-        fresh = self._spawn_worker()
-        worker.process = fresh.process
-        worker.conn = fresh.conn
-        worker.tasks = deque()
-        worker.begun = False
-        worker.deadline = None
-        worker.last_msg = time.monotonic()
-        worker.batch = None
-        worker.idle_since = worker.last_msg
+        self._start(worker)
         self.respawns += 1
 
     def _handle_death(self, worker: _Worker) -> None:
         """A worker died (crash, OOM kill, heartbeat wedge): retry its
-        in-flight point per the batch's policy, requeue the rest of its
+        in-flight task per the batch's policy, requeue the rest of its
         chunk, respawn."""
         worker.process.join()
         exitcode = worker.process.exitcode
         tasks = worker.tasks
-        worker.tasks = deque()
-        self._release_batch(worker)
-        if tasks:
-            if worker.begun:
-                task = tasks.popleft()
-                batch = task.batch
-                task.hard_attempts += 1
-                if task.hard_attempts <= batch.retries \
-                        and not batch.cancelled:
-                    task.not_before = time.monotonic() + \
-                        batch.backoff * 2 ** (task.hard_attempts - 1)
-                    batch.ready.appendleft(task)
-                else:
-                    batch.complete(task, PointOutcome(
-                        point=task.payload[0], ok=False, status="crashed",
-                        error=f"RuntimeError: worker exited with code "
-                              f"{exitcode}",
-                        attempts=task.hard_attempts,
-                    ))
-            self._requeue(tasks)
+        if tasks and worker.begun:
+            task = tasks.popleft()
+            batch = task.batch
+            task.hard_attempts += 1
+            if task.hard_attempts <= batch.retries and not batch.cancelled:
+                task.not_before = time.monotonic() + \
+                    batch.backoff * 2 ** (task.hard_attempts - 1)
+                batch.ready.appendleft(task)
+            else:
+                batch.complete(task, PointOutcome(
+                    point=task.point, ok=False, status="crashed",
+                    error=f"RuntimeError: worker exited with code "
+                          f"{exitcode}",
+                    attempts=task.hard_attempts,
+                ))
+        self._requeue(tasks)
         self._respawn(worker)
 
     def _handle_timeout(self, worker: _Worker) -> None:
-        """The in-flight point blew its wall-clock cap: kill the worker,
-        record the timeout (deterministic — never retried, matching the
-        old per-point-subprocess semantics), requeue the chunk's
-        remainder, respawn."""
+        """The in-flight task blew its wall-clock cap: kill the worker,
+        record the timeout (deterministic — never retried), requeue the
+        chunk's remainder, respawn."""
         self._kill_process(worker)
         task = worker.tasks.popleft()
         timeout = task.batch.point_timeout
         rest = worker.tasks
-        worker.tasks = deque()
-        self._release_batch(worker)
         task.batch.complete(task, PointOutcome(
-            point=task.payload[0], ok=False, status="timeout",
+            point=task.point, ok=False, status="timeout",
             error=f"TimeoutError: point exceeded {timeout:g}s wall-clock",
             wall_seconds=timeout,
             attempts=task.hard_attempts + 1,
@@ -728,7 +726,8 @@ _default_lock = threading.Lock()
 
 def get_default_pool(processes: int = 1) -> WorkerPool:
     """The process-wide shared pool (created on first use), grown to at
-    least ``processes`` workers."""
+    least ``processes`` workers.  Like any pool it has one owner at a
+    time: a ``run`` on it while another thread drives it raises."""
     global _default_pool
     with _default_lock:
         if _default_pool is None or _default_pool.closed:

@@ -8,18 +8,17 @@ One process, three layers:
 * an **event-loop core** owning all mutable state: the bounded
   priority :class:`~repro.serve.queue.JobQueue`, the single-flight
   dedup index, per-job event logs and the
-  :class:`~repro.serve.metrics.ServerMetrics` counters.  Every state
-  mutation happens on the loop thread — worker threads talk to it only
-  through ``call_soon_threadsafe``;
-* a **worker pool** (``ThreadPoolExecutor``, ``--workers`` wide) whose
-  threads drive the orchestrator's resilient
-  :func:`~repro.exp.orchestrator.run_points` — per-point wall-clock
-  caps, crash retries, failure isolation — against the shared on-disk
-  :class:`~repro.exp.cache.ResultCache` and one shared warm
-  :class:`~repro.exp.pool.WorkerPool` of spawn-once simulation
-  processes (so repeat jobs skip process spawn and reuse constructed
-  simulation contexts).  Analytic ``estimate`` jobs run inline in the
-  thread (they take milliseconds).
+  :class:`~repro.serve.metrics.ServerMetrics` counters;
+* one warm :class:`~repro.exp.pool.WorkerPool` of spawn-once worker
+  processes that the loop itself drives (readers on the worker pipes,
+  see :meth:`~repro.exp.pool.WorkerPool.attach`).  Up to ``--workers``
+  jobs run at once, each as one pool batch: a run or experiment job's
+  cache misses (the orchestrator's
+  :class:`~repro.exp.orchestrator.PointLedger` does the cache pre-pass
+  and the per-point bookkeeping), or an ``estimate`` job's single
+  task.  Every job body therefore gets the same per-task wall-clock
+  cap, crash isolation and kill-to-cancel, and the loop thread never
+  computes.
 
 Memory stays bounded over a long-lived server: terminal jobs are
 evicted ``--job-ttl`` seconds after finishing, per-job event logs keep
@@ -32,7 +31,7 @@ The endpoints and the error envelope are documented in
 
 Lifecycle: SIGTERM/SIGINT trigger a graceful drain — new submissions
 get 503, queued jobs keep dispatching until ``--drain-timeout``, then
-in-flight jobs are allowed to finish (each point is already wall-clock
+in-flight jobs are allowed to finish (each task is already wall-clock
 capped), journal entries for anything unfinished survive for the next
 server, and the process exits 0.
 """
@@ -41,16 +40,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.exp.orchestrator import Progress, RunCancelled, run_points
-from repro.exp.pool import WorkerPool
+from repro.exp.orchestrator import PointLedger, RunCancelled
+from repro.exp.pool import Batch, WorkerPool
 from repro.serve.http import (
     HttpService,
     Reply,
@@ -72,9 +69,9 @@ from repro.serve.queue import JobQueue, QueueFull
 #: Fallback ``Retry-After`` seconds when no duration data exists yet.
 DEFAULT_RETRY_AFTER = 5
 
-#: Server-side default wall-clock cap per simulation point; payloads
-#: may override per job.  Keeps a hung point from wedging a worker (and
-#: the drain) forever.
+#: Server-side default wall-clock cap per simulation point or estimate;
+#: payloads may override per job.  Keeps a hung task from wedging a
+#: worker (and the drain) forever.
 DEFAULT_POINT_TIMEOUT = 300.0
 
 
@@ -161,16 +158,15 @@ class ServeApp(HttpService):
         self.metrics = ServerMetrics()
         self.jobs: Dict[str, Job] = {}
         self._active_keys: Dict[str, Job] = {}
-        self._inflight: Dict[str, asyncio.Future] = {}
+        #: Running jobs' pool batches, by job id.
+        self._inflight: Dict[str, Batch] = {}
         self._event_waiters: Set[asyncio.Future] = set()
         self._wake: Optional[asyncio.Event] = None
-        self._pool = ThreadPoolExecutor(max_workers=config.workers,
-                                        thread_name_prefix="repro-serve")
         self._dispatch_queued = True
         #: One warm simulation worker pool shared by every job: spawned
         #: once, reused across requests, so repeat fan-outs skip both
-        #: process spawn and network construction.  Sized so each serve
-        #: worker thread can use its full per-job parallelism.
+        #: process spawn and network construction.  Sized so each of
+        #: the ``workers`` concurrent jobs can use its full parallelism.
         self.pool = WorkerPool(config.workers * config.processes,
                                idle_timeout_s=config.pool_idle_timeout)
 
@@ -178,6 +174,7 @@ class ServeApp(HttpService):
 
     def _startup(self) -> None:
         self._wake = asyncio.Event()
+        self.pool.attach(self._loop)
         self._recover()
         self._wake.set()
 
@@ -189,7 +186,6 @@ class ServeApp(HttpService):
         return self._dispatch_loop(), self._housekeeping_loop()
 
     def _shutdown(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
         self.pool.close()
 
     async def _drain(self) -> None:
@@ -202,7 +198,7 @@ class ServeApp(HttpService):
                 and self._loop.time() < deadline:
             await asyncio.sleep(0.05)
         # Phase 2: stop starting new work; in-flight jobs finish (each
-        # point is wall-clock capped, so this terminates).
+        # task is wall-clock capped, so this terminates).
         self._dispatch_queued = False
         while self._inflight:
             await asyncio.sleep(0.05)
@@ -293,85 +289,58 @@ class ServeApp(HttpService):
 
     def _start_job(self, job: Job) -> None:
         job.status = "running"
-        job.cancel_event = threading.Event()
         job.started_at = time.time()
         self._publish(job, {"type": "status", "status": "running",
                             "queue_depth": len(self.queue)})
-        future = self._loop.run_in_executor(self._pool, self._execute, job)
-        self._inflight[job.id] = future
-        future.add_done_callback(
-            lambda f, job=job: self._job_done(job, f))
-
-    def _execute(self, job: Job) -> Dict[str, Any]:
-        """Worker-thread entry: run the job, return its result dict."""
-        if job.kind == "estimate":
-            from repro.analytic import estimate
-
-            est = estimate(job.estimate["config"], job.estimate["traffic"],
-                           job.estimate["rate"], **job.estimate["params"])
-            saturation = est.saturation
-            return {"estimate": {
-                "traffic": est.traffic,
-                "rate": est.rate,
-                "avg_latency": est.avg_latency,
-                "zero_load_latency": est.zero_load_latency,
-                "avg_hops": est.avg_hops,
-                "total_power_w": est.total_power_w,
-                "power_breakdown_w": dict(est.power_breakdown_w),
-                "throughput_flits_per_cycle":
-                    est.throughput_flits_per_cycle,
-                "saturation_rate": saturation.rate if saturation else None,
-                "is_saturated": est.is_saturated,
-            }}
-
         options = job.options
-        point_timeout = options.get("point_timeout") \
-            or self.config.point_timeout
-        retries = options.get("retries")
-        processes = options.get("processes") or self.config.processes
-
-        def publish_progress(progress: Progress) -> None:
-            event = {"type": "progress", **progress.to_dict()}
-            try:
-                self._loop.call_soon_threadsafe(self._publish, job, event)
-            except RuntimeError:
-                pass  # loop shut down mid-job; nobody is listening
-
-        outcomes = run_points(
-            job.points,
-            processes=processes,
-            cache=self.cache,
-            on_error="record",
-            point_timeout=point_timeout,
-            retries=self.config.retries if retries is None else retries,
-            progress=publish_progress,
-            pool=self.pool,
-            cancel_event=job.cancel_event)
-        failures = sum(1 for o in outcomes if not o.ok)
-        return {
-            "num_points": len(outcomes),
-            "failures": failures,
-            "cache_hits": sum(1 for o in outcomes if o.from_cache),
-            "cycles_simulated": sum(o.total_cycles for o in outcomes
-                                    if not o.from_cache),
-            "points": [o.summary_dict() for o in outcomes],
-        }
-
-    def _job_done(self, job: Job, future: asyncio.Future) -> None:
-        """Completion bookkeeping; runs on the event loop."""
-        self._inflight.pop(job.id, None)
+        retries = (self.config.retries if options["retries"] is None
+                   else options["retries"])
+        ledger = None
         try:
-            job.result = future.result()
-            job.status = "done"
-            self.metrics.inc("completed")
-        except RunCancelled:
-            job.status = "cancelled"
-            job.error = "cancelled by client"
-            self.metrics.inc("cancelled_jobs")
+            if job.kind != "estimate":
+                ledger = PointLedger(job.points, cache=self.cache,
+                                     progress=lambda progress: self._publish(
+                                         job, {"type": "progress",
+                                               **progress.to_dict()}))
+            batch = self.pool.submit(
+                ledger.tasks(retries) if ledger else [(0, job.estimate)],
+                point_timeout=(options["point_timeout"]
+                               or self.config.point_timeout),
+                retries=retries,
+                max_workers=options["processes"] or self.config.processes,
+                finish=ledger.finish if ledger else None,
+                on_done=lambda batch: self._job_done(job, batch, ledger))
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            job.status = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            self.metrics.inc("failed")
+            self._finish(job, "failed", error=f"{type(exc).__name__}: {exc}")
+            return
+        if not job.terminal:  # an all-cached job is done inside submit
+            self._inflight[job.id] = batch
+
+    def _job_done(self, job: Job, batch: Batch,
+                  ledger: Optional[PointLedger]) -> None:
+        """Map a drained (or aborted) batch onto the job's terminal
+        status."""
+        if isinstance(batch.failed, RunCancelled):
+            self._finish(job, "cancelled", error="cancelled by client")
+        elif batch.failed is not None:
+            self._finish(job, "failed", error=f"{type(batch.failed).__name__}"
+                                              f": {batch.failed}")
+        elif ledger is not None:
+            self._finish(job, "done", result=ledger.summary_dict())
+        elif batch.results[0].ok:
+            self._finish(job, "done",
+                         result={"estimate": batch.results[0].result})
+        else:
+            self._finish(job, "failed", error=batch.results[0].error)
+
+    def _finish(self, job: Job, status: str,
+                result: Optional[Dict[str, Any]] = None,
+                error: Optional[str] = None) -> None:
+        """Terminal bookkeeping for every way a job ends."""
+        self._inflight.pop(job.id, None)
+        job.status, job.result, job.error = status, result, error
+        self.metrics.inc({"done": "completed", "failed": "failed",
+                          "cancelled": "cancelled_jobs"}[status])
         job.finished_at = time.time()
         if job.started_at is not None:
             self.metrics.observe_duration(job.finished_at - job.started_at)
@@ -433,13 +402,12 @@ class ServeApp(HttpService):
     async def _cancel(self, job_id: str) -> Reply:
         """Cancel one job (``DELETE /v2/jobs/<id>``).
 
-        Queued jobs cancel immediately (pulled straight out of the
-        queue); running jobs cancel cooperatively — the job's cancel
-        event trips the worker pool's kill-and-respawn path (the same
-        mechanism as ``point_timeout``), and the job turns terminal
-        once the executing thread observes :class:`RunCancelled`.
-        Cancelling an already-cancelled job is an idempotent success;
-        cancelling a done/failed job is a 409."""
+        Queued jobs are pulled straight out of the queue; running jobs
+        cancel their pool batch, which kills and respawns the workers
+        holding it (the ``point_timeout`` mechanism).  Either way the
+        job is terminal on return.  Cancelling an already-cancelled job
+        is an idempotent success; cancelling a done/failed job is a
+        409."""
         job = self.jobs.get(job_id)
         if job is None:
             return job_not_found(job_id)
@@ -451,21 +419,10 @@ class ServeApp(HttpService):
                 f"job {job_id} already {job.status}"), {}
         if job.status == "queued":
             self.queue.remove(job.id)
-            job.status = "cancelled"
-            job.error = "cancelled by client"
-            job.finished_at = time.time()
-            self.journal.discard(job.id)
-            if self._active_keys.get(job.key) is job:
-                self._active_keys.pop(job.key)
-            self.metrics.inc("cancelled_jobs")
-            self._publish(job, {"type": "done", "status": "cancelled",
-                                "error": job.error, "wall_seconds": None})
-            return 200, {"id": job.id, "status": "cancelled"}, {}
-        # Running: flag it and let _job_done finish the bookkeeping.
-        if job.cancel_event is not None:
-            job.cancel_event.set()
-        self._publish(job, {"type": "status", "status": "cancelling"})
-        return 202, {"id": job.id, "status": "cancelling"}, {}
+            self._finish(job, "cancelled", error="cancelled by client")
+        else:
+            self._inflight[job.id].cancel()  # _job_done finishes it
+        return 200, {"id": job.id, "status": "cancelled"}, {}
 
     def _retry_after(self) -> int:
         """A Retry-After estimate: how long until a queue slot frees —

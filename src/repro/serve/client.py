@@ -169,11 +169,11 @@ class ServeClient:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Cancel one job (``DELETE /v2/jobs/<id>``).
 
-        Queued jobs cancel immediately (``{"status": "cancelled"}``);
-        running jobs return ``{"status": "cancelling"}`` and turn
-        terminal shortly after — :meth:`wait` observes the final
-        ``"cancelled"``.  Raises :class:`JobNotFound` for unknown ids
-        and :class:`JobRejected` (409) for already-finished jobs."""
+        A queued job leaves the queue; a running one has the pool
+        workers holding it killed and respawned.  Either way the job is
+        terminal on reply (``{"status": "cancelled"}``).  Raises
+        :class:`JobNotFound` for unknown ids and :class:`JobRejected`
+        (409) for already-finished jobs."""
         return self._request("DELETE", f"/v2/jobs/{job_id}")
 
     def health(self) -> Dict[str, Any]:

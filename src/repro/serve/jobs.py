@@ -9,7 +9,8 @@ kinds map onto the library's entry points:
   (``repro experiment``), executed with the orchestrator's resilient
   ``run_points`` path;
 * ``estimate`` — a closed-form analytic estimate (``repro estimate``),
-  answered in milliseconds without simulating.
+  computed without simulating: milliseconds on small grids, seconds
+  on large ones.
 
 The ``spec`` of a payload is decoded by :func:`repro.exp.spec.decode_job`
 — the same decoder the CLI runs its own jobs through — so this module
@@ -53,7 +54,13 @@ DEFAULT_JOURNAL_DIR = os.path.join("results", ".serve")
 
 @dataclass
 class Job:
-    """One accepted unit of work and its whole lifecycle."""
+    """One accepted unit of work and its whole lifecycle.
+
+    A job is plain data owned by the server's event loop.  While it
+    runs, its work is one :class:`~repro.exp.pool.Batch` on the
+    server's worker pool (the cache misses of its run points, or its
+    estimate as a single task); cancelling the job cancels that batch.
+    """
 
     id: str
     kind: str
@@ -82,10 +89,6 @@ class Job:
     #: Absolute sequence number of ``events[0]`` (> 0 once the size
     #: bound has trimmed the front of the log).
     events_base: int = 0
-
-    #: Set once a client cancels the job; the execution path polls it
-    #: (queued jobs never get one — they are dequeued directly).
-    cancel_event: Optional[Any] = field(default=None, repr=False)
 
     @property
     def terminal(self) -> bool:

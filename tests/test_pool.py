@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.config import RunProtocol
 from repro.exp import RunPoint, TrafficSpec, WorkerPool, run_points
+from repro.exp.orchestrator import PointLedger
 from repro.faults import parse_fault_specs
 from repro.sim.engine import Simulation, SimulationContext
 from repro.sim.topology import topology_for
@@ -309,12 +310,12 @@ def test_pool_stats_and_close_idempotent():
 
 
 @fork_only
-def test_submitted_batch_wakes_the_dispatcher(monkeypatch):
-    """A batch submitted to an idle warm pool is dispatched at once,
-    not at the dispatcher's next poll.  Both clocks that could wake an
-    idle dispatcher — its poll and the workers' heartbeats (read by the
-    forked workers) — are slowed to 5 s, so only the wake-up can make
-    the call fast."""
+def test_submitted_batch_is_dispatched_at_once(monkeypatch):
+    """A batch submitted to an idle warm pool is handed out by the
+    submission itself, not at the driver's next poll.  Both clocks that
+    could wake an idle driver — its poll and the workers' heartbeats
+    (read by the forked workers) — are slowed to 5 s, so only the
+    immediate hand-out can make the call fast."""
     import time
 
     from repro.exp import pool as pool_mod
@@ -325,7 +326,7 @@ def test_submitted_batch_wakes_the_dispatcher(monkeypatch):
     try:
         run_points(_points(rates=(0.05,), seeds=(1,)), processes=2,
                    pool=pool)  # spawn the workers, warm a context
-        time.sleep(0.1)  # the dispatcher goes back to its 5 s wait
+        time.sleep(0.1)
         start = time.perf_counter()
         (outcome,) = run_points(_points(rates=(0.05,), seeds=(2,)),
                                 processes=2, pool=pool)
@@ -336,29 +337,44 @@ def test_submitted_batch_wakes_the_dispatcher(monkeypatch):
     assert elapsed < 1.0
 
 
-# --- cancellation and elasticity ---------------------------------------------
+# --- ownership, cancellation and elasticity ----------------------------------
 
 
-def test_cancel_event_set_before_run_aborts_serial_path():
-    import threading
+def _drive(pool, seconds, until=lambda: False):
+    """Step the pool from this thread for up to ``seconds``."""
+    import time
 
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and not until():
+        pool.step()
+        time.sleep(0.02)
+
+
+@fork_only
+def test_batch_cancelled_before_it_runs_never_delivers():
     from repro.exp import RunCancelled
 
-    cancel = threading.Event()
-    cancel.set()
-    with pytest.raises(RunCancelled):
-        run_points(_points(rates=(0.05,), seeds=(1,)),
-                   cancel_event=cancel)
+    delivered = []
+    pool = WorkerPool(1)
+    try:
+        batch = pool.submit(PointLedger(_points(rates=(0.05,))).tasks(),
+                            finish=lambda index, _: delivered.append(index))
+        batch.cancel()
+        assert isinstance(batch.failed, RunCancelled)
+        assert batch.drained
+        _drive(pool, 0.5)
+        assert delivered == []
+        assert pool.stats()["cancelled_batches"] == 1
+    finally:
+        pool.close()
 
 
 @fork_only
 @pytest.mark.chaos
-def test_cancel_event_aborts_in_flight_pool_run(pool_traffic):
-    """Tripping the cancel event mid-run kills the stuck worker (the
-    point_timeout mechanism) and raises RunCancelled to the caller;
-    the pool stays usable afterwards."""
-    import threading
-
+def test_batch_cancel_aborts_in_flight_pool_run(pool_traffic):
+    """Cancelling a batch mid-run kills the stuck worker (the
+    point_timeout mechanism) and records RunCancelled; the pool stays
+    usable afterwards."""
     from repro.exp import RunCancelled
 
     config = small_config("wormhole")
@@ -367,54 +383,94 @@ def test_cancel_event_aborts_in_flight_pool_run(pool_traffic):
                  rate=0.05, protocol=FAST),
     ]
     pool = WorkerPool(1)
-    cancel = threading.Event()
-    timer = threading.Timer(0.5, cancel.set)
-    timer.start()
+    done = []
     try:
+        batch = pool.submit(PointLedger(points).tasks(), on_done=done.append)
+        _drive(pool, 0.5)
+        assert not batch.drained
+        batch.cancel()
+        assert done == [batch]
         with pytest.raises(RunCancelled):
-            run_points(points, processes=1, pool=pool,
-                       cancel_event=cancel)
+            raise batch.failed
         assert pool.stats()["cancelled_batches"] == 1
         after = run_points(_points(rates=(0.05,), seeds=(1,)),
                            processes=1, pool=pool)
         assert all(o.status == "ok" for o in after)
     finally:
-        timer.cancel()
+        pool.close()
+
+
+@fork_only
+@pytest.mark.chaos
+def test_second_driver_is_refused_and_pool_survives(pool_traffic):
+    """WorkerPool is single-owner: a thread calling run() while another
+    drives the pool gets RuntimeError, and the first call still ends
+    correctly."""
+    import threading
+    import time
+
+    config = small_config("wormhole")
+    stuck = [RunPoint(config=config, traffic=TrafficSpec.of("pool_sleep"),
+                      rate=0.05, protocol=FAST)]
+    pool = WorkerPool(2)
+    results = {}
+
+    def first() -> None:
+        results["first"] = run_points(stuck, processes=1, pool=pool,
+                                      point_timeout=1.0)
+
+    thread = threading.Thread(target=first)
+    try:
+        thread.start()
+        time.sleep(0.3)
+        with pytest.raises(RuntimeError, match="single-owner"):
+            run_points(_points(rates=(0.05,), seeds=(1,)), processes=1,
+                       pool=pool)
+        thread.join(10)
+        assert [o.status for o in results["first"]] == ["timeout"]
+        after = run_points(_points(rates=(0.05,), seeds=(1, 2)),
+                           processes=2, pool=pool)
+        assert all(o.status == "ok" for o in after)
+    finally:
+        thread.join(10)
         pool.close()
 
 
 @fork_only
 def test_idle_workers_reaped_to_floor_and_regrown():
-    import time
-
     pool = WorkerPool(2, idle_timeout_s=0.3)
     try:
         first = run_points(_points(rates=(0.05,), seeds=(1, 2)),
                            processes=2, pool=pool)
         assert all(o.status == "ok" for o in first)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline \
-                and pool.stats()["workers"] > 1:
-            time.sleep(0.05)
+        # Nobody drives an idle pool: reaping happens in its step.
+        _drive(pool, 10.0, until=lambda: pool.stats()["workers"] <= 1)
         stats = pool.stats()
         assert stats["workers"] == 1  # floor of one warm worker
         assert stats["workers_target"] == 2
         assert stats["reaped"] >= 1
-        # Demand lazily re-grows the pool to its target size.  A
-        # freshly spawned worker is itself reapable after 0.3s of
-        # idleness, so under scheduler stall the reaper may shrink
-        # the pool again before we observe the grow — keep regrowing
-        # until we catch it at full size.
-        regrown = 0
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and regrown < 2:
-            pool._ensure_running()
-            regrown = pool.stats()["workers"]
-            if regrown < 2:
-                time.sleep(0.05)
-        assert regrown == 2
+        # Demand lazily re-grows the pool to its target size.
+        pool._ensure_running()
+        assert pool.stats()["workers"] == 2
         again = run_points(_points(rates=(0.10,), seeds=(1, 2)),
                            processes=2, pool=pool)
         assert all(o.status == "ok" for o in again)
+    finally:
+        pool.close()
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads /proc (Linux)")
+def test_reaped_worker_is_joined_not_left_a_zombie():
+    pool = WorkerPool(2, idle_timeout_s=0.2)
+    try:
+        run_points(_points(rates=(0.05,), seeds=(1, 2)), processes=2,
+                   pool=pool)
+        pids = [worker.process.pid for worker in pool._workers]
+        _drive(pool, 10.0, until=lambda: pool.stats()["workers"] <= 1)
+        survivor = pool._workers[0].process.pid
+        (reaped,) = [pid for pid in pids if pid != survivor]
+        assert not os.path.exists(f"/proc/{reaped}")
     finally:
         pool.close()

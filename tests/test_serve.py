@@ -899,3 +899,87 @@ class TestCancellation:
         events = list(client.stream(queued["id"]))
         assert events[-1]["type"] == "done"
         assert events[-1]["status"] == "cancelled"
+
+
+# --- every job body runs in a pool worker ------------------------------------
+
+def big_estimate_payload(**options):
+    """An estimate that takes seconds (VC16 at 32x32): long enough to
+    time out or be cancelled while it runs."""
+    payload = {"kind": "estimate",
+               "spec": {"config": {"preset": "VC16",
+                                   "overrides": {"width": 32,
+                                                 "height": 32}},
+                        "traffic": "uniform", "rate": 0.01}}
+    if options:
+        payload["options"] = options
+    return payload
+
+
+def assert_small_estimate_matches_library(client):
+    from repro.analytic import estimate
+    from repro.core.presets import preset
+
+    final = client.submit_and_wait(estimate_payload(0.041), timeout=30)
+    assert final["status"] == "done"
+    expected = estimate(preset("VC16"), "uniform", 0.041).summary_dict()
+    assert final["result"]["estimate"] == expected
+
+
+class TestJobsRunInPoolWorkers:
+    def test_no_serve_or_dispatcher_threads(self, start_server):
+        server = start_server()
+        client = server.client
+        for payload in (run_payload(0.03, label="threads"),
+                        experiment_payload([0.02, 0.03]),
+                        estimate_payload(0.05)):
+            final = client.submit_and_wait(payload, timeout=120)
+            assert final["status"] == "done", final
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names
+                    if name.startswith("repro-serve")
+                    or name == "repro-pool-dispatcher"], names
+
+    def test_estimate_obeys_point_timeout(self, start_server):
+        client = start_server(workers=1).client
+        start = time.monotonic()
+        accepted = client.submit(big_estimate_payload(point_timeout=0.5))
+        final = client.wait(accepted["id"], timeout=5,
+                            poll_interval=0.05)
+        assert time.monotonic() - start < 5
+        assert final["status"] == "failed"
+        assert "TimeoutError" in final["error"]
+        assert_small_estimate_matches_library(client)
+
+    def test_running_estimate_cancels(self, start_server):
+        client = start_server(workers=1).client
+        start = time.monotonic()
+        accepted = client.submit(big_estimate_payload())
+        assert wait_until_running(client, accepted["id"]) == "running"
+        time.sleep(0.3)
+        assert client.cancel(accepted["id"])["status"] in (
+            "cancelling", "cancelled")
+        final = client.wait(accepted["id"], timeout=5, poll_interval=0.05)
+        assert time.monotonic() - start < 5
+        assert final["status"] == "cancelled"
+        assert client.metrics()["pool_cancelled_batches"] == 1
+        assert_small_estimate_matches_library(client)
+
+    def test_loop_reaps_idle_workers_and_regrows(self, start_server):
+        client = start_server(pool_idle_timeout=0.3).client
+        final = client.submit_and_wait(run_payload(0.03, label="reap"),
+                                       timeout=120)
+        assert final["status"] == "done"
+        deadline = time.monotonic() + 10
+        while client.metrics()["pool_workers"] > 1 \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        metrics = client.metrics()
+        assert metrics["pool_workers"] == 1
+        assert metrics["pool_reaped"] >= 1
+        # The regrown workers' pipes are watched by the loop again.
+        payload = experiment_payload([0.021, 0.023])
+        payload["options"] = {"processes": 2}
+        final = client.submit_and_wait(payload, timeout=120)
+        assert final["status"] == "done"
+        assert client.metrics()["pool_workers"] == 2
