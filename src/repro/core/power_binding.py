@@ -197,7 +197,7 @@ class PowerBinding(NullBinding, RouterPowerModels):
         previous = last[site]
         last[site] = payload
         if previous is not None:
-            s = bin(previous ^ payload).count("1")
+            s = (previous ^ payload).bit_count()
             if fold and s + s > fold:
                 s = fold - s
             observed[node] += 1

@@ -31,14 +31,14 @@ def hamming_distance(a: int, b: int) -> int:
     """Number of differing bits between two non-negative integers."""
     if a < 0 or b < 0:
         raise ValueError("hamming_distance operands must be non-negative")
-    return bin(a ^ b).count("1")
+    return (a ^ b).bit_count()
 
 
 def popcount(value: int) -> int:
     """Number of set bits in a non-negative integer."""
     if value < 0:
         raise ValueError("popcount operand must be non-negative")
-    return bin(value).count("1")
+    return value.bit_count()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) on power-model invariants."""
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from repro.power import (
     OnChipLinkPower,
     expected_switches,
     hamming_distance,
+    popcount,
 )
 from repro.tech import Technology
 
@@ -60,6 +63,78 @@ class TestHamming:
         a = data.draw(st.integers(min_value=0, max_value=2**width - 1))
         b = data.draw(st.integers(min_value=0, max_value=2**width - 1))
         assert 0 <= expected_switches(width, a, b) <= width
+
+
+def _reference_popcount(value):
+    """Set bits counted one at a time by shift and mask: a reference
+    independent of the library's popcount primitive."""
+    count = 0
+    while value:
+        count += value & 1
+        value >>= 1
+    return count
+
+
+#: One bit, the paper presets' 256-bit flit, and two wider words.
+REFERENCE_WIDTHS = st.sampled_from([1, 256, 1024, 4096])
+
+
+class TestPopcountReference:
+    @given(REFERENCE_WIDTHS, st.data())
+    def test_popcount_matches_bit_loop(self, width, data):
+        value = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        assert popcount(value) == _reference_popcount(value)
+
+    @given(REFERENCE_WIDTHS, st.data())
+    def test_hamming_matches_bit_loop(self, width, data):
+        a = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        b = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        assert hamming_distance(a, b) == _reference_popcount(a ^ b)
+
+    @given(st.integers(max_value=-1), st.integers(min_value=0))
+    def test_negative_operands_raise(self, negative, value):
+        with pytest.raises(ValueError):
+            popcount(negative)
+        with pytest.raises(ValueError):
+            hamming_distance(negative, value)
+        with pytest.raises(ValueError):
+            hamming_distance(value, negative)
+
+    @pytest.mark.parametrize("encoding", ["none", "bus_invert"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_binding_sums_reference_distances(self, seed, encoding):
+        """Random 256-bit payloads at one link site and one buffer site:
+        the binding's integer switching sums equal the summed reference
+        distances, folded to ``min(d, 256 - d)`` on a bus-invert link
+        only."""
+        width = 256
+        rng = random.Random(seed)
+        # Distances 128, 129, 127 and 256 first: both sides of the fold.
+        payloads = [0]
+        for flips in (2**128 - 1, 2**129 - 1, 2**127 - 1, 2**width - 1):
+            payloads.append(payloads[-1] ^ flips)
+        payloads += [rng.getrandbits(width) for _ in range(200)]
+        cfg = small_config("vc", flit_bits=width).with_(
+            activity_mode="data",
+            link=LinkConfig(kind="on_chip", length_mm=1.0,
+                            encoding=encoding))
+        binding = PowerBinding(cfg, EnergyAccountant(cfg.num_nodes))
+        node, port = 5, 2
+        for payload in payloads:
+            binding.link_traversal(node, port, payload)
+            binding.buffer_write(node, port, payload)
+        distances = [_reference_popcount(a ^ b)
+                     for a, b in zip(payloads, payloads[1:])]
+        folded = [min(d, width - d) for d in distances] \
+            if encoding == "bus_invert" else distances
+        # Per event: (last payloads, observed per node, switched per
+        # node, fold width).
+        _, observed, switched, _ = binding._sites[ev.LINK_TRAVERSAL]
+        assert observed[node] == len(distances)
+        assert switched[node] == sum(folded)
+        _, observed, switched, _ = binding._sites[ev.BUFFER_WRITE]
+        assert observed[node] == len(distances)
+        assert switched[node] == sum(distances)
 
 
 class TestBufferProperties:

@@ -313,6 +313,19 @@ def wait_until_running(client, job_id, timeout=30.0):
     raise AssertionError(f"job {job_id} never started")
 
 
+def big_estimate_payload(**options):
+    """An estimate that takes seconds (VC16 at 32x32): long enough to
+    time out or be cancelled while it runs."""
+    payload = {"kind": "estimate",
+               "spec": {"config": {"preset": "VC16",
+                                   "overrides": {"width": 32,
+                                                 "height": 32}},
+                        "traffic": "uniform", "rate": 0.01}}
+    if options:
+        payload["options"] = options
+    return payload
+
+
 class TestServerBasics:
     def test_health_and_estimate_round_trip(self, start_server):
         server = start_server()
@@ -394,8 +407,10 @@ class TestDedupAndBackpressure:
     def test_queue_full_gets_429_with_retry_after(self, start_server):
         server = start_server(workers=1, queue_limit=1)
         client = server.client
-        blocker = client.submit(run_payload(0.02, label="blocker"))
-        wait_until_running(client, blocker["id"])
+        # A blocker that takes seconds: it cannot finish before the two
+        # follow-up submissions arrive.
+        blocker = client.submit(big_estimate_payload())
+        assert wait_until_running(client, blocker["id"]) == "running"
         queued = client.submit(run_payload(0.03, label="queued"))
         assert queued["status"] == "queued"
         with pytest.raises(ServeError) as excinfo:
@@ -403,7 +418,8 @@ class TestDedupAndBackpressure:
         assert excinfo.value.status == 429
         assert excinfo.value.retry_after >= 1
         assert client.metrics()["rejected_queue_full"] == 1
-        # Both surviving jobs still finish.
+        assert client.cancel(blocker["id"])["status"] == "cancelled"
+        # The queued job still runs and finishes.
         assert client.wait(queued["id"], timeout=120)["status"] == "done"
 
 
@@ -902,19 +918,6 @@ class TestCancellation:
 
 
 # --- every job body runs in a pool worker ------------------------------------
-
-def big_estimate_payload(**options):
-    """An estimate that takes seconds (VC16 at 32x32): long enough to
-    time out or be cancelled while it runs."""
-    payload = {"kind": "estimate",
-               "spec": {"config": {"preset": "VC16",
-                                   "overrides": {"width": 32,
-                                                 "height": 32}},
-                        "traffic": "uniform", "rate": 0.01}}
-    if options:
-        payload["options"] = options
-    return payload
-
 
 def assert_small_estimate_matches_library(client):
     from repro.analytic import estimate
