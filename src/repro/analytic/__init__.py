@@ -13,7 +13,11 @@ that power and saturation predictions track simulated values within
 stated tolerances.
 """
 
-from repro.analytic.estimate import AnalyticEstimate, estimate
+from repro.analytic.estimate import (
+    AnalyticEstimate,
+    estimate,
+    estimate_saturation,
+)
 from repro.analytic.flows import (
     FlowMatrix,
     flow_matrix,
@@ -34,7 +38,7 @@ from repro.analytic.power import (
     estimate_power,
     router_event_rates,
 )
-from repro.analytic.saturation import SaturationEstimate, estimate_saturation
+from repro.analytic.saturation import SaturationEstimate
 
 __all__ = [
     "AnalyticEstimate",

@@ -77,7 +77,8 @@ class FlowMatrix:
 
     def scaled(self, factor: float) -> "FlowMatrix":
         """The same flow geometry at ``factor`` times the rate (loads are
-        linear in the injection rate)."""
+        linear in the injection rate).  At zero nothing flows, so the
+        mean hop count is zero, as :func:`flow_matrix` gives at rate 0."""
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
         return FlowMatrix(
@@ -88,7 +89,7 @@ class FlowMatrix:
             source_load=[load * factor for load in self.source_load],
             router_flits=[f * factor for f in self.router_flits],
             router_packets=[p * factor for p in self.router_packets],
-            avg_hops=self.avg_hops,
+            avg_hops=self.avg_hops if factor > 0 else 0.0,
         )
 
 
@@ -207,7 +208,11 @@ FLOW_BUILDERS: Dict[str, FlowBuilder] = {
 
 
 def register_flow_builder(name: str, builder: FlowBuilder) -> None:
-    """Declare the analytic flow distribution of a traffic kind."""
+    """Declare the analytic flow distribution of a traffic kind.
+
+    A builder's flows must be linear in the rate: the estimator routes
+    them once at unit rate and scales that matrix to every queried rate
+    and to the saturation search."""
     FLOW_BUILDERS[name] = builder
 
 

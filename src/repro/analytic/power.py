@@ -34,7 +34,7 @@ closed-form twin of ``finalize``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from repro.core import events as ev
 from repro.core.power_models import RouterPowerModels
@@ -103,17 +103,51 @@ class PowerEstimate:
     event_rates: Dict[str, float] = field(default_factory=dict)
 
 
+class ConstantPower(NamedTuple):
+    """Traffic-insensitive watts of one config, network-wide per
+    component and spread over nodes."""
+
+    breakdown_w: Dict[str, float]
+    node_w: List[float]
+
+
+def constant_power(models: RouterPowerModels) -> ConstantPower:
+    """Idle-link, leakage and clock power, spread over nodes the way
+    ``finalize()`` charges it: idle links by out-degree, the rest
+    evenly."""
+    topo = topology_for(models.config)
+    num_nodes = topo.num_nodes
+    out_degree = [sum(topo.neighbor(n, p) is not None for p in range(4))
+                  for n in range(num_nodes)]
+    breakdown = models.constant_power_w(out_degree)
+    total_degree = sum(out_degree)
+    node_w = [0.0] * num_nodes
+    for component, watts in breakdown.items():
+        if component == ev.LINK and total_degree:
+            for node in range(num_nodes):
+                node_w[node] += watts * out_degree[node] / total_degree
+        else:
+            for node in range(num_nodes):
+                node_w[node] += watts / num_nodes
+    return ConstantPower(breakdown, node_w)
+
+
 def estimate_power(flows: FlowMatrix,
-                   models: RouterPowerModels = None) -> PowerEstimate:
+                   models: RouterPowerModels = None,
+                   constant: ConstantPower = None) -> PowerEstimate:
     """Expected average power of one operating point.
 
-    Valid below saturation: the flow matrix assumes offered load equals
-    delivered load, which holds while every channel's utilisation stays
-    under one flit/cycle.
+    ``models`` and ``constant`` depend on the config only; pass them to
+    price many rates of one config without rebuilding them.  Valid below
+    saturation: the flow matrix assumes offered load equals delivered
+    load, which holds while every channel's utilisation stays under one
+    flit/cycle.
     """
     config = flows.config
     if models is None:
         models = RouterPowerModels(config)
+    if constant is None:
+        constant = constant_power(models)
     energies = models.event_energies()
     freq = models.tech.frequency_hz
     kind = config.router.kind
@@ -123,7 +157,7 @@ def estimate_power(flows: FlowMatrix,
     node_link_flits = [0.0] * num_nodes
     for (node, _port), load in flows.channel_load.items():
         node_link_flits[node] += load
-    node_w = [0.0] * num_nodes
+    node_w = list(constant.node_w)
     breakdown: Dict[str, float] = dict.fromkeys(ev.COMPONENTS, 0.0)
     total_rates: Dict[str, float] = {}
     for node in range(num_nodes):
@@ -137,22 +171,8 @@ def estimate_power(flows: FlowMatrix,
             node_w[node] += watts
             breakdown[_EVENT_COMPONENT[event]] += watts
             total_rates[event] = total_rates.get(event, 0.0) + rate
-
-    # Traffic-insensitive power, spread back over nodes the way
-    # finalize() charges it: idle links by out-degree, the rest evenly.
-    degrees = [topology_for(config).neighbor(n, p) is not None
-               for n in range(num_nodes) for p in range(4)]
-    out_degree = [sum(degrees[n * 4:(n + 1) * 4]) for n in range(num_nodes)]
-    constant = models.constant_power_w(out_degree)
-    total_degree = sum(out_degree)
-    for component, watts in constant.items():
+    for component, watts in constant.breakdown_w.items():
         breakdown[component] = breakdown.get(component, 0.0) + watts
-        if component == ev.LINK and total_degree:
-            for node in range(num_nodes):
-                node_w[node] += watts * out_degree[node] / total_degree
-        else:
-            for node in range(num_nodes):
-                node_w[node] += watts / num_nodes
 
     breakdown = {c: w for c, w in breakdown.items() if w > 0.0}
     return PowerEstimate(

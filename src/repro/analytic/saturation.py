@@ -10,7 +10,7 @@ M/M/1 latency ``T(r)`` is monotonically increasing in ``r``, and the
 saturation rate is the unique solution of ``T(r) = 2 * T(0)`` on
 ``(0, r_cap)`` — where ``r_cap`` is the throughput bound at which the
 most-loaded channel reaches one flit per cycle and ``T`` diverges.
-Bisection converges to machine precision in ~50 iterations of pure
+Bisection to ``TOLERANCE`` of the bound takes ~20 iterations of pure
 arithmetic, no simulation anywhere.
 """
 
@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.config import NetworkConfig
-from repro.analytic.flows import FlowMatrix, flow_matrix
+from repro.analytic.flows import FlowMatrix
 from repro.analytic.latency import queueing_delay, zero_load_latency
+
+#: Bisection stops when the bracket is this fraction of the throughput
+#: bound.
+TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,26 +42,11 @@ class SaturationEstimate:
     throughput_bound: float
 
 
-def saturation_latency_at(base: FlowMatrix, rate: float) -> float:
-    """Mean latency (cycles) at ``rate``, from a unit-rate flow matrix."""
+def solve_saturation(base: FlowMatrix) -> SaturationEstimate:
+    """Bisect ``T(r) = 2 * T(0)`` between zero and the throughput bound
+    of a *unit-rate* flow matrix.  Callers go through the memoised
+    :func:`~repro.analytic.estimate.estimate_saturation`."""
     t0 = zero_load_latency(base.config, base.avg_hops)
-    return t0 + queueing_delay(base.scaled(rate))
-
-
-def estimate_saturation(config: NetworkConfig, traffic: str = "uniform",
-                        tolerance: float = 1e-6,
-                        base: FlowMatrix = None,
-                        **params) -> SaturationEstimate:
-    """Predict the saturation injection rate of a traffic kind.
-
-    Builds one flow matrix at unit rate (or reuses ``base``, a
-    unit-rate matrix from an earlier call — loads are linear in rate,
-    so one routing pass serves every rate), then bisects
-    ``T(r) = 2 * T(0)`` between zero and the throughput bound.
-    """
-    if base is None:
-        base = flow_matrix(config, traffic, 1.0, **params)
-    t0 = zero_load_latency(config, base.avg_hops)
     peak = base.max_channel_load
     if peak <= 0.0:
         return SaturationEstimate(rate=math.inf, zero_load_latency=t0,
@@ -66,7 +54,7 @@ def estimate_saturation(config: NetworkConfig, traffic: str = "uniform",
     r_cap = 1.0 / peak
     target = 2.0 * t0
     lo, hi = 0.0, r_cap
-    while hi - lo > tolerance * r_cap:
+    while hi - lo > TOLERANCE * r_cap:
         mid = 0.5 * (lo + hi)
         if t0 + queueing_delay(base.scaled(mid)) < target:
             lo = mid

@@ -4,8 +4,8 @@ This is the library's main entry point.  An :class:`Orion` instance wraps
 one :class:`NetworkConfig`; its methods cover the paper's three usage
 categories (Figure 3):
 
-1. trade off configurations — :meth:`run` / :meth:`sweep` two configs and
-   compare latency and power;
+1. trade off configurations — :meth:`run` / :meth:`sweep_traffic` two
+   configs and compare latency and power;
 2. explore workloads — pass different traffic patterns to the same
    config;
 3. evaluate new microarchitectures — define a new ``RouterConfig`` kind
@@ -22,12 +22,12 @@ served from an on-disk result cache.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.config import NetworkConfig, RunProtocol
 from repro.core.power_binding import PowerBinding
 from repro.core.events import EnergyAccountant
-from repro.core.report import SweepPoint, SweepResult
+from repro.core.report import SweepResult
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.traffic import TrafficPattern, make_traffic
 
@@ -142,34 +142,6 @@ class Orion:
                               on_error=on_error,
                               point_timeout=point_timeout, retries=retries)
         return outcomes_to_sweep(outcomes, label=label)
-
-    def sweep(self, rates: Sequence[float],
-              traffic_factory: Callable[[float], TrafficPattern],
-              protocol: Optional[RunProtocol] = None, *,
-              label: Optional[str] = None,
-              keep_results: bool = False) -> SweepResult:
-        """Run one simulation per rate and collect the curve.
-
-        The factory form supports unregistered/trace patterns; it is
-        inherently serial (factories need not be picklable).  Prefer
-        :meth:`sweep_traffic` for registered kinds.
-        """
-        if not rates:
-            raise ValueError("sweep needs at least one rate")
-        sweep = SweepResult(label=label or self.config.router.kind)
-        for rate in rates:
-            result = self.run(traffic_factory(rate), protocol)
-            sweep.points.append(SweepPoint(
-                rate=rate,
-                avg_latency=result.avg_latency,
-                total_power_w=result.total_power_w,
-                throughput_flits_per_cycle=(
-                    result.throughput_flits_per_cycle),
-                breakdown_w=result.power_breakdown_w(),
-                result=result if keep_results else None,
-                status=result.status,
-            ))
-        return sweep
 
     # --- analytic estimation ------------------------------------------------------
 

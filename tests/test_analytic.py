@@ -6,14 +6,18 @@ power / saturation predictions must land within stated tolerances of
 simulated values on the paper's Figure 5 configuration.
 """
 
+import importlib
 import math
+import sys
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import RunProtocol
 from repro.core.orion import Orion
-from repro.core.presets import preset
+from repro.core.presets import PRESETS, preset
 from repro.analytic import (
     AnalyticEstimate,
     ZERO_LOAD_PIPELINE_DEPTH,
@@ -318,3 +322,144 @@ class TestGuidedGrid:
         assert len(guided.grid.rates) < len(dense_rates)
         step = max(0.02, guided.grid.dense_step)
         assert abs(guided_sat - dense_sat) <= step + 1e-9
+
+
+# --- the per-structure record ---------------------------------------------
+
+estimate_module = importlib.import_module("repro.analytic.estimate")
+
+SATURATION_RATES = (0.0, 0.003, 0.01, 0.037, 0.05, 0.11, 0.2, 0.9)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """A private, empty structure memo; ``clear()`` it to go cold."""
+    memo = {}
+    monkeypatch.setattr(estimate_module, "_structures", memo)
+    return memo
+
+
+class TestStructureRecord:
+    """An estimate looks up one rate-independent record per (config,
+    traffic, params) and scales it: its answers must not depend on what
+    the process estimated before."""
+
+    @pytest.mark.parametrize("traffic",
+                             ["uniform", "transpose", "bitcomp", "tornado"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_saturation_is_one_number_per_structure(self, cold_memo, name,
+                                                    traffic):
+        config = preset(name)
+        reference = estimate_saturation(config, traffic)
+        assert Orion(config).estimate_saturation(traffic) == reference
+        for rate in SATURATION_RATES:
+            assert estimate(config, traffic, rate).saturation == reference
+            # Cold, the rate's own estimate must find the same point.
+            cold_memo.clear()
+            assert estimate(config, traffic, rate).saturation == reference
+
+    def test_warm_answers_equal_cold_answers(self, cold_memo):
+        calls = [(name, traffic, rate, params)
+                 for name in ("VC16", "CB", "WH64")
+                 for traffic, params in (("uniform", {}),
+                                         ("hotspot", {"hotspot": 5}),
+                                         ("bursty", {}))
+                 for rate in (0.0, 0.02, 0.07, 0.3)]
+        warm = [estimate(preset(n), t, r, **p) for n, t, r, p in calls]
+        for (name, traffic, rate, params), answer in zip(calls, warm):
+            cold_memo.clear()
+            assert estimate(preset(name), traffic, rate, **params) == answer
+
+    def test_equal_config_spellings_key_apart(self, cold_memo):
+        """``vdd=1`` and ``vdd=1.0`` compare equal but are keyed on
+        their text, so neither spelling's record answers for the
+        other; both price identically anyway."""
+        base = preset("VC16")
+        as_int = base.with_(tech=replace(base.tech, vdd=1))
+        as_float = base.with_(tech=replace(base.tech, vdd=1.0))
+        assert as_int == as_float
+        warm = [estimate(c, "uniform", 0.05) for c in (as_int, as_float)]
+        assert len(cold_memo) == 2
+        assert warm[0] == warm[1]
+        for config, answer in zip((as_float, as_int), reversed(warm)):
+            cold_memo.clear()
+            assert estimate(config, "uniform", 0.05) == answer
+
+    def test_concurrent_callers_get_cold_answers(self, cold_memo,
+                                                 monkeypatch):
+        """Threads racing on a memo that keeps clearing itself still get
+        the answer a cold process gives."""
+        monkeypatch.setattr(estimate_module, "STRUCTURE_MEMO_SIZE", 3)
+        calls = [(preset(name), traffic, rate)
+                 for name in ("VC16", "WH64", "CB")
+                 for traffic in ("uniform", "tornado")
+                 for rate in (0.01, 0.06)]
+        expected = []
+        for call in calls:
+            cold_memo.clear()
+            expected.append(estimate(*call))
+        mismatches = []
+
+        def worker(offset):
+            for i in range(4 * len(calls)):
+                k = (i + offset) % len(calls)
+                if estimate(*calls[k]) != expected[k]:
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_resolved_params_share_a_record(self, cold_memo):
+        estimate(preset("VC16"), "bursty", 0.05)
+        estimate(preset("VC16"), "bursty", 0.05, burst_length=10.0)
+        assert len(cold_memo) == 1
+
+    def test_memo_is_bounded(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(estimate_module, "STRUCTURE_MEMO_SIZE", 4)
+        answers = []
+        for width in range(3, 13):
+            config = preset("VC16").with_(width=width)
+            answers.append((config, estimate(config, "uniform", 0.02)))
+            assert len(cold_memo) <= 4
+        for config, answer in answers:
+            assert estimate(config, "uniform", 0.02) == answer
+
+    def test_reregistered_builder_is_not_served_stale(self, monkeypatch):
+        from repro.analytic.flows import FLOW_BUILDERS
+        config = preset("VC16")
+        tornado = estimate(config, "tornado", 0.05)
+        uniform = estimate(config, "uniform", 0.05)
+        monkeypatch.setitem(FLOW_BUILDERS, "tornado",
+                            FLOW_BUILDERS["uniform"])
+        swapped = estimate(config, "tornado", 0.05)
+        assert swapped.total_power_w == uniform.total_power_w
+        assert swapped.total_power_w != tornado.total_power_w
+        monkeypatch.undo()
+        assert estimate(config, "tornado", 0.05) == tornado
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            estimate(preset("VC16"), "uniform", -0.01)
+
+    def test_repeat_estimates_of_a_structure_are_cheap(self, cold_memo):
+        """A repeat pays for arithmetic only; a 16x16 mesh's first
+        estimate routes 65,280 flows, its next rates route none."""
+        config = preset("VC16").with_(topology="mesh", width=16, height=16)
+        first = time.perf_counter()
+        estimate(config, "uniform", 0.02)
+        first = time.perf_counter() - first
+        repeat = time.perf_counter()
+        estimate(config, "uniform", 0.021)
+        repeat = time.perf_counter() - repeat
+        assert repeat < 0.25 * first, (first, repeat)
