@@ -36,7 +36,6 @@ from typing import Dict, Optional
 
 from repro.core.config import NetworkConfig
 from repro.sim.stats import zero_load_latency_estimate
-from repro.sim.topology import topology_for
 from repro.analytic.flows import FlowMatrix, flow_matrix
 
 #: Cycles a head flit spends inside one router at zero load, per router
@@ -134,14 +133,3 @@ def estimate_latency(flows: FlowMatrix) -> LatencyEstimate:
         queueing=queueing_delay(flows),
         max_channel_load=flows.max_channel_load,
     )
-
-
-def diameter_latency(config: NetworkConfig) -> float:
-    """Zero-load latency across the topology's longest minimal route —
-    a quick upper bound on no-contention latency."""
-    topo = topology_for(config)
-    longest = max(
-        topo.manhattan_distance(0, node)
-        for node in range(topo.num_nodes)
-    )
-    return zero_load_latency(config, longest)

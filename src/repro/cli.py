@@ -615,11 +615,12 @@ def cmd_submit(args) -> int:
     if args.no_wait:
         return 0
     if args.stream:
-        for event in client.stream(job_id):
-            print(json.dumps(event, sort_keys=True), flush=True)
-        state = client.status(job_id)
-    else:
-        state = client.wait(job_id, timeout=args.timeout)
+        try:
+            for event in client.stream(job_id):
+                print(json.dumps(event, sort_keys=True), flush=True)
+        except ServeError as exc:  # e.g. its shard died mid-stream
+            print(f"warning: {exc}; polling instead", file=sys.stderr)
+    state = client.wait(job_id, timeout=args.timeout)
     print(f"job {job_id} {state['status']} "
           f"in {state.get('wall_seconds') or 0.0:.2f}s")
     _print_job_result(state)

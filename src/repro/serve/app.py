@@ -49,9 +49,11 @@ from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exp.orchestrator import PointLedger, RunCancelled
 from repro.exp.pool import Batch, WorkerPool
 from repro.serve.http import (
+    LAST_CHUNK,
     HttpService,
     Reply,
     _json_safe,
+    chunk,
     error_body,
     job_not_found,
     stream_head,
@@ -339,6 +341,8 @@ class ServeApp(HttpService):
         """Terminal bookkeeping for every way a job ends."""
         self._inflight.pop(job.id, None)
         job.status, job.result, job.error = status, result, error
+        # Only the status reply is left to serve for up to job_ttl.
+        job.payload, job.points, job.estimate = None, [], None
         self.metrics.inc({"done": "completed", "failed": "failed",
                           "cancelled": "cancelled_jobs"}[status])
         job.finished_at = time.time()
@@ -492,14 +496,19 @@ class ServeApp(HttpService):
         sent = 0
         while True:
             sent = max(sent, job.events_base)
+            lines = []
             while sent - job.events_base < len(job.events):
-                line = json.dumps(
+                lines.append(json.dumps(
                     _json_safe(job.events[sent - job.events_base]),
-                    sort_keys=True) + "\n"
-                writer.write(line.encode())
+                    sort_keys=True) + "\n")
                 sent += 1
+            if lines:
+                writer.write(chunk("".join(lines).encode()))
+            done = job.terminal  # "done" was its last event: all sent
+            if done:
+                writer.write(LAST_CHUNK)
             await writer.drain()
-            if job.terminal and sent - job.events_base >= len(job.events):
+            if done:
                 return None
             await self._wait_event()
 

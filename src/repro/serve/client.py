@@ -6,18 +6,23 @@ query: submit a job payload, poll or stream it, cancel it, get the
 result dict back.  Speaks the native ``/v2/`` API — uniform error
 envelopes become the typed exceptions :class:`JobRejected`,
 :class:`JobNotFound` and :class:`ShardUnavailable` (all subclasses of
-:class:`ServeError`, so existing broad handlers keep working).  One
-``http.client`` connection per request — the server closes connections
-after each response, which keeps both sides trivial.
+:class:`ServeError`, so existing broad handlers keep working).
+
+Connections persist (HTTP/1.1 keep-alive): each thread keeps one
+``http.client`` connection for all its requests, event streams
+included, until :meth:`ServeClient.close`.  A reused connection that
+fails before any response byte (the server closed it while idle) is
+replaced once; a fresh one is never retried.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 DEFAULT_BASE_URL = "http://127.0.0.1:8421"
 
@@ -99,43 +104,77 @@ class ServeClient:
         self.host, _, port = netloc.partition(":")
         self.port = int(port) if port else 8421
         self.timeout = timeout
+        self._local = threading.local()
 
-    def _connect(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request
+        opens a new one)."""
+        conn, self._local.conn = getattr(self._local, "conn", None), None
+        if conn is not None:
+            conn.close()
+
+    def _unreachable(self, exc: Exception) -> ServeError:
+        return ServeError(f"server {self.host}:{self.port} unreachable: "
+                          f"{exc}")
+
+    def _open(self, method: str, path: str,
+              body: Optional[Dict[str, Any]] = None
+              ) -> Tuple[http.client.HTTPConnection,
+                         http.client.HTTPResponse]:
+        """Send one request on this thread's connection (out of its
+        slot until :meth:`_release`); returns it and the response."""
+        conn, self._local.conn = getattr(self._local, "conn", None), None
+        reused = conn is not None and conn.sock is not None
+        payload = None if body is None else json.dumps(body).encode()
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        while True:
+            conn = conn or http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                return conn, conn.getresponse()
+            except (http.client.RemoteDisconnected, BrokenPipeError,
+                    ConnectionResetError) as exc:
+                conn.close()
+                if not reused:
+                    raise self._unreachable(exc) from None
+                conn, reused = None, False  # closed while idle: once more
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise self._unreachable(exc) from None
+
+    def _release(self, conn: http.client.HTTPConnection) -> None:
+        """Put a connection whose response was read in full back in
+        this thread's slot."""
+        self.close()
+        self._local.conn = conn
+
+    def _reply(self, conn: http.client.HTTPConnection,
+               response: http.client.HTTPResponse) -> Dict[str, Any]:
+        """Read a whole JSON (or plain-text) response, give the
+        connection back, and raise the typed exception for a non-2xx
+        one."""
+        try:
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise self._unreachable(exc) from None
+        self._release(conn)
+        try:
+            out = json.loads(data) if data else {}
+        except ValueError:
+            out = {"error": data.decode(errors="replace")}
+        if response.status >= 400:
+            retry_after = response.headers.get("Retry-After")
+            message, code, retryable = _parse_error(out, response.status)
+            raise _classify(message, response.status,
+                            float(retry_after) if retry_after else None,
+                            code, retryable)
+        return out
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        conn = self._connect()
-        try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServeError(
-                    f"server {self.host}:{self.port} unreachable: "
-                    f"{exc}") from None
-            try:
-                out = json.loads(data) if data else {}
-            except ValueError:
-                out = {"error": data.decode(errors="replace")}
-            if response.status >= 400:
-                retry_after = response.headers.get("Retry-After")
-                message, code, retryable = _parse_error(
-                    out, response.status)
-                raise _classify(
-                    message, response.status,
-                    float(retry_after) if retry_after else None,
-                    code, retryable)
-            return out
-        finally:
-            conn.close()
+        return self._reply(*self._open(method, path, body))
 
     # --- core calls ---------------------------------------------------------
 
@@ -211,29 +250,28 @@ class ServeClient:
 
     def stream(self, job_id: str) -> Iterator[Dict[str, Any]]:
         """Yield the job's NDJSON progress events live, ending after
-        the terminal ``{"type": "done"}`` event."""
-        conn = self._connect()
+        the terminal ``{"type": "done"}`` event.  Raises
+        :class:`ServeError` if the stream breaks off before that (a
+        gateway whose shard died mid-stream); the next request then
+        goes down a new connection."""
+        conn, response = self._open("GET", f"/v2/jobs/{job_id}/events")
+        if response.status >= 400:
+            self._reply(conn, response)  # raises the typed error
+        done = False
         try:
-            try:
-                conn.request("GET", f"/v2/jobs/{job_id}/events")
-                response = conn.getresponse()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServeError(
-                    f"server {self.host}:{self.port} unreachable: "
-                    f"{exc}") from None
-            if response.status >= 400:
-                data = response.read()
-                try:
-                    out = json.loads(data)
-                except ValueError:
-                    out = {"error": data.decode(errors="replace")}
-                message, code, retryable = _parse_error(
-                    out, response.status)
-                raise _classify(message, response.status, None,
-                                code, retryable)
             for line in response:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+                if line.strip():
+                    event = json.loads(line)
+                    done = event.get("type") == "done"
+                    yield event
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServeError(f"event stream of job {job_id} broke off: "
+                             f"{exc}") from None
         finally:
-            conn.close()
+            if done and response.isclosed():
+                self._release(conn)
+            else:
+                conn.close()  # cut short: never reuse a half-read socket
+        if not done:
+            raise ServeError(f"event stream of job {job_id} ended before "
+                             f"its done event")

@@ -1,7 +1,7 @@
 """The one HTTP/1.1 core under ``repro serve`` and the shard gateway.
 
 A deliberately small implementation (request line, headers,
-Content-Length body, ``Connection: close``) so the whole service stays
+Content-Length body, chunked event streams) so the whole service stays
 stdlib-only.  :class:`HttpService` owns everything the single server
 and the gateway have in common — the request reader, the fixed route
 table, JSON/NDJSON response heads, the batch tally and the
@@ -28,8 +28,15 @@ negative ``Content-Length`` or an over-long header line is a 400, a
 body above :data:`MAX_BODY_BYTES` is a 413 sent without reading it, and
 anything a handler fails to catch is a logged 500.
 
-:func:`request` is the client half (one round-trip to a backend), used
-by the gateway for both JSON calls and stream proxying.
+Connections persist (HTTP/1.1 keep-alive; an event stream ends with
+the zero-length chunk).  The server closes one after an HTTP/1.0 or
+``Connection: close`` request, a non-2xx reply or a stream its backend
+cut short, on drain (idle ones at once) and after :data:`IO_TIMEOUT`
+idle; only a JSON reply that closes says ``Connection: close``.
+
+:func:`request` is the client half (one ``Connection: close`` round
+trip to a backend), used by the gateway for both JSON calls and stream
+proxying.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ import logging
 import math
 import signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 logger = logging.getLogger("repro.serve.http")
 
-#: Seconds a peer gets to deliver each line of a request head.
+#: Seconds a peer gets to deliver each line of a request head (and an
+#: idle keep-alive connection to start its next request).
 IO_TIMEOUT = 30.0
 
 #: Largest request body accepted; job payloads are a few KiB.
@@ -101,10 +109,20 @@ def _json_safe(obj):
     return obj
 
 
-def _head(first: str, headers: Dict[str, str]) -> bytes:
-    lines = [first, *(f"{name}: {value}" for name, value in headers.items()),
-             "Connection: close"]
+def _head(first: str, headers: Dict[str, str], close: bool = False) -> bytes:
+    lines = [first, *(f"{name}: {value}" for name, value in headers.items())]
+    if close:
+        lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode()
+
+
+#: The zero-length chunk that ends a chunked body.
+LAST_CHUNK = b"0\r\n\r\n"
+
+
+def chunk(data: bytes) -> bytes:
+    """``data`` framed as one chunk of a chunked body."""
+    return b"%x\r\n%s\r\n" % (len(data), data)
 
 
 async def read_head(reader: asyncio.StreamReader,
@@ -136,10 +154,12 @@ def body_length(headers: Dict[str, str]) -> int:
 
 def stream_head(writer: asyncio.StreamWriter,
                 extra_headers: Optional[Dict[str, str]] = None) -> None:
-    """Start a 200 NDJSON stream response."""
+    """Start a 200 NDJSON stream response: the body follows as
+    :func:`chunk` frames and ends with :data:`LAST_CHUNK`."""
     writer.write(_head("HTTP/1.1 200 OK", {
         "Content-Type": "application/x-ndjson",
-        "Cache-Control": "no-store", **(extra_headers or {})}))
+        "Cache-Control": "no-store", "Transfer-Encoding": "chunked",
+        **(extra_headers or {})}))
 
 
 async def _close(writer: asyncio.StreamWriter) -> None:
@@ -167,7 +187,8 @@ async def request(backend: str, method: str, path: str,
         if body:
             headers.update({"Content-Type": "application/json",
                             "Content-Length": str(len(body))})
-        writer.write(_head(f"{method} {path} HTTP/1.1", headers) + body)
+        writer.write(_head(f"{method} {path} HTTP/1.1", headers, close=True)
+                     + body)
         await writer.drain()
         try:
             line, headers = await read_head(reader, timeout)
@@ -222,6 +243,8 @@ class HttpService:
         self.ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_requested: Optional[asyncio.Event] = None
+        #: Keep-alive connections waiting for their next request.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -274,45 +297,70 @@ class HttpService:
     def _begin_drain(self) -> None:
         self.draining = True
         self._drain_requested.set()
+        for writer in self._idle:
+            writer.close()  # its handler sees EOF and returns
 
     # --- request handling ---------------------------------------------------
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        """Serve one connection's requests in turn (see the module
+        docstring for when it closes)."""
         try:
-            try:
-                request_line, headers = await read_head(reader, IO_TIMEOUT)
-                if not request_line:
-                    return
-                try:
-                    method, target, _ = request_line.split(None, 2)
-                except ValueError:
-                    raise HttpError(400, "bad_request",
-                                    "malformed request line") from None
-                length = body_length(headers)
-                if length > MAX_BODY_BYTES:
-                    raise HttpError(
-                        413, "payload_too_large",
-                        f"body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte limit")
-                body = await reader.readexactly(length) if length else b""
-                reply = await self._route(method, target.split("?", 1)[0],
-                                          body, writer)
-            except HttpError as exc:
-                reply = exc.status, error_body(exc.code, str(exc)), {}
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError):
-                return  # the peer stalled or went away mid-request
-            except Exception as exc:  # noqa: BLE001 - must keep serving
-                logger.exception("unhandled error serving a request")
-                reply = 500, error_body(
-                    "internal_error", f"{type(exc).__name__}: {exc}"), {}
-            if reply is not None:
-                await self._send_json(writer, *reply)
+            idle = False
+            while await self._serve_one(reader, writer, idle):
+                idle = True
         except ConnectionError:
             pass  # the peer went away before reading the answer
         finally:
             await _close(writer)
+
+    async def _serve_one(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter, idle: bool) -> bool:
+        """Read and answer one request; ``True`` keeps the connection
+        open.  A drain closes an ``idle`` one (past its first request)
+        while it waits."""
+        keep = False
+        try:
+            if idle:
+                self._idle.add(writer)
+            try:
+                request_line, headers = await read_head(reader, IO_TIMEOUT)
+            finally:
+                self._idle.discard(writer)
+            if not request_line or writer.is_closing():
+                return False  # the peer hung up, or a drain closed it
+            try:
+                method, target, version = request_line.split(None, 2)
+            except ValueError:
+                raise HttpError(400, "bad_request",
+                                "malformed request line") from None
+            keep = version.strip() == "HTTP/1.1" and \
+                "close" not in headers.get("connection", "").lower()
+            length = body_length(headers)
+            if length > MAX_BODY_BYTES:
+                raise HttpError(
+                    413, "payload_too_large",
+                    f"body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit")
+            body = await reader.readexactly(length) if length else b""
+            reply = await self._route(method, target.split("?", 1)[0],
+                                      body, writer)
+        except HttpError as exc:
+            reply = exc.status, error_body(exc.code, str(exc)), {}
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ConnectionError):
+            return False  # the peer stalled or went away mid-request
+        except Exception as exc:  # noqa: BLE001 - must keep serving
+            logger.exception("unhandled error serving a request")
+            reply = 500, error_body(
+                "internal_error", f"{type(exc).__name__}: {exc}"), {}
+        keep = keep and not self.draining and not writer.is_closing()
+        if reply is None:
+            return keep  # a stream; a backend that cut it short closed it
+        keep = keep and 200 <= reply[0] < 300
+        await self._send_json(writer, *reply, close=not keep)
+        return keep
 
     def _json(self, body: bytes) -> Any:
         try:
@@ -384,12 +432,12 @@ class HttpService:
 
     async def _send_json(self, writer: asyncio.StreamWriter, status: int,
                          body: Dict[str, Any],
-                         extra_headers: Optional[Dict[str, str]] = None
-                         ) -> None:
+                         extra_headers: Optional[Dict[str, str]] = None,
+                         close: bool = True) -> None:
         payload = json.dumps(_json_safe(body), sort_keys=True).encode()
         writer.write(_head(
             f"HTTP/1.1 {status} {REASONS.get(status, 'Error')}",
             {"Content-Type": "application/json",
              "Content-Length": str(len(payload)),
-             **(extra_headers or {})}) + payload)
+             **(extra_headers or {})}, close) + payload)
         await writer.drain()

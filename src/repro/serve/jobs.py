@@ -65,11 +65,12 @@ class Job:
     id: str
     kind: str
     key: str
-    payload: Dict[str, Any]
+    #: The submitted payload, the expanded run points (run/experiment
+    #: kinds) and the parsed estimate arguments (estimate kind); all
+    #: three are dropped once the job is terminal.
+    payload: Optional[Dict[str, Any]]
     priority: int = 0
-    #: Expanded run points (run/experiment kinds).
     points: List[RunPoint] = field(default_factory=list)
-    #: Parsed estimate arguments (estimate kind).
     estimate: Optional[Dict[str, Any]] = None
     #: Execution options: processes / point_timeout / retries.
     options: Dict[str, Any] = field(default_factory=dict)
@@ -89,6 +90,10 @@ class Job:
     #: Absolute sequence number of ``events[0]`` (> 0 once the size
     #: bound has trimmed the front of the log).
     events_base: int = 0
+    num_points: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.num_points = len(self.points)
 
     @property
     def terminal(self) -> bool:
@@ -125,7 +130,7 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "wall_seconds": self.wall_seconds,
-            "num_points": len(self.points),
+            "num_points": self.num_points,
             "coalesced": self.coalesced,
             "error": self.error,
             "num_events": self.events_base + len(self.events),

@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.serve.app import ServeConfig
 from repro.serve.http import (
     BACKEND_ERRORS,
+    LAST_CHUNK,
     HttpService,
     Reply,
     error_body,
@@ -428,11 +429,14 @@ class GatewayApp(HttpService):
 
     async def _stream(self, job_id: str,
                       writer: asyncio.StreamWriter) -> Optional[Reply]:
-        """Proxy one NDJSON event stream from the shard holding the job.
+        """Proxy one NDJSON event stream from the shard holding the job,
+        relaying its chunked body verbatim.
 
-        A shard death mid-stream truncates the stream (the client
-        re-requests and lands on the failover shard); a dead shard at
-        request time fails over first like any other per-job call."""
+        A shard death mid-stream truncates the stream: the gateway
+        closes the client connection on the unterminated body (the
+        client re-requests and lands on the failover shard).  A dead
+        shard at request time fails over first like any other per-job
+        call."""
         timeout = self.config.backend_timeout
         for _ in range(len(self.config.backends) + 1):
             final_id, route, candidates = await self._locate(job_id)
@@ -450,15 +454,21 @@ class GatewayApp(HttpService):
                                 reader, headers, timeout), shard
                         stream_head(writer, shard)
                         streaming = True
+                        tail = b""
                         while True:
-                            chunk = await reader.read(4096)
-                            if not chunk:
-                                return None
-                            writer.write(chunk)
+                            data = await reader.read(4096)
+                            if not data:
+                                break
+                            writer.write(data)
                             await writer.drain()
+                            tail = (tail + data)[-len(LAST_CHUNK):]
+                        if tail != LAST_CHUNK:
+                            writer.close()  # truncated; the client retries
+                        return None
                 except BACKEND_ERRORS:
                     if streaming:
-                        return None  # truncated mid-stream; client retries
+                        writer.close()  # truncated; the client retries
+                        return None
                     await self._mark_down(backend)
             if route is None or not candidates:
                 break

@@ -282,6 +282,7 @@ class ServerHandle:
     def close(self) -> None:
         self.app.request_drain()
         self.thread.join(timeout=60)
+        self.client.close()
 
 
 @pytest.fixture
@@ -349,6 +350,22 @@ class TestServerBasics:
         assert point["ok"] is True
         assert point["avg_latency"] > 0
         assert point["total_power_w"] > 0
+
+    def test_terminal_job_keeps_only_its_status_reply(self, start_server):
+        server = start_server()
+        for payload, points in ((run_payload(0.027), 1),
+                                (estimate_payload(0.043), 0)):
+            final = server.client.submit_and_wait(payload, timeout=120)
+            assert final["status"] == "done"
+            assert set(final) == {
+                "id", "kind", "key", "priority", "status", "submitted_at",
+                "started_at", "finished_at", "wall_seconds", "num_points",
+                "coalesced", "error", "num_events", "events_trimmed",
+                "result"}
+            assert final["num_points"] == points
+            assert final["result"]
+            job = server.app.jobs[final["id"]]
+            assert (job.payload, job.points, job.estimate) == (None, [], None)
 
     def test_unknown_job_is_404(self, start_server):
         server = start_server()
@@ -798,25 +815,31 @@ CONFORMANCE_NAMES = {"stale-kernel-run": "kernel",
                      "zero-rate-run": "rate"}
 
 
+def start_fronts(root):
+    """A ``ServeApp`` and a ``GatewayApp`` proxying to it."""
+    server = ServerHandle(ServeApp(ServeConfig(
+        host="127.0.0.1", port=0, workers=1,
+        cache_dir=str(root / "cache"),
+        journal_dir=str(root / "journal"), quiet=True)))
+    gateway = ServerHandle(GatewayApp(GatewayConfig(
+        host="127.0.0.1", port=0, quiet=True,
+        backends=(f"127.0.0.1:{server.app.port}",))))
+    return server, gateway
+
+
+@pytest.fixture(scope="module")
+def fronts(tmp_path_factory):
+    server, gateway = start_fronts(tmp_path_factory.mktemp("fronts"))
+    yield {"server": server.app.port, "gateway": gateway.app.port}
+    gateway.close()
+    server.close()
+
+
 class TestRequestConformance:
     """One table against both fronts: a ``ServeApp`` and a
     ``GatewayApp`` proxying to it answer every malformed, unknown or
     unsupported request with the same status and envelope code —
     which is what pins "one HTTP core"."""
-
-    @pytest.fixture(scope="class")
-    def fronts(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("fronts")
-        server = ServerHandle(ServeApp(ServeConfig(
-            host="127.0.0.1", port=0, workers=1,
-            cache_dir=str(root / "cache"),
-            journal_dir=str(root / "journal"), quiet=True)))
-        gateway = ServerHandle(GatewayApp(GatewayConfig(
-            host="127.0.0.1", port=0, quiet=True,
-            backends=(f"127.0.0.1:{server.app.port}",))))
-        yield {"server": server.app.port, "gateway": gateway.app.port}
-        gateway.close()
-        server.close()
 
     @pytest.mark.parametrize("case", sorted(CONFORMANCE))
     def test_both_fronts_answer_alike(self, fronts, case, caplog):
@@ -844,6 +867,129 @@ class TestRequestConformance:
         assert "kaput" in out["error"]["message"]
         assert "kaput" in caplog.text  # the traceback is logged
         assert server.client.health()["status"] == "ok"  # still serving
+
+
+def read_reply(replies):
+    """One Content-Length-framed reply off a raw socket's file:
+    (status, lower-cased headers, body)."""
+    status = int(replies.readline().split()[1])
+    headers = {}
+    while True:
+        line = replies.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, replies.read(int(headers["content-length"]))
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Ports of every ``HTTPConnection.connect`` call in the test."""
+    ports = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting_connect(conn):
+        ports.append(conn.port)
+        real_connect(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        counting_connect)
+    return ports
+
+
+class TestKeepAlive:
+    """Persistent HTTP/1.1 connections on both fronts, and the
+    client's one connection per thread."""
+
+    def test_two_requests_on_one_socket_get_two_replies(self, fronts):
+        for front, port in fronts.items():
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock, \
+                    sock.makefile("rb") as replies:
+                for _ in range(2):
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    status, headers, body = read_reply(replies)
+                    assert status == 200, front
+                    assert "connection" not in headers, front
+                    assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize("data", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_closing_requests_are_closed_after_the_reply(self, fronts,
+                                                         data):
+        for front, port in fronts.items():
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock, \
+                    sock.makefile("rb") as replies:
+                sock.sendall(data)
+                status, headers, _ = read_reply(replies)
+                assert (status, headers["connection"]) == (200, "close")
+                assert replies.read() == b"", front  # EOF
+
+    def test_submit_stream_status_share_one_connection(self, fronts,
+                                                       connects):
+        for index, (front, port) in enumerate(fronts.items()):
+            client = ServeClient(f"http://127.0.0.1:{port}", timeout=30)
+            for job in range(3):
+                accepted = client.submit(
+                    estimate_payload(0.011 + 0.001 * (3 * index + job)))
+                events = list(client.stream(accepted["id"]))
+                assert events[-1]["type"] == "done"
+                assert client.status(accepted["id"])["status"] == "done"
+            client.close()
+            assert connects.count(port) == 1, front
+
+    def test_dropped_idle_connection_is_retried_once(self, fronts,
+                                                     connects,
+                                                     monkeypatch):
+        monkeypatch.setattr("repro.serve.http.IO_TIMEOUT", 0.2)
+        for front, port in fronts.items():
+            client = ServeClient(f"http://127.0.0.1:{port}", timeout=30)
+            assert client.health()["status"] == "ok"
+            time.sleep(0.6)  # the server drops the idle connection
+            assert client.health()["status"] == "ok"
+            client.close()
+            assert connects.count(port) == 2, front
+
+    def test_failure_on_a_fresh_connection_is_not_retried(self):
+        accepted = []
+        stop = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.1)
+
+            def hang_up():  # accept, then close without answering
+                while not stop.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                    except socket.timeout:
+                        continue
+                    accepted.append(conn)
+                    conn.close()
+
+            thread = threading.Thread(target=hang_up, daemon=True)
+            thread.start()
+            client = ServeClient(
+                f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=5)
+            with pytest.raises(ServeError) as excinfo:
+                client.health()
+            stop.set()
+            thread.join(5)
+        assert excinfo.value.status == 0
+        assert len(accepted) == 1
+
+    def test_drain_closes_idle_connections_at_once(self, tmp_path, caplog):
+        server, gateway = start_fronts(tmp_path)
+        for handle in (gateway, server):
+            assert handle.client.health()["status"] == "ok"  # stays open
+        for handle in (gateway, server):
+            start = time.monotonic()
+            handle.close()
+            assert not handle.thread.is_alive()
+            assert time.monotonic() - start < 2.0, handle.app
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 class TestCancellation:

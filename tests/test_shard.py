@@ -26,6 +26,7 @@ from repro.serve import (
     GatewayConfig,
     JobNotFound,
     ServeClient,
+    ServeError,
     ShardRing,
 )
 
@@ -187,6 +188,8 @@ class Fleet:
                 for backend, entry in health["shards"].items()}
 
     def close(self, kill=False):
+        if hasattr(self, "client"):
+            self.client.close()
         if self.process.poll() is not None:
             return
         if kill:
@@ -291,6 +294,33 @@ class TestGatewayFleet:
         health = client.health()
         assert health["shards_alive"] == 1
         assert health["shards"][victim_backend]["alive"] is False
+
+    @pytest.mark.chaos
+    def test_shard_death_mid_stream_closes_the_client_connection(
+            self, fleet):
+        gw = fleet()
+        client = gw.client
+        slow = {"kind": "run",
+                "spec": {"config": "VC16", "rate": 0.02,
+                         "protocol": {"warmup_cycles": 20000,
+                                      "sample_packets": 5000},
+                         "label": "cut-stream"},
+                "options": {"point_timeout": 30}}
+        status, headers, accepted = raw_request(gw.port, "POST",
+                                                "/v2/jobs", slow)
+        assert status == 202
+        victim_pid = gw.shard_pids()[headers["X-Repro-Shard"]]
+        with pytest.raises(ServeError, match="event stream"):
+            for event in client.stream(accepted["id"]):
+                if event.get("status") == "running":
+                    os.kill(victim_pid, signal.SIGKILL)
+                    killed = time.monotonic()
+        # The gateway closed at once, not after an idle timeout.
+        assert time.monotonic() - killed < 10
+        # The cut-short connection was dropped, not kept for reuse.
+        assert getattr(client._local, "conn", None) is None
+        assert client.health()["status"] == "ok"
+        client.cancel(accepted["id"])  # failed over; keep the drain short
 
     def test_sigterm_drains_fleet_and_exits_zero(self, fleet):
         gw = fleet()
