@@ -21,14 +21,11 @@ from repro.analytic.estimate import (
 from repro.analytic.flows import (
     FlowMatrix,
     flow_matrix,
-    register_flow_builder,
-    traffic_flows,
 )
 from repro.analytic.latency import (
     ZERO_LOAD_PIPELINE_DEPTH,
     LatencyEstimate,
     estimate_latency,
-    mean_hops,
     pipeline_depth,
     queueing_delay,
     zero_load_latency,
@@ -52,11 +49,8 @@ __all__ = [
     "estimate_power",
     "estimate_saturation",
     "flow_matrix",
-    "mean_hops",
     "pipeline_depth",
     "queueing_delay",
-    "register_flow_builder",
     "router_event_rates",
-    "traffic_flows",
     "zero_load_latency",
 ]

@@ -21,8 +21,8 @@ from typing import Dict, List
 
 from repro.core.config import NetworkConfig
 from repro.core.power_models import RouterPowerModels
-from repro.sim.traffic import validate_traffic_params
-from repro.analytic.flows import FLOW_BUILDERS, flow_matrix
+from repro.sim.traffic import TRAFFIC_REGISTRY, validate_traffic_params
+from repro.analytic.flows import flow_matrix
 from repro.analytic.latency import LatencyEstimate, estimate_latency
 from repro.analytic.power import constant_power, estimate_power
 from repro.analytic.saturation import SaturationEstimate, solve_saturation
@@ -124,14 +124,14 @@ def _structure(config: NetworkConfig, traffic: str,
 
     The config is keyed on its ``repr``, not on ``==``: ``vdd=1`` and
     ``vdd=1.0`` compare equal but are distinct inputs, and a record
-    built from one spelling must not answer for the other.  The flow
-    builder is part of the key, so re-registering a traffic kind's
-    builder cannot serve a stale record.  A record is a pure function
+    built from one spelling must not answer for the other.  The
+    pattern factory is part of the key, so re-registering a traffic
+    kind cannot serve a stale record.  A record is a pure function
     of its key, so a warm process and a cold one give equal answers;
     concurrent callers need no lock (a race only rebuilds a record)."""
     resolved = validate_traffic_params(traffic, params)
     key = (repr(config), traffic, repr(sorted(resolved.items())),
-           FLOW_BUILDERS.get(traffic))
+           TRAFFIC_REGISTRY[traffic].factory)
     record = _structures.get(key)
     if record is None:
         record = _Structure(config, traffic, resolved)

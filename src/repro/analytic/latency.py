@@ -36,7 +36,7 @@ from typing import Dict, Optional
 
 from repro.core.config import NetworkConfig
 from repro.sim.stats import zero_load_latency_estimate
-from repro.analytic.flows import FlowMatrix, flow_matrix
+from repro.analytic.flows import FlowMatrix
 
 #: Cycles a head flit spends inside one router at zero load, per router
 #: kind.  Wormhole pipelines switch allocation + traversal; VC routers
@@ -70,12 +70,6 @@ def zero_load_latency(config: NetworkConfig, hops: float) -> float:
         pipeline_depth(config),
         config.packet_length_flits,
     )
-
-
-def mean_hops(config: NetworkConfig, traffic: str = "uniform",
-              **params) -> float:
-    """Flow-weighted mean hop count of a traffic kind on ``config``."""
-    return flow_matrix(config, traffic, 1.0, **params).avg_hops
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ envelopes become the typed exceptions :class:`JobRejected`,
 
 Connections persist (HTTP/1.1 keep-alive): each thread keeps one
 ``http.client`` connection for all its requests, event streams
-included, until :meth:`ServeClient.close`.  A reused connection that
+included, and :meth:`ServeClient.close` closes every one of them,
+also those of threads that have since ended.  A reused connection that
 fails before any response byte (the server closed it while idle) is
 replaced once; a fresh one is never retried.
 """
@@ -22,7 +23,7 @@ import json
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 DEFAULT_BASE_URL = "http://127.0.0.1:8421"
 
@@ -105,13 +106,22 @@ class ServeClient:
         self.port = int(port) if port else 8421
         self.timeout = timeout
         self._local = threading.local()
+        #: Every open connection, whichever thread's slot holds it.
+        self._conns: Set[http.client.HTTPConnection] = set()
+        self._conns_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the calling thread's connection (the next request
-        opens a new one)."""
-        conn, self._local.conn = getattr(self._local, "conn", None), None
-        if conn is not None:
+        """Close every connection this client opened, in any thread
+        (the next request opens a new one)."""
+        with self._conns_lock:
+            conns, self._conns = self._conns, set()
+        for conn in conns:
             conn.close()
+
+    def _drop(self, conn: http.client.HTTPConnection) -> None:
+        conn.close()
+        with self._conns_lock:
+            self._conns.discard(conn)
 
     def _unreachable(self, exc: Exception) -> ServeError:
         return ServeError(f"server {self.host}:{self.port} unreachable: "
@@ -124,30 +134,37 @@ class ServeClient:
         """Send one request on this thread's connection (out of its
         slot until :meth:`_release`); returns it and the response."""
         conn, self._local.conn = getattr(self._local, "conn", None), None
-        reused = conn is not None and conn.sock is not None
+        if conn is not None and conn.sock is None:
+            self._drop(conn)  # closed by the server or by close()
+            conn = None
+        reused = conn is not None
         payload = None if body is None else json.dumps(body).encode()
         headers = {} if body is None else {"Content-Type": "application/json"}
         while True:
-            conn = conn or http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout)
+                with self._conns_lock:
+                    self._conns.add(conn)
             try:
                 conn.request(method, path, body=payload, headers=headers)
                 return conn, conn.getresponse()
             except (http.client.RemoteDisconnected, BrokenPipeError,
                     ConnectionResetError) as exc:
-                conn.close()
+                self._drop(conn)
                 if not reused:
                     raise self._unreachable(exc) from None
                 conn, reused = None, False  # closed while idle: once more
             except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                self._drop(conn)
                 raise self._unreachable(exc) from None
 
     def _release(self, conn: http.client.HTTPConnection) -> None:
         """Put a connection whose response was read in full back in
         this thread's slot."""
-        self.close()
-        self._local.conn = conn
+        held, self._local.conn = getattr(self._local, "conn", None), conn
+        if held is not None:
+            self._drop(held)
 
     def _reply(self, conn: http.client.HTTPConnection,
                response: http.client.HTTPResponse) -> Dict[str, Any]:
@@ -157,7 +174,7 @@ class ServeClient:
         try:
             data = response.read()
         except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            self._drop(conn)
             raise self._unreachable(exc) from None
         self._release(conn)
         try:
@@ -271,7 +288,7 @@ class ServeClient:
             if done and response.isclosed():
                 self._release(conn)
             else:
-                conn.close()  # cut short: never reuse a half-read socket
+                self._drop(conn)  # cut short: never reuse a half-read socket
         if not done:
             raise ServeError(f"event stream of job {job_id} ended before "
                              f"its done event")

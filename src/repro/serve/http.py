@@ -25,8 +25,9 @@ Every non-2xx response body is the uniform error envelope
 machine-readable code instead of parsing prose.  Hostile input never
 escapes as an exception: a malformed request line, a malformed or
 negative ``Content-Length`` or an over-long header line is a 400, a
-body above :data:`MAX_BODY_BYTES` is a 413 sent without reading it, and
-anything a handler fails to catch is a logged 500.
+body above :data:`MAX_BODY_BYTES` is a 413 sent without reading it, an
+HTTP/1.0 event-stream request (it could not decode the chunks) is a
+505, and anything a handler fails to catch is a logged 500.
 
 Connections persist (HTTP/1.1 keep-alive; an event stream ends with
 the zero-length chunk).  The server closes one after an HTTP/1.0 or
@@ -70,7 +71,8 @@ REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
            404: "Not Found", 405: "Method Not Allowed",
            409: "Conflict", 413: "Payload Too Large",
            429: "Too Many Requests", 500: "Internal Server Error",
-           502: "Bad Gateway", 503: "Service Unavailable"}
+           502: "Bad Gateway", 503: "Service Unavailable",
+           505: "HTTP Version Not Supported"}
 
 #: What a handler returns: (HTTP status, JSON body, extra headers).
 Reply = Tuple[int, Dict[str, Any], Dict[str, str]]
@@ -335,7 +337,8 @@ class HttpService:
             except ValueError:
                 raise HttpError(400, "bad_request",
                                 "malformed request line") from None
-            keep = version.strip() == "HTTP/1.1" and \
+            http11 = version.strip() == "HTTP/1.1"
+            keep = http11 and \
                 "close" not in headers.get("connection", "").lower()
             length = body_length(headers)
             if length > MAX_BODY_BYTES:
@@ -345,7 +348,7 @@ class HttpService:
                     f"{MAX_BODY_BYTES}-byte limit")
             body = await reader.readexactly(length) if length else b""
             reply = await self._route(method, target.split("?", 1)[0],
-                                      body, writer)
+                                      body, writer, http11)
         except HttpError as exc:
             reply = exc.status, error_body(exc.code, str(exc)), {}
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
@@ -371,7 +374,8 @@ class HttpService:
                             "body is not valid JSON") from None
 
     async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> Optional[Reply]:
+                     writer: asyncio.StreamWriter,
+                     http11: bool) -> Optional[Reply]:
         """Dispatch one request to the backend; ``None`` means the
         handler already wrote the response (a stream)."""
         parts = path.split("/")
@@ -390,6 +394,9 @@ class HttpService:
             routes = {"GET": lambda: self._status(job),
                       "DELETE": lambda: self._cancel(job)}
         elif job is not None and parts[4:] == ["events"]:
+            if not http11:
+                raise HttpError(505, "http_version_not_supported",
+                                "event streams need HTTP/1.1 (chunked)")
             routes = {"GET": lambda: self._stream(job, writer)}
         else:
             raise HttpError(404, "not_found", f"no such endpoint {path!r}")

@@ -5,17 +5,22 @@ and to which destination.  Injection is an open-loop Bernoulli process at
 the prescribed packet injection rate (packets/cycle/node); created packets
 wait in an unbounded source queue until the injection port accepts them,
 so source queuing time is part of packet latency, as the paper specifies.
+Each rate-driven pattern also declares ``flows()``: the expected
+``(src, dst) -> packets/cycle`` per unit of rate, read from the tables
+``packets_at`` samples.  The analytic estimator routes that table.
 
 Patterns provided:
 
-* :class:`UniformRandomTraffic` — each node sends to uniformly random
-  destinations other than itself (the paper's default workload);
-* :class:`BroadcastTraffic` — one node sends to all others (section 4.3);
-  successive packets sweep the other nodes round-robin so every
-  destination receives the same share;
+* :class:`UniformRandomTraffic` — uniformly random destinations other
+  than the sender (the paper's default workload);
+* :class:`BroadcastTraffic` — one node sends to all others in turn
+  (section 4.3), so every destination receives the same share;
+* :class:`HotspotTraffic` — uniform random, a fraction aimed at one node;
+* :class:`NearestNeighborTraffic` — to a random adjacent node;
 * :class:`TransposeTraffic`, :class:`BitComplementTraffic`,
-  :class:`HotspotTraffic`, :class:`NearestNeighborTraffic` — standard
-  synthetic patterns for additional studies;
+  :class:`TornadoTraffic`, :class:`ShuffleTraffic` — fixed
+  permutations (:class:`PermutationTraffic`);
+* :class:`BurstyTraffic` — Markov-modulated uniform random traffic;
 * :class:`TraceTraffic` — replays an explicit (cycle, src, dst) trace,
   the hook for "actual communication traces" the paper mentions.
 """
@@ -28,12 +33,21 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.topology import Topology
 
+#: ``(src, dst) -> packets/cycle`` expected flow table.
+FlowTable = Dict[Tuple[int, int], float]
+
 
 class TrafficPattern:
-    """Base class: per-cycle packet generation decisions."""
+    """Base class: per-cycle packet generation decisions.  A rate-driven
+    subclass also defines ``flows()`` (see the module docstring), which
+    is linear in the rate by construction."""
 
-    def __init__(self, topo: Topology, seed: int = 1) -> None:
+    def __init__(self, topo: Topology, rate: float = 0.0,
+                 seed: int = 1) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
         self.topo = topo
+        self.rate = rate
         self.rng = random.Random(seed)
 
     def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
@@ -49,12 +63,6 @@ class TrafficPattern:
 class UniformRandomTraffic(TrafficPattern):
     """Every node injects at ``rate`` to uniformly random destinations."""
 
-    def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
-
     def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
         pairs = []
         n = self.topo.num_nodes
@@ -67,6 +75,12 @@ class UniformRandomTraffic(TrafficPattern):
                 pairs.append((src, dst))
         return pairs
 
+    def flows(self) -> FlowTable:
+        n = self.topo.num_nodes
+        share = 1.0 / (n - 1)
+        return {(src, dst): share
+                for src in range(n) for dst in range(n) if dst != src}
+
 
 class BroadcastTraffic(TrafficPattern):
     """One source node injects at ``rate`` to all other nodes in turn.
@@ -78,12 +92,9 @@ class BroadcastTraffic(TrafficPattern):
 
     def __init__(self, topo: Topology, source: int, rate: float,
                  seed: int = 1) -> None:
-        super().__init__(topo, seed)
+        super().__init__(topo, rate, seed)
         topo.coords(source)  # validates
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
         self.source = source
-        self.rate = rate
         self._targets = [n for n in range(topo.num_nodes) if n != source]
         self._next_target = 0
 
@@ -94,52 +105,61 @@ class BroadcastTraffic(TrafficPattern):
         self._next_target = (self._next_target + 1) % len(self._targets)
         return [(self.source, dst)]
 
+    def flows(self) -> FlowTable:
+        share = 1.0 / len(self._targets)
+        return {(self.source, dst): share for dst in self._targets}
+
     def reset(self, seed: Optional[int] = None) -> None:
         super().reset(seed)
         self._next_target = 0
 
 
-class TransposeTraffic(TrafficPattern):
-    """Node (x, y) sends to node (y, x); diagonal nodes stay silent."""
+class PermutationTraffic(TrafficPattern):
+    """Each node sends all its packets to one fixed partner; nodes the
+    permutation maps onto themselves stay silent.  Subclasses define
+    :meth:`destination`."""
 
     def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if topo.width != topo.height:
-            raise ValueError("transpose traffic needs a square topology")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
+        super().__init__(topo, rate, seed)
         self._dst = {}
         for node in range(topo.num_nodes):
-            x, y = topo.coords(node)
-            if x != y:
-                self._dst[node] = topo.node_at(y, x)
-
-    def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
-        rng = self.rng
-        return [(src, dst) for src, dst in self._dst.items()
-                if rng.random() < self.rate]
-
-
-class BitComplementTraffic(TrafficPattern):
-    """Node (x, y) sends to (width-1-x, height-1-y)."""
-
-    def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        self._dst = {}
-        for node in range(topo.num_nodes):
-            x, y = topo.coords(node)
-            dst = topo.node_at(topo.width - 1 - x, topo.height - 1 - y)
+            dst = self.destination(node)
             if dst != node:
                 self._dst[node] = dst
 
+    def destination(self, node: int) -> int:
+        """The partner ``node`` sends to."""
+        raise NotImplementedError
+
     def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
         rng = self.rng
         return [(src, dst) for src, dst in self._dst.items()
                 if rng.random() < self.rate]
+
+    def flows(self) -> FlowTable:
+        return {pair: 1.0 for pair in self._dst.items()}
+
+
+class TransposeTraffic(PermutationTraffic):
+    """Node (x, y) sends to node (y, x); diagonal nodes stay silent."""
+
+    def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
+        if topo.width != topo.height:
+            raise ValueError("transpose traffic needs a square topology")
+        super().__init__(topo, rate, seed)
+
+    def destination(self, node: int) -> int:
+        x, y = self.topo.coords(node)
+        return self.topo.node_at(y, x)
+
+
+class BitComplementTraffic(PermutationTraffic):
+    """Node (x, y) sends to (width-1-x, height-1-y)."""
+
+    def destination(self, node: int) -> int:
+        topo = self.topo
+        x, y = topo.coords(node)
+        return topo.node_at(topo.width - 1 - x, topo.height - 1 - y)
 
 
 class HotspotTraffic(TrafficPattern):
@@ -147,15 +167,12 @@ class HotspotTraffic(TrafficPattern):
 
     def __init__(self, topo: Topology, rate: float, hotspot: int,
                  hot_fraction: float = 0.2, seed: int = 1) -> None:
-        super().__init__(topo, seed)
+        super().__init__(topo, rate, seed)
         topo.coords(hotspot)  # validates
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
         if not 0.0 <= hot_fraction <= 1.0:
             raise ValueError(
                 f"hot fraction must be in [0, 1], got {hot_fraction}"
             )
-        self.rate = rate
         self.hotspot = hotspot
         self.hot_fraction = hot_fraction
 
@@ -175,15 +192,27 @@ class HotspotTraffic(TrafficPattern):
             pairs.append((src, dst))
         return pairs
 
+    def flows(self) -> FlowTable:
+        # The hot node itself sends uniformly; every other node aims
+        # ``hot_fraction`` at it and spreads the rest uniformly over its
+        # n-1 others, which can also pick the hot node.
+        n = self.topo.num_nodes
+        hot, frac = self.hotspot, self.hot_fraction
+        table: FlowTable = {}
+        for src in range(n):
+            aim = 0.0 if src == hot else frac
+            base = (1.0 - aim) / (n - 1)
+            for dst in range(n):
+                if dst != src:
+                    table[(src, dst)] = base + (aim if dst == hot else 0.0)
+        return table
+
 
 class NearestNeighborTraffic(TrafficPattern):
     """Each node sends to a random adjacent node (distance-1 traffic)."""
 
     def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
+        super().__init__(topo, rate, seed)
         self._neighbors = {
             node: [topo.neighbor(node, p) for p in range(4)
                    if topo.neighbor(node, p) is not None]
@@ -198,74 +227,64 @@ class NearestNeighborTraffic(TrafficPattern):
                 pairs.append((src, rng.choice(neighbors)))
         return pairs
 
+    def flows(self) -> FlowTable:
+        # A neighbour listed twice (east and west on a ring of two) is
+        # drawn twice as often.
+        table: FlowTable = {}
+        for src, neighbors in self._neighbors.items():
+            share = 1.0 / len(neighbors)
+            for dst in neighbors:
+                table[(src, dst)] = table.get((src, dst), 0.0) + share
+        return table
 
-class TornadoTraffic(TrafficPattern):
+
+class TornadoTraffic(PermutationTraffic):
     """Node (x, y) sends half-way around both rings: the classic
     worst case for minimal routing on tori."""
 
     def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        dx = max(1, (topo.width + 1) // 2 - 1) if topo.width > 2 else 1
-        dy = max(1, (topo.height + 1) // 2 - 1) if topo.height > 2 else 1
-        self._dst = {}
-        for node in range(topo.num_nodes):
-            x, y = topo.coords(node)
-            dst = topo.node_at((x + dx) % topo.width,
-                               (y + dy) % topo.height)
-            if dst != node:
-                self._dst[node] = dst
+        self._dx = max(1, (topo.width + 1) // 2 - 1)
+        self._dy = max(1, (topo.height + 1) // 2 - 1)
+        super().__init__(topo, rate, seed)
 
-    def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
-        rng = self.rng
-        return [(src, dst) for src, dst in self._dst.items()
-                if rng.random() < self.rate]
+    def destination(self, node: int) -> int:
+        topo = self.topo
+        x, y = topo.coords(node)
+        return topo.node_at((x + self._dx) % topo.width,
+                            (y + self._dy) % topo.height)
 
 
-class ShuffleTraffic(TrafficPattern):
+class ShuffleTraffic(PermutationTraffic):
     """Perfect-shuffle permutation on node indices (rotate the node id's
     bits left by one).  Requires a power-of-two node count."""
 
     def __init__(self, topo: Topology, rate: float, seed: int = 1) -> None:
-        super().__init__(topo, seed)
         n = topo.num_nodes
         if n & (n - 1):
             raise ValueError(
                 f"shuffle traffic needs a power-of-two node count, got {n}"
             )
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
-        self.rate = rate
+        super().__init__(topo, rate, seed)
+
+    def destination(self, node: int) -> int:
+        n = self.topo.num_nodes
         bits = n.bit_length() - 1
-        self._dst = {}
-        for node in range(n):
-            dst = ((node << 1) | (node >> (bits - 1))) & (n - 1)
-            if dst != node:
-                self._dst[node] = dst
-
-    def packets_at(self, cycle: int) -> List[Tuple[int, int]]:
-        rng = self.rng
-        return [(src, dst) for src, dst in self._dst.items()
-                if rng.random() < self.rate]
+        return ((node << 1) | (node >> (bits - 1))) & (n - 1)
 
 
-class BurstyTraffic(TrafficPattern):
+class BurstyTraffic(UniformRandomTraffic):
     """Two-state Markov-modulated uniform random traffic.
 
     Each node alternates between an OFF state (silent) and an ON state
     injecting at ``rate / duty_cycle``, with mean burst length
-    ``burst_length`` cycles — same average ``rate`` as the uniform
-    pattern, much burstier arrivals.
+    ``burst_length`` cycles — same average ``rate`` and flow table as
+    the uniform pattern, much burstier arrivals.
     """
 
     def __init__(self, topo: Topology, rate: float,
                  burst_length: float = 10.0, duty_cycle: float = 0.25,
                  seed: int = 1) -> None:
-        super().__init__(topo, seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {rate}")
+        super().__init__(topo, rate, seed)
         if burst_length < 1.0:
             raise ValueError(
                 f"burst length must be >= 1, got {burst_length}"
@@ -280,7 +299,6 @@ class BurstyTraffic(TrafficPattern):
                 f"rate {rate} at duty cycle {duty_cycle} needs an in-burst "
                 f"rate above 1 packet/cycle"
             )
-        self.rate = rate
         self.on_rate = on_rate
         #: P(ON -> OFF) per cycle: bursts last burst_length on average.
         self._p_off = 1.0 / burst_length

@@ -24,16 +24,20 @@ from repro.analytic import (
     estimate,
     estimate_saturation,
     flow_matrix,
-    mean_hops,
     pipeline_depth,
     queueing_delay,
     router_event_rates,
-    traffic_flows,
     zero_load_latency,
 )
 from repro.sim.routing import dimension_ordered_route
 from repro.sim.topology import topology_for
-from repro.sim.traffic import TraceTraffic
+from repro.sim.traffic import (
+    TRAFFIC_REGISTRY,
+    TraceTraffic,
+    TrafficKind,
+    TrafficPattern,
+    make_traffic,
+)
 
 from tests.conftest import small_config
 
@@ -195,33 +199,34 @@ class TestFlowMatrix:
 
     def test_transpose_diagonal_is_silent(self):
         topo = topology_for(small_config("wormhole"))
-        flows = traffic_flows("transpose", topo, 0.1)
+        flows = make_traffic("transpose", topo, 0.1).flows()
         diagonal = {topo.node_at(i, i) for i in range(4)}
         assert all(src not in diagonal for src, _ in flows)
 
     def test_hotspot_flows_sum_to_rate_per_sender(self):
         topo = topology_for(small_config("wormhole"))
-        flows = traffic_flows("hotspot", topo, 0.1, hotspot=5)
+        flows = make_traffic("hotspot", topo, 0.1, hotspot=5).flows()
         per_src = {}
         for (src, _dst), pkts in flows.items():
-            per_src[src] = per_src.get(src, 0.0) + pkts
+            per_src[src] = per_src.get(src, 0.0) + 0.1 * pkts
         for src, total in per_src.items():
             assert total == pytest.approx(0.1), f"source {src}"
 
     def test_bursty_average_flows_match_uniform(self):
         topo = topology_for(small_config("wormhole"))
-        assert traffic_flows("bursty", topo, 0.1) == \
-            traffic_flows("uniform", topo, 0.1)
+        assert make_traffic("bursty", topo, 0.1).flows() == \
+            make_traffic("uniform", topo, 0.1).flows()
 
-    def test_unmodelled_traffic_rejected_with_hint(self):
-        from repro.analytic.flows import FLOW_BUILDERS
+    def test_unmodelled_traffic_rejected_with_hint(self, monkeypatch):
+        class Silent(TrafficPattern):
+            def packets_at(self, cycle):
+                return []
+
+        monkeypatch.setitem(TRAFFIC_REGISTRY, "silent",
+                            TrafficKind("silent", Silent))
         config = small_config("wormhole")
-        saved = FLOW_BUILDERS.pop("tornado")
-        try:
-            with pytest.raises(ValueError, match="register_flow_builder"):
-                flow_matrix(config, "tornado", 0.1)
-        finally:
-            FLOW_BUILDERS["tornado"] = saved
+        with pytest.raises(ValueError, match=r"'silent'.*flows\(\)"):
+            flow_matrix(config, "silent", 0.1)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
@@ -229,8 +234,8 @@ class TestFlowMatrix:
 
     def test_mean_hops_uniform_torus(self):
         """4x4 torus, uniform: mean minimal distance is 32/15."""
-        assert mean_hops(small_config("wormhole"), "uniform") == \
-            pytest.approx(32.0 / 15.0)
+        assert flow_matrix(small_config("wormhole"), "uniform").avg_hops \
+            == pytest.approx(32.0 / 15.0)
 
 
 class TestLatencyModel:
@@ -436,12 +441,13 @@ class TestStructureRecord:
             assert estimate(config, "uniform", 0.02) == answer
 
     def test_reregistered_builder_is_not_served_stale(self, monkeypatch):
-        from repro.analytic.flows import FLOW_BUILDERS
         config = preset("VC16")
         tornado = estimate(config, "tornado", 0.05)
         uniform = estimate(config, "uniform", 0.05)
-        monkeypatch.setitem(FLOW_BUILDERS, "tornado",
-                            FLOW_BUILDERS["uniform"])
+        monkeypatch.setitem(TRAFFIC_REGISTRY, "tornado",
+                            replace(TRAFFIC_REGISTRY["tornado"],
+                                    factory=TRAFFIC_REGISTRY["uniform"]
+                                    .factory))
         swapped = estimate(config, "tornado", 0.05)
         assert swapped.total_power_w == uniform.total_power_w
         assert swapped.total_power_w != tornado.total_power_w

@@ -787,6 +787,8 @@ CONFORMANCE = {
                     404, "job_not_found"),
     "unknown-job-events": (b"GET /v2/jobs/ghost/events HTTP/1.1\r\n\r\n",
                            404, "job_not_found"),
+    "http-1.0-events": (b"GET /v2/jobs/ghost/events HTTP/1.0\r\n\r\n",
+                        505, "http_version_not_supported"),
     "cancel-unknown-job": (b"DELETE /v2/jobs/ghost HTTP/1.1\r\n\r\n",
                            404, "job_not_found"),
     "stale-kernel-run": (post("/v2/jobs", json.dumps({
@@ -941,6 +943,37 @@ class TestKeepAlive:
                 assert client.status(accepted["id"])["status"] == "done"
             client.close()
             assert connects.count(port) == 1, front
+
+    def test_close_closes_every_thread_connection(self, fronts,
+                                                  monkeypatch):
+        opened = []
+        real_connect = http.client.HTTPConnection.connect
+
+        def recording_connect(conn):
+            opened.append(conn)
+            real_connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            recording_connect)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' bookkeeping
+        try:
+            for front, port in fronts.items():
+                opened.clear()
+                client = ServeClient(f"http://127.0.0.1:{port}",
+                                     timeout=30)
+                threads = [threading.Thread(target=client.health)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(opened) == 8, front
+                client.close()
+                assert all(conn.sock is None for conn in opened), front
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_dropped_idle_connection_is_retried_once(self, fronts,
                                                      connects,
