@@ -12,16 +12,16 @@ else).
 
 The configurations are the old dense-vs-sparse matrix (paper
 presets, router kinds x topologies, traffic patterns x seeds, data
-activity, monitor, telemetry and faulted rows) plus ``GENERATED``
-small configurations from a fixed-seed generator that reach corners no
+activity, monitor and telemetry rows) plus ``GENERATED`` small
+configurations from a fixed-seed generator that reach corners no
 hand-written row covers: odd sides, deep and shallow buffers, one to
-four VCs, one- to six-flit packets, every arbiter policy, with and
-without faults.  Every run audits flit conservation as it goes.
+four VCs, one- to six-flit packets, every arbiter policy.  Every run
+audits flit conservation as it goes.
 
 Re-record only when a change is *meant* to alter simulated behaviour
 (a routing, allocation or energy-model change), never to absorb an
-unexplained diff; rows the kernel still reproduces keep their recorded
-figures, so appending a case adds one row and rewrites none::
+unexplained diff; figures the kernel still reproduces keep their
+recorded values, so appending a case adds one row and rewrites none::
 
     PYTHONPATH=src python -m tests.test_kernel_goldens
 """
@@ -39,7 +39,6 @@ import pytest
 from repro.core.config import (LinkConfig, NetworkConfig, RouterConfig,
                                RunProtocol)
 from repro.core.presets import PRESETS
-from repro.faults import FaultEvent, FaultSpec
 from repro.sim.engine import Simulation
 from repro.sim.topology import topology_for
 from repro.sim.traffic import TransposeTraffic, UniformRandomTraffic
@@ -66,7 +65,6 @@ class Case(NamedTuple):
     #: the row's ``monitor_sha256``.
     monitor: bool = False
     telemetry_window: int = 0
-    faults: Optional[FaultSpec] = None
 
 
 def _matrix_cases() -> Dict[str, Case]:
@@ -92,26 +90,6 @@ def _matrix_cases() -> Dict[str, Case]:
         warmup=80, sample=60, monitor=True)
     cases["telemetry"] = Case(PRESETS["VC16"](), rate=0.06,
                               telemetry_window=16)
-    # Speculative rows run two VCs, so a stuck VC leaves its output a
-    # second one (with one VC the output wedges for good).
-    spec2 = small_config("speculative_vc", num_vcs=2)
-    for kind, config in (("wormhole", small_config("wormhole")),
-                         ("vc", small_config("vc")),
-                         ("speculative_vc", spec2)):
-        for policy in ("misroute", "drop"):
-            cases[f"random_faults[{policy}-{kind}]"] = Case(
-                config, rate=0.06, faults=FaultSpec(
-                    seed=9, policy=policy, link_kills=2, link_flips=1,
-                    onset_start=70, onset_end=200))
-    freeze_and_stuck = FaultSpec(events=(
-        FaultEvent("router_freeze", 90, 5),
-        FaultEvent("vc_stuck", 100, 6, 2, 0),
-        FaultEvent("router_thaw", 220, 5),
-    ))
-    cases["freeze_and_stuck_vc"] = Case(
-        small_config("vc"), rate=0.06, faults=freeze_and_stuck)
-    cases["freeze_and_stuck_vc[speculative_vc]"] = Case(
-        spec2, rate=0.06, faults=freeze_and_stuck)
     # Contested speculative grants (several fresh heads per free
     # output) need a loaded VC16 fabric.
     for traffic, rate in (("uniform", 0.09), ("transpose", 0.12)):
@@ -134,8 +112,8 @@ def _matrix_cases() -> Dict[str, Case]:
 
 def _generated_cases(count: int = GENERATED, seed: int = 2002) -> \
         Dict[str, Case]:
-    """``count`` small random configurations, every router kind in turn,
-    the odd-indexed ones faulted."""
+    """``count`` small random configurations, every router kind in
+    turn."""
     rng = random.Random(seed)
     cases = {}
     for i in range(count):
@@ -155,16 +133,6 @@ def _generated_cases(count: int = GENERATED, seed: int = 2002) -> \
             height=rng.randint(2, 5), router=router, link=SMALL_LINK,
             tech=SMALL_TECH, packet_length_flits=rng.randint(1, 6),
             activity_mode=rng.choice(("average", "data")))
-        faults = None
-        if i % 2:
-            faults = FaultSpec(
-                seed=rng.randrange(1000),
-                policy=rng.choice(("misroute", "drop")),
-                link_kills=rng.randint(0, 2), link_flips=rng.randint(0, 1),
-                flip_duration=60, router_freezes=rng.randint(0, 1),
-                freeze_duration=40,
-                stuck_vcs=rng.randint(0, 1) if num_vcs > 1 else 0,
-                onset_start=30, onset_end=150)
         traffic = rng.choice(tuple(TRAFFICS))
         if config.width != config.height:
             traffic = "uniform"  # transpose needs a square fabric
@@ -172,7 +140,7 @@ def _generated_cases(count: int = GENERATED, seed: int = 2002) -> \
             config, traffic=traffic,
             rate=round(rng.uniform(0.02, 0.10), 3),
             seed=rng.randint(1, 99), warmup=rng.randint(20, 80),
-            sample=rng.randint(20, 40), faults=faults)
+            sample=rng.randint(20, 40))
     return cases
 
 
@@ -190,13 +158,7 @@ def _run(case: Case, window: Optional[int] = None):
     protocol = RunProtocol(
         warmup_cycles=case.warmup, sample_packets=case.sample,
         seed=case.seed, audit_every=40,
-        telemetry_window=window, faults=case.faults,
-        # Degraded fabrics may legitimately stall: record the terminal
-        # status instead of raising.
-        on_stall="raise" if case.faults is None else "finish",
-        livelock_cycles=0 if case.faults is None else 2_000,
-        watchdog_cycles=20_000 if case.faults is None else 1_000,
-        max_cycles=20_000)
+        telemetry_window=window, watchdog_cycles=20_000, max_cycles=20_000)
     return Simulation(case.config, traffic, protocol).run()
 
 
@@ -225,11 +187,7 @@ def summarize(case: Case, result) -> dict:
         "flits_injected": result.flits_injected,
         "flits_ejected": result.flits_ejected,
         "measured_flits_ejected": result.measured_flits_ejected,
-        "flits_dropped": result.flits_dropped,
         "packets_delivered": result.packets_delivered,
-        "packets_dropped": result.packets_dropped,
-        "packets_misrouted": result.packets_misrouted,
-        "sample_dropped": result.sample_dropped,
         "latency_sha256": _sha(result.latency.latencies),
         "events": {e: acc.event_count(e) for e in sorted(
             acc.node_counts(0))},
@@ -243,7 +201,7 @@ def summarize(case: Case, result) -> dict:
         windows = record.windows
         entry["telemetry_sha256"] = _sha([
             [w.cycle_start, w.cycle_end, w.events, w.injected, w.ejected,
-             w.occupancy, w.dropped, w.misrouted] for w in windows])
+             w.occupancy] for w in windows])
         entry["telemetry_energy_j"] = {
             component: [sum(w.energy_j[component]) for w in windows]
             for component in windows[0].energy_j}
@@ -254,27 +212,30 @@ def _close(expected: float, actual: float) -> bool:
     return abs(expected - actual) <= REL_TOL * max(abs(expected), 1e-30)
 
 
+def assert_key_matches(key: str, want, got) -> None:
+    if key == "energy_j":
+        assert got.keys() == want.keys()
+        for component, energy in want.items():
+            assert _close(energy, got[component]), (
+                f"{component}: golden {energy} vs {got[component]}")
+    elif key == "node_energy_j":
+        assert len(got) == len(want)
+        for node, (w, g) in enumerate(zip(want, got)):
+            assert _close(w, g), f"node {node}: golden {w} vs {g}"
+    elif key == "telemetry_energy_j":
+        assert got.keys() == want.keys()
+        for component, series in want.items():
+            assert len(got[component]) == len(series)
+            for w, g in zip(series, got[component]):
+                assert _close(w, g), component
+    else:
+        assert got == want, key
+
+
 def assert_matches(expected: dict, actual: dict) -> None:
     assert actual.keys() == expected.keys()
     for key, want in expected.items():
-        got = actual[key]
-        if key == "energy_j":
-            assert got.keys() == want.keys()
-            for component, energy in want.items():
-                assert _close(energy, got[component]), (
-                    f"{component}: golden {energy} vs {got[component]}")
-        elif key == "node_energy_j":
-            assert len(got) == len(want)
-            for node, (w, g) in enumerate(zip(want, got)):
-                assert _close(w, g), f"node {node}: golden {w} vs {g}"
-        elif key == "telemetry_energy_j":
-            assert got.keys() == want.keys()
-            for component, series in want.items():
-                assert len(got[component]) == len(series)
-                for w, g in zip(series, got[component]):
-                    assert _close(w, g), component
-        else:
-            assert got == want, key
+        assert_key_matches(key, want, actual[key])
 
 
 def _load() -> dict:
@@ -285,8 +246,6 @@ def test_goldens_cover_every_case():
     goldens = _load()
     assert sorted(goldens) == sorted(CASES)
     assert sum(name.startswith("generated") for name in goldens) >= 24
-    faulted = [n for n, c in CASES.items() if c.faults is not None]
-    assert sum(n.startswith("generated") for n in faulted) >= 8
     assert {c.config.router.kind for c in CASES.values()} == set(KINDS)
 
 
@@ -296,8 +255,7 @@ def test_kernel_reproduces_golden(name):
     case = CASES[name]
     actual = json.loads(json.dumps(summarize(case, _run(case))))
     assert_matches(expected, actual)
-    if case.faults is None:
-        assert actual["energy_j"] and sum(actual["energy_j"].values()) > 0
+    assert actual["energy_j"] and sum(actual["energy_j"].values()) > 0
 
 
 @pytest.mark.parametrize("window", [1, 7, 16, 100_000])
@@ -312,18 +270,20 @@ def test_monitor_digest_independent_of_window(window):
 
 
 def record() -> None:
-    """Re-run every case and rewrite the goldens file.  A recorded row
-    the kernel still reproduces keeps its recorded figures, so the diff
-    shows only new and changed rows."""
+    """Re-run every case and rewrite the goldens file.  A recorded
+    figure the kernel still reproduces keeps its recorded value, so the
+    diff shows only new and changed figures."""
     old = _load() if GOLDENS.exists() else {}
     goldens = {}
     for name, case in sorted(CASES.items()):
         entry = json.loads(json.dumps(summarize(case, _run(case))))
-        try:
-            assert_matches(old[name], entry)
-            entry = old[name]
-        except (KeyError, AssertionError):
-            pass
+        recorded = old.get(name, {})
+        for key, value in entry.items():
+            try:
+                assert_key_matches(key, recorded[key], value)
+                entry[key] = recorded[key]
+            except (KeyError, AssertionError):
+                pass
         goldens[name] = entry
     GOLDENS.parent.mkdir(exist_ok=True)
     GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
