@@ -92,9 +92,9 @@ def _run_warm(points):
 def _identical(serial, pooled):
     for left, right in zip(serial, pooled):
         if (left.status, left.avg_latency, left.total_cycles,
-                left.throughput_flits_per_cycle, left.flits_dropped) != \
+                left.throughput_flits_per_cycle) != \
                 (right.status, right.avg_latency, right.total_cycles,
-                 right.throughput_flits_per_cycle, right.flits_dropped):
+                 right.throughput_flits_per_cycle):
             return False
         if not math.isclose(left.total_power_w, right.total_power_w,
                             rel_tol=1e-12, abs_tol=0.0):

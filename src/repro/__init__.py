@@ -14,15 +14,12 @@ Quick start::
     result = orion.run_uniform(0.05, RunProtocol(sample_packets=2000))
     print(result.avg_latency, result.total_power_w)
 
-Fault injection::
+A run that may stall can return a status instead of raising::
 
-    from repro.faults import FaultSpec
-
-    protocol = RunProtocol(sample_packets=2000,
-                           faults=FaultSpec(seed=3, link_kills=2),
-                           on_stall="finish", livelock_cycles=50_000)
-    result = orion.run_uniform(0.05, protocol)
-    print(result.status, result.packets_misrouted)
+    protocol = RunProtocol(sample_packets=2000, max_cycles=50_000,
+                           on_stall="finish")
+    result = orion.run_uniform(0.30, protocol)
+    print(result.status)   # "ok", "stalled" or "max_cycles"
 
 See :mod:`repro.core.presets` for the paper's named configurations and
 :mod:`repro.power` for the standalone component power models.

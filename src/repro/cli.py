@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
 from repro.core.orion import Orion
@@ -142,23 +141,11 @@ JOB_FIELDS = (
      dict(type=int, default=0, metavar="CYCLES",
           help="record windowed energy/event/utilization telemetry every "
                "this many cycles (0 disables)")),
-    ("--faults", _SIM,
-     dict(action="append", metavar="SPEC",
-          help="inject a fault (repeatable), e.g. "
-               "'link_kill:node=5,port=east,at=1200', "
-               "'link_flip:node=5,port=2,at=1000,for=500', "
-               "'router_freeze:node=3,at=500,for=800', "
-               "'vc_stuck:node=2,port=east,vc=0,at=800', or "
-               "'random:kills=2,flips=1'")),
-    ("--fault-policy", _SIM,
-     dict(choices=("misroute", "drop"), default="misroute",
-          help="what traffic does at a faulted link")),
-    ("--fault-seed", _SIM,
-     dict(type=int, default=0, help="seed for 'random:' fault placement")),
     ("--on-stall", _SIM,
      dict(choices=("raise", "finish"),
-          help="watchdog behaviour: raise (default on healthy runs) or "
-               "finish with status='stalled' (default with --faults)")),
+          help="what a stall does: raise (default) or finish the run "
+               "with status='stalled' (deadlock watchdog) or "
+               "status='max_cycles' (cycle limit)")),
     ("--processes", ("experiment",),
      dict(type=_positive_int,
           help="worker processes (default: 1 locally, the server's "
@@ -217,15 +204,7 @@ def _job_protocol(kind: str, args) -> dict:
     if kind == "run":
         protocol["seed"] = args.seed
         protocol["telemetry_window"] = args.telemetry_window
-    if args.faults:
-        from repro.faults import parse_fault_specs
-        # Faulted fabrics can legitimately stall (e.g. a frozen router
-        # holding traffic); report that as a status unless overridden.
-        protocol["faults"] = asdict(parse_fault_specs(
-            args.faults, seed=args.fault_seed, policy=args.fault_policy))
-        protocol["on_stall"] = args.on_stall or "finish"
-        protocol["livelock_cycles"] = 50_000
-    elif args.on_stall:
+    if args.on_stall:
         protocol["on_stall"] = args.on_stall
     return protocol
 
@@ -295,15 +274,8 @@ def cmd_run(args) -> int:
     print(f"config:        {args.preset} ({cfg.router.kind})")
     print(f"traffic:       {args.traffic} at {args.rate} pkt/cycle"
           f"{'/node' if per_node else ''}")
-    if args.faults or result.status != "ok":
+    if result.status != "ok":
         print(f"status:        {result.status}")
-    if args.faults:
-        print(f"faults:        {len(args.faults)} spec(s), "
-              f"policy={args.fault_policy}; "
-              f"{result.packets_misrouted} packets misrouted, "
-              f"{result.packets_dropped} packets "
-              f"({result.flits_dropped} flits) dropped, "
-              f"{result.sample_dropped} sample packets lost")
     print(f"sample:        {result.sample_packets} packets over "
           f"{result.measured_cycles} measured cycles")
     print(f"avg latency:   {result.avg_latency:.2f} cycles")

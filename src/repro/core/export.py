@@ -34,10 +34,6 @@ def result_to_dict(result: SimulationResult) -> Dict:
         "flits_injected": result.flits_injected,
         "flits_ejected": result.flits_ejected,
         "status": result.status,
-        "flits_dropped": result.flits_dropped,
-        "packets_dropped": result.packets_dropped,
-        "packets_misrouted": result.packets_misrouted,
-        "sample_dropped": result.sample_dropped,
     }
     if result.accountant is not None:
         out["total_power_w"] = result.total_power_w
@@ -94,8 +90,6 @@ def experiment_rows(outcomes) -> List[Dict]:
             "ok": outcome.ok,
             "status": outcome.status,
             "error": outcome.error or "",
-            "flits_dropped": outcome.flits_dropped,
-            "packets_misrouted": outcome.packets_misrouted,
             "attempts": outcome.attempts,
             "avg_latency_cycles": outcome.avg_latency,
             "total_power_w": outcome.total_power_w,

@@ -83,9 +83,6 @@ class PointOutcome:
     #: Windowed telemetry record; carried (and cached) whenever the
     #: protocol's ``telemetry_window`` is non-zero.
     telemetry: Optional[object] = None
-    #: Fault metadata from the simulation (zero on healthy fabrics).
-    flits_dropped: int = 0
-    packets_misrouted: int = 0
     #: Execution attempts this outcome took (> 1 after crash retries).
     attempts: int = 1
 
@@ -117,8 +114,6 @@ class PointOutcome:
             "total_cycles": self.total_cycles,
             "wall_seconds": self.wall_seconds,
             "from_cache": self.from_cache,
-            "flits_dropped": self.flits_dropped,
-            "packets_misrouted": self.packets_misrouted,
             "attempts": self.attempts,
         }
         if self.telemetry is not None:
@@ -227,8 +222,6 @@ def _execute_point(point: RunPoint, keep_result: bool,
         wall_seconds=time.perf_counter() - start,
         result=result if keep_result else None,
         telemetry=result.telemetry,
-        flits_dropped=result.flits_dropped,
-        packets_misrouted=result.packets_misrouted,
     )
 
 

@@ -12,8 +12,7 @@ total simulation cycles."
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import NetworkConfig, RunProtocol
@@ -53,17 +52,10 @@ class SimulationResult:
     #: the protocol's ``telemetry_window`` is non-zero.
     telemetry: Optional[object] = None
     #: How the run ended: "ok" (sample drained), or — under
-    #: ``RunProtocol.on_stall="finish"`` — "stalled" (deadlock/livelock
+    #: ``RunProtocol.on_stall="finish"`` — "stalled" (deadlock
     #: watchdog fired) or "max_cycles" (cycle limit hit).  With the
     #: default ``on_stall="raise"`` those conditions raise instead.
     status: str = "ok"
-    #: Fault-handling outcomes (all zero on a healthy fabric).
-    flits_dropped: int = 0
-    packets_dropped: int = 0
-    packets_misrouted: int = 0
-    #: Sample-tagged packets dropped rather than delivered (they count
-    #: toward run completion but contribute no latency observation).
-    sample_dropped: int = 0
 
     @property
     def throughput_flits_per_cycle(self) -> float:
@@ -147,7 +139,7 @@ def structural_key(config: NetworkConfig, protocol: RunProtocol) -> tuple:
     """The parts of (config, protocol) that determine graph construction.
 
     Everything else — seed, rate, traffic, warm-up/sample lengths,
-    watchdogs, faults, telemetry — only parameterises the run, so
+    watchdogs, telemetry — only parameterises the run, so
     points agreeing on this key can share one
     :class:`SimulationContext`.
     """
@@ -204,12 +196,6 @@ class Simulation:
                 self.network, self.binding, protocol.telemetry_window)
         else:
             self.recorder = None
-        if protocol.faults is not None and protocol.faults.has_faults:
-            from repro.faults import build_schedule
-            self.fault_schedule = build_schedule(protocol.faults, config)
-            self.network.fault_policy = protocol.faults.policy
-        else:
-            self.fault_schedule = None
 
     def run(self) -> SimulationResult:
         """Execute the full warm-up / sample / drain protocol."""
@@ -225,26 +211,8 @@ class Simulation:
                 stats.record(packet)
 
         network.on_packet_delivered = on_delivered
-        sample_dropped = 0
-        # Fault machinery engages only when a schedule exists: the
-        # healthy-fabric loop below stays bit-identical and pays one
-        # falsy test per cycle for the hook.
-        fault_queue = None
-        if self.fault_schedule is not None and self.fault_schedule.events:
-            fault_queue = deque(self.fault_schedule.events)
-
-            def on_dropped(packet) -> None:
-                nonlocal sample_done, sample_dropped
-                if packet.in_sample:
-                    sample_done += 1
-                    sample_dropped += 1
-
-            network.on_packet_dropped = on_dropped
         status = "ok"
         on_stall = self.protocol.on_stall
-        livelock_cycles = self.protocol.livelock_cycles
-        progress_streak = 0
-        last_progress = 0
         idle_streak = 0
         ejected_at_warmup = 0
         recorder = self.recorder
@@ -262,10 +230,6 @@ class Simulation:
                     self.binding.reset()
                 if recorder is not None:
                     recorder.begin(cycle)
-            # The single fault hook: due events mutate the network
-            # between cycles, before injection and stepping.
-            if fault_queue and fault_queue[0].cycle <= cycle:
-                self._apply_due_faults(fault_queue, cycle)
             if profiling:
                 t0 = perf_counter()
             for src, dst in self.traffic.packets_at(cycle):
@@ -304,31 +268,6 @@ class Simulation:
                     break
             else:
                 idle_streak = 0
-            if livelock_cycles:
-                # Livelock watchdog: flits may keep moving (so the idle
-                # detector stays quiet) while no packet ever completes —
-                # e.g. traffic ping-ponging around dead links.
-                progressed = (network.packets_delivered
-                              + network.packets_dropped)
-                if progressed != last_progress:
-                    last_progress = progressed
-                    progress_streak = 0
-                elif network.flits_in_flight > 0 \
-                        or network.flits_awaiting_injection > 0:
-                    progress_streak += 1
-                    if progress_streak >= livelock_cycles:
-                        if on_stall == "raise":
-                            raise DeadlockError(
-                                f"no packet delivered or dropped for "
-                                f"{progress_streak} cycles at cycle "
-                                f"{network.cycle} (livelock) with "
-                                f"{network.flits_in_flight} flits in "
-                                f"flight"
-                            )
-                        status = "stalled"
-                        break
-                else:
-                    progress_streak = 0
             if network.cycle >= self.max_cycles:
                 if on_stall == "raise":
                     raise SimulationTimeout(
@@ -338,10 +277,9 @@ class Simulation:
                     )
                 status = "max_cycles"
                 break
-        # Drop the delivery/drop closures: they hold this run's state,
-        # and the network stays a plain, picklable object graph.
+        # Drop the delivery closure: it holds this run's state, and the
+        # network stays a plain, picklable object graph.
         network.on_packet_delivered = None
-        network.on_packet_dropped = None
         total_cycles = network.cycle
         # A stall can terminate inside warm-up; clamp so downstream
         # power math never sees a negative window.
@@ -371,19 +309,4 @@ class Simulation:
             accountant=self.accountant,
             telemetry=recorder.record if recorder is not None else None,
             status=status,
-            flits_dropped=network.flits_dropped,
-            packets_dropped=network.packets_dropped,
-            packets_misrouted=network.packets_misrouted,
-            sample_dropped=sample_dropped,
         )
-
-    def _apply_due_faults(self, queue, cycle: int) -> None:
-        """Feed due fault events to the network; an event the network
-        cannot apply yet (busy output VC) is deferred one cycle, keeping
-        the remaining timeline in order."""
-        network = self.network
-        while queue and queue[0].cycle <= cycle:
-            event = queue.popleft()
-            if not network.apply_fault(event):
-                queue.appendleft(replace(event, cycle=cycle + 1))
-                break

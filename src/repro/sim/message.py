@@ -50,10 +50,6 @@ class Packet:
     eject_cycle: Optional[int] = None
     #: True when this packet counts toward the measured sample.
     in_sample: bool = False
-    #: True when fault handling discarded this packet (its remaining
-    #: flits stream to the local ejector and are counted as dropped,
-    #: not delivered).
-    dropped: bool = False
 
     @property
     def latency(self) -> int:

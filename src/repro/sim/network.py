@@ -18,7 +18,6 @@ from typing import Callable, Deque, List, Optional
 
 from repro.core.config import NetworkConfig
 from repro.core.power_binding import NullBinding
-from repro.faults import STUCK_VC, FaultEvent
 from repro.sim.message import Flit, Packet
 from repro.sim.routers import ROUTER_CLASSES, Channel
 from repro.sim.routing import dimension_ordered_route
@@ -38,16 +37,6 @@ class _Ejector:
 
     def __call__(self, flit: Flit) -> None:
         network = self.network
-        if flit.packet.dropped:
-            # Fault handling rerouted this packet into the local ejector:
-            # its flits leave the network as drops, not deliveries.
-            network.flits_dropped += 1
-            network.node_flits_dropped[self.node] += 1
-            if flit.is_tail:
-                network.packets_dropped += 1
-                if network.on_packet_dropped is not None:
-                    network.on_packet_dropped(flit.packet)
-            return
         network.flits_ejected += 1
         network.node_flits_ejected[self.node] += 1
         if flit.packet.dst != self.node:
@@ -102,22 +91,8 @@ class Network:
         self.node_flits_ejected: List[int] = [0] * self.topo.num_nodes
         self.packets_created = 0
         self.packets_delivered = 0
-        # Fault bookkeeping (all zero on a healthy fabric).
-        self.flits_dropped = 0
-        self.packets_dropped = 0
-        self.packets_misrouted = 0
-        self.node_flits_dropped: List[int] = [0] * self.topo.num_nodes
-        self.node_packets_misrouted: List[int] = [0] * self.topo.num_nodes
-        #: Packet policy when a routed output port is faulted; set from
-        #: the FaultSpec by the engine.  See BaseRouter._fault_redirect.
-        self.fault_policy = "misroute"
-        #: Currently-dead directed links as (node, out_port) pairs —
-        #: detour planning avoids known-dead links downstream.
-        self.faulted_links: set = set()
         #: Installed by the engine: called with each completed packet.
         self.on_packet_delivered: Optional[Callable[[Packet], None]] = None
-        #: Installed by the engine: called with each dropped packet.
-        self.on_packet_dropped: Optional[Callable[[Packet], None]] = None
         self._payload_rng = random.Random(payload_seed)
         self._track_payloads = config.activity_mode == "data"
 
@@ -137,7 +112,6 @@ class Network:
                 out_port, rc.buffer_depth, rc.num_vcs)
         for router in self.routers:
             router.eject = _Ejector(self, router.node)
-            router.network = self
             # VC routers need the topology for dateline tracking.
             if hasattr(router, "topo"):
                 router.topo = self.topo
@@ -151,8 +125,8 @@ class Network:
         technology and power-model precomputation — dominates short-run
         cost, so warm worker processes reuse one constructed graph across
         grid points.  ``reset()`` clears every piece of dynamic state
-        (buffers, channels, credits, arbiter priorities, counters, fault
-        state, payload RNG) while keeping all wiring and cached
+        (buffers, channels, credits, arbiter priorities, counters,
+        payload RNG) while keeping all wiring and cached
         references intact; after it, a run is bit-identical to one on a
         freshly constructed network (pinned by tests/test_pool.py).
         """
@@ -175,15 +149,7 @@ class Network:
         self.node_flits_ejected[:] = [0] * n
         self.packets_created = 0
         self.packets_delivered = 0
-        self.flits_dropped = 0
-        self.packets_dropped = 0
-        self.packets_misrouted = 0
-        self.node_flits_dropped[:] = [0] * n
-        self.node_packets_misrouted[:] = [0] * n
-        self.fault_policy = "misroute"
-        self.faulted_links.clear()
         self.on_packet_delivered = None
-        self.on_packet_dropped = None
         self._payload_rng = random.Random(payload_seed)
         self.binding.reset_run()
 
@@ -280,72 +246,12 @@ class Network:
                     self._pending_src.discard(node)
         return injected
 
-    # --- fault application ---------------------------------------------------------------
-
-    def apply_fault(self, event: FaultEvent) -> bool:
-        """Apply one fault event to the live network (between cycles).
-
-        The single mutation point for faults: the engine drives due
-        events through here.  Returns ``False`` when the event cannot
-        apply *yet* (a ``vc_stuck`` on a currently-owned output VC —
-        wedging it mid-packet would corrupt the connection) and should
-        be retried next cycle.  Raises :class:`ValueError` for
-        events naming nonexistent hardware.
-
-        Link faults have graceful semantics: established connections and
-        already-allocated VCs finish streaming over the dying wire; only
-        *new* allocations are refused and redirected.
-        """
-        kind = event.kind
-        router = self.routers[event.node]
-        if kind == "link_kill" or kind == "link_restore":
-            if not (0 <= event.port < router.PORTS) \
-                    or router.out_channels[event.port] is None:
-                raise ValueError(
-                    f"fault {event.describe()}: node {event.node} has no "
-                    f"outgoing link on port {event.port}"
-                )
-            if kind == "link_kill":
-                router._faulted_out |= 1 << event.port
-                self.faulted_links.add((event.node, event.port))
-            else:
-                router._faulted_out &= ~(1 << event.port)
-                self.faulted_links.discard((event.node, event.port))
-            return True
-        if kind == "router_freeze":
-            router.freeze()
-            return True
-        if kind == "router_thaw":
-            router.thaw()
-            # Re-enrol so buffered work accumulated while frozen resumes;
-            # harmless when there is none (the router retires again
-            # after one scan).
-            self._active.add(event.node)
-            return True
-        if kind == "vc_stuck":
-            owners = getattr(router, "out_vc_owner", None)
-            if owners is None:
-                raise ValueError(
-                    f"fault {event.describe()}: vc_stuck needs a VC "
-                    f"router, got {self.config.router.kind!r}"
-                )
-            if not (0 <= event.port < router.PORTS) \
-                    or not (0 <= event.vc < router.num_vcs):
-                raise ValueError(
-                    f"fault {event.describe()}: no such output VC"
-                )
-            if owners[event.port][event.vc] is not None:
-                return False
-            owners[event.port][event.vc] = STUCK_VC
-            return True
-        raise ValueError(f"unknown fault kind {kind!r}")
-
     # --- accounting ------------------------------------------------------------------------
 
     @property
     def flits_in_flight(self) -> int:
-        """Flits injected into routers but not yet ejected or dropped."""
-        return self.flits_injected - self.flits_ejected - self.flits_dropped
+        """Flits injected into routers but not yet ejected."""
+        return self.flits_injected - self.flits_ejected
 
     @property
     def flits_awaiting_injection(self) -> int:
@@ -368,15 +274,13 @@ class Network:
             1 for r in self.routers for c in r.out_channels
             if c is not None and c.busy
         )
-        accounted = buffered + on_wire + self.flits_ejected \
-            + self.flits_dropped
+        accounted = buffered + on_wire + self.flits_ejected
         if accounted != self.flits_injected:
             raise RuntimeError(
                 f"flit conservation violated: {self.flits_injected} "
                 f"injected but {accounted} accounted for "
                 f"({buffered} buffered, {on_wire} on wire, "
-                f"{self.flits_ejected} ejected, "
-                f"{self.flits_dropped} dropped)"
+                f"{self.flits_ejected} ejected)"
             )
         if sum(self.node_flits_injected) != self.flits_injected:
             raise RuntimeError(
@@ -389,12 +293,6 @@ class Network:
                 f"flit conservation violated: per-node ejection counters "
                 f"sum to {sum(self.node_flits_ejected)} but "
                 f"{self.flits_ejected} flits were ejected"
-            )
-        if sum(self.node_flits_dropped) != self.flits_dropped:
-            raise RuntimeError(
-                f"flit conservation violated: per-node drop counters "
-                f"sum to {sum(self.node_flits_dropped)} but "
-                f"{self.flits_dropped} flits were dropped"
             )
         queued = sum(len(q) for q in self.source_queues)
         if queued != self._awaiting:

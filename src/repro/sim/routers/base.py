@@ -24,7 +24,6 @@ from typing import Callable, List, Optional
 from repro.core.config import NetworkConfig
 from repro.core.events import LINK_TRAVERSAL
 from repro.sim.message import Flit
-from repro.sim.routing import route_around_faults
 from repro.sim.topology import LOCAL
 
 
@@ -129,17 +128,6 @@ class BaseRouter:
         #: Flits currently buffered in this router, maintained O(1) —
         #: must always equal :meth:`buffered_flits` (audited).
         self._buffered = 0
-        #: Back-reference to the owning network, installed during wiring
-        #: (fault handling consults topology and global fault state).
-        self.network = None
-        #: Bitmask of output ports whose link is currently faulted: new
-        #: allocations to these ports are refused and redirected through
-        #: :meth:`_fault_redirect`.  Zero on a healthy router, so the
-        #: per-allocation check is a single falsy bit test.
-        self._faulted_out = 0
-        #: Whether a ``router_freeze`` fault has halted this router's
-        #: work phases (see :meth:`freeze`).
-        self.frozen = False
         #: The binding's per-node link-event counters, bumped directly
         #: in ``_send`` instead of a sink-method call.
         self._c_link = binding.n_link
@@ -251,73 +239,17 @@ class BaseRouter:
 
     def reset(self) -> None:
         """Restore construction-time dynamic state in place, keeping all
-        wiring (channels, eject, network back-reference and counter-list
-        aliases).
+        wiring (channels, eject and counter-list aliases).
 
         Subclasses extend this with their buffer/allocator state; after
         ``reset()`` the router must behave cycle-for-cycle like a freshly
         constructed one (the contract :meth:`Network.reset` builds on).
         """
-        self.thaw()
         self.moved_flits = 0
         self.now = 0
         self._pending_in = 0
         self._pending_credit = 0
         self._buffered = 0
-        self._faulted_out = 0
-
-    # --- fault handling --------------------------------------------------------
-
-    _FROZEN_NAMES = ("work_phase", "traversal_phase", "allocation_phase",
-                     "inject_flit")
-
-    def freeze(self) -> None:
-        """Halt this router's work phases (a modelled hard fault).
-
-        The arrival phase stays live: an incoming wire cannot hold two
-        flits, so in-flight flits must still land in the (already
-        credit-reserved) input buffers — backpressure then builds through
-        withheld credits, exactly as a wedged pipeline behaves.
-        Traversal, allocation and injection stop dead via instance-method
-        swaps, keeping the healthy-router fast paths untouched."""
-        if self.frozen:
-            return
-        self.frozen = True
-        for name in self._FROZEN_NAMES[:-1]:
-            setattr(self, name, _frozen_phase)
-        self.inject_flit = _frozen_inject
-
-    def thaw(self) -> None:
-        """Undo :meth:`freeze`, unmasking the class phase methods."""
-        if not self.frozen:
-            return
-        self.frozen = False
-        for name in self._FROZEN_NAMES:
-            del self.__dict__[name]
-
-    def _fault_redirect(self, head: Flit, in_port: int) -> int:
-        """The head's routed output port is faulted: detour around the
-        dead link (policy ``"misroute"``) or convert the packet into a
-        drop streamed to the local ejector (policy ``"drop"``, or when
-        no detour exists).  The packet's route is rewritten in place so
-        the decision is made once per redirect; returns the replacement
-        output port for the current hop."""
-        network = self.network
-        packet = head.packet
-        idx = head.route_idx
-        if network.fault_policy == "misroute":
-            detour = route_around_faults(
-                network.topo, self.node, packet.dst, in_port,
-                self._faulted_out, network.faulted_links,
-                self.config.tie_break)
-            if detour is not None:
-                packet.route = packet.route[:idx] + detour
-                network.packets_misrouted += 1
-                network.node_packets_misrouted[self.node] += 1
-                return detour[0]
-        packet.dropped = True
-        packet.route = packet.route[:idx] + [LOCAL]
-        return LOCAL
 
     def _send(self, out_port: int, flit: Flit) -> None:
         """Ship a flit: eject locally or launch onto the outgoing link,
@@ -343,13 +275,3 @@ class BaseRouter:
 def _unwired_eject(flit: Flit) -> None:
     raise RuntimeError("router ejection callback not wired to a network")
 
-
-# Module-level (hence picklable) stubs installed by ``freeze``.
-
-def _frozen_phase(cycle: int) -> None:
-    """A frozen router does no traversal, allocation or fused work."""
-
-
-def _frozen_inject(flit: Flit) -> bool:
-    """A frozen router accepts no locally-injected flits."""
-    return False

@@ -126,8 +126,6 @@ class CentralBufferRouter(BaseRouter):
             if flit.is_head:
                 record = _PacketRecord()
                 out_port = flit.next_output_port()
-                if self._faulted_out >> out_port & 1:
-                    out_port = self._fault_redirect(flit, in_port)
                 self.out_queues[out_port].append(record)
                 if not flit.is_tail:
                     self._open_records[pid] = record

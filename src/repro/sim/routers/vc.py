@@ -582,8 +582,6 @@ class VCRouter(BaseRouter):
                         f"headed by a {head.ftype.name} flit"
                     )
                 out_port = head.next_output_port()
-                if self._faulted_out >> out_port & 1:
-                    out_port = self._fault_redirect(head, in_port)
                 candidate = self._pick_output_vc(head, out_port)
                 if candidate is None:
                     continue

@@ -118,11 +118,7 @@ class WormholeRouter(BaseRouter):
                     f"headed by a {head.ftype.name} flit"
                 )
             out_port = head.next_output_port()
-            if self._faulted_out >> out_port & 1:
-                out_port = self._fault_redirect(head, in_port)
-            if out_port == in_port and out_port != LOCAL:
-                # LOCAL->LOCAL only arises from fault drops at the
-                # source; hardware-port u-turns stay protocol violations.
+            if out_port == in_port:
                 raise RuntimeError(
                     f"node {self.node}: u-turn on port {in_port}"
                 )

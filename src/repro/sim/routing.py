@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.sim.topology import (EAST, LOCAL, NORTH, OPPOSITE, SOUTH, WEST,
-                                Topology)
+from repro.sim.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Topology
 
 TIE_BREAKS = ("avoid_wrap", "even")
 
@@ -82,61 +81,6 @@ def dimension_ordered_route(topo: Topology, src: int, dst: int,
     route.extend([EAST if step > 0 else WEST] * hops)
     route.append(LOCAL)
     return route
-
-
-def route_around_faults(topo: Topology, node: int, dst: int, in_port: int,
-                        faulted_out: int, faulted_links,
-                        tie_break: str = "avoid_wrap"):
-    """Minimal detour from ``node`` to ``dst`` around faulted links.
-
-    The fault fallback for source-routed DOR: when a packet's next output
-    port is dead, pick a healthy neighbouring port and re-plan with plain
-    DOR from that neighbour.  Candidates exclude ``faulted_out`` ports
-    (a bitmask of dead outputs at ``node``), the arrival port (u-turns
-    are protocol violations) and detours whose DOR continuation
-    immediately bounces back over the link just taken (a ping-pong
-    livelock).  Among the survivors, prefer detours whose continuation
-    crosses no *known*-faulted link (``faulted_links`` is the network's
-    set of ``(node, port)`` dead links), then the shortest, then the
-    lowest port index — fully deterministic.
-
-    Returns the replacement route (starting with the detour port, ending
-    in LOCAL) or ``None`` when no detour exists; the caller then drops
-    the packet.  The detour is minimal-effort by design: it re-plans
-    once and does not guarantee delivery when later links die.
-    """
-    best = best_key = None
-    for port in (NORTH, SOUTH, EAST, WEST):
-        if faulted_out >> port & 1 or port == in_port:
-            continue
-        nbr = topo.neighbor(node, port)
-        if nbr is None:
-            continue
-        if nbr == dst:
-            route = [port, LOCAL]
-        else:
-            cont = dimension_ordered_route(topo, nbr, dst, tie_break)
-            if cont[0] == OPPOSITE[port]:
-                continue
-            route = [port] + cont
-        clean = _crosses_faulted(topo, node, route, faulted_links)
-        key = (clean, topo.manhattan_distance(nbr, dst), port)
-        if best_key is None or key < best_key:
-            best, best_key = route, key
-    return best
-
-
-def _crosses_faulted(topo: Topology, src: int, route: List[int],
-                     faulted_links) -> bool:
-    """Whether a route traverses any known-dead ``(node, port)`` link."""
-    if not faulted_links:
-        return False
-    node = src
-    for port in route[:-1]:
-        if (node, port) in faulted_links:
-            return True
-        node = topo.neighbor(node, port)
-    return False
 
 
 def route_hops(route: List[int]) -> int:

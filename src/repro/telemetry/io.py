@@ -23,22 +23,25 @@ from typing import Dict, List
 from repro.telemetry.recorder import TelemetryRecord, TelemetryWindow
 
 #: Bump when the JSONL layout changes; readers reject other versions.
-#: 2: window lines carry ``dropped``/``misrouted`` fault columns
-#: (schema-1 files still read back, the columns defaulting to zero).
+#: 2: window lines carry two per-node fault-count columns (schema-1
+#: files still read back, the columns defaulting to zero).
 #: 3: the header drops ``kernel`` (there is one kernel; the key is
 #: ignored when reading schema-1/2 files).
 #: 4: the header names the ``channels``; window lines carry per-channel
 #: ``sent`` counts and per-cycle ``occupancy_sum``/``occupancy_peak``
 #: (schema-1-3 files read back without them, so their utilisation and
 #: occupancy queries raise).
-JSONL_SCHEMA = 4
+#: 5: window lines drop schema 2's fault-count columns (the simulator
+#: models a healthy fabric; schema-2-4 files read back with those
+#: columns ignored).
+JSONL_SCHEMA = 5
 
 #: Schema versions :func:`telemetry_from_jsonl` accepts.
-_READABLE_SCHEMAS = (1, 2, 3, 4)
+_READABLE_SCHEMAS = (1, 2, 3, 4, 5)
 
-#: Per-window integer columns written as-is (schema-4 names).
-_WINDOW_COLUMNS = ("injected", "ejected", "occupancy", "dropped",
-                   "misrouted", "sent", "occupancy_sum", "occupancy_peak")
+#: Per-window integer columns written as-is (schema-5 names).
+_WINDOW_COLUMNS = ("injected", "ejected", "occupancy", "sent",
+                   "occupancy_sum", "occupancy_peak")
 
 _HEADER_FIELDS = ("window", "num_nodes", "width", "height",
                   "frequency_hz", "warmup_cycles", "router_kind",
@@ -97,10 +100,6 @@ def telemetry_from_jsonl(path: str) -> TelemetryRecord:
                         f"{path}:{line_no}: window before header")
                 columns = {name: entry.get(name) or []
                            for name in _WINDOW_COLUMNS}
-                # Schema-1 windows predate the fault columns: zeros.
-                for name in ("dropped", "misrouted"):
-                    columns[name] = columns[name] \
-                        or [0] * len(entry["injected"])
                 record.windows.append(TelemetryWindow(
                     index=entry["index"],
                     cycle_start=entry["cycle_start"],
@@ -156,10 +155,6 @@ def telemetry_rows(record: TelemetryRecord) -> List[Dict]:
                     "injected": window.injected[node],
                     "ejected": window.ejected[node],
                     "occupancy": window.occupancy[node],
-                    "dropped": window.dropped[node]
-                    if window.dropped else 0,
-                    "misrouted": window.misrouted[node]
-                    if window.misrouted else 0,
                 })
     return rows
 
@@ -169,7 +164,7 @@ def telemetry_to_csv(record: TelemetryRecord, path: str) -> None:
     rows = telemetry_rows(record)
     fieldnames = ["window", "cycle_start", "cycle_end", "node", "x", "y",
                   "component", "energy_j", "events", "injected",
-                  "ejected", "occupancy", "dropped", "misrouted"]
+                  "ejected", "occupancy"]
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()

@@ -59,11 +59,6 @@ class TelemetryWindow:
     injected: List[int] = field(default_factory=list)
     ejected: List[int] = field(default_factory=list)
     occupancy: List[int] = field(default_factory=list)
-    #: Per-node flits dropped / packets misrouted in this window
-    #: (fault-injection runs; empty lists on healthy fabrics predate
-    #: the columns and read as zero).
-    dropped: List[int] = field(default_factory=list)
-    misrouted: List[int] = field(default_factory=list)
     #: Flits sent per channel, aligned with :attr:`TelemetryRecord.channels`
     #: (empty in records written before JSONL schema 4, as are the two
     #: per-cycle occupancy columns below).
@@ -200,16 +195,6 @@ class TelemetryRecord:
     def ejected_totals(self) -> List[int]:
         """Per-node flits ejected over the measured window."""
         return self._column_sums("ejected", self.num_nodes)
-
-    def dropped_totals(self) -> List[int]:
-        """Per-node flits dropped (fault policy) over the measured
-        window."""
-        return self._column_sums("dropped", self.num_nodes)
-
-    def misrouted_totals(self) -> List[int]:
-        """Per-node packets misrouted around faults over the measured
-        window."""
-        return self._column_sums("misrouted", self.num_nodes)
 
     # --- utilisation and occupancy -------------------------------------------
 
@@ -379,8 +364,6 @@ class TelemetryRecorder:
         return {
             "injected": list(network.node_flits_injected),
             "ejected": list(network.node_flits_ejected),
-            "dropped": list(network.node_flits_dropped),
-            "misrouted": list(network.node_packets_misrouted),
             "sent": [channel.flits_sent for channel in self._channels],
         }
 

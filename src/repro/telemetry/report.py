@@ -112,7 +112,7 @@ def spans_table(record: TelemetryRecord) -> str:
 
 def telemetry_summary(record: TelemetryRecord) -> dict:
     """A compact JSON-safe digest of one record — window counts,
-    energy/power totals and fault counters, without the per-window
+    energy/power totals and phase spans, without the per-window
     series.  Small enough to embed in a job-service result or progress
     stream where the full record would be megabytes."""
     return {
@@ -121,8 +121,6 @@ def telemetry_summary(record: TelemetryRecord) -> dict:
         "measured_cycles": record.measured_cycles,
         "total_energy_j": record.total_energy_j(),
         "power_breakdown_w": record.power_breakdown_w(),
-        "flits_dropped": sum(record.dropped_totals()),
-        "packets_misrouted": sum(record.misrouted_totals()),
         "spans_s": dict(record.spans_s),
     }
 
@@ -143,11 +141,6 @@ def telemetry_report(record: TelemetryRecord, series: bool = True) -> str:
         spatial_table(record),
     ]
     lines += ["", utilization_report(record)]
-    dropped = sum(record.dropped_totals())
-    misrouted = sum(record.misrouted_totals())
-    if dropped or misrouted:
-        lines += ["", f"fault handling: {dropped} flits dropped, "
-                      f"{misrouted} packets misrouted"]
     if series:
         lines += ["", "time series:", series_table(record)]
     lines += ["", "engine phase spans:", spans_table(record)]

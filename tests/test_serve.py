@@ -805,6 +805,11 @@ CONFORMANCE = {
         "kind": "run", "spec": {"config": "VC16", "rate": 0.03,
                                 "protocol": {"monitor": True}},
     }).encode()), 400, "invalid_job"),
+    "stale-faults-run": (post("/v2/jobs", json.dumps({
+        "kind": "run", "spec": {"config": "VC16", "rate": 0.03,
+                                "protocol": {"faults": {
+                                    "seed": 3, "link_kills": 2}}},
+    }).encode()), 400, "invalid_job"),
     "zero-rate-run": (post("/v2/jobs", json.dumps({
         "kind": "run", "spec": {"config": "VC16", "rate": 0},
     }).encode()), 400, "invalid_job"),
@@ -814,6 +819,7 @@ CONFORMANCE = {
 CONFORMANCE_NAMES = {"stale-kernel-run": "kernel",
                      "stale-kernel-experiment": "kernel",
                      "stale-monitor-run": "monitor",
+                     "stale-faults-run": "faults",
                      "zero-rate-run": "rate"}
 
 

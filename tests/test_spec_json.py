@@ -4,7 +4,7 @@ The serve subsystem ships specs over HTTP as JSON, so every spec
 object must survive ``to_json -> from_json`` bit-identically: equal
 dataclasses *and* identical cache keys (the dedup and result-cache
 currency).  Property-style: the full preset matrix crossed with
-protocol and fault-grammar variations.
+protocol variations.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from repro.exp import (
 )
 from repro.exp import spec as spec_module
 from repro.exp.spec import CACHE_SCHEMA
-from repro.faults import FaultEvent, FaultSpec, parse_fault_specs
 
 from tests.conftest import small_config
 
@@ -35,19 +34,11 @@ PROTOCOLS = [
     RunProtocol(),
     RunProtocol(warmup_cycles=0, sample_packets=1, collect_power=False),
     RunProtocol(audit_every=500),
-    RunProtocol(telemetry_window=128, seed=7, livelock_cycles=10_000,
-                on_stall="finish"),
-    RunProtocol(faults=FaultSpec(seed=3, link_kills=2, link_flips=1,
-                                 router_freezes=1, flip_duration=250),
-                on_stall="finish"),
-    RunProtocol(faults=FaultSpec(
-        policy="drop",
-        events=(FaultEvent("link_kill", 100, 5, 2),
-                FaultEvent("router_freeze", 50, 3),
-                FaultEvent("vc_stuck", 80, 2, 1, 0)))),
-    RunProtocol(faults=parse_fault_specs(
-        ["link_flip:node=5,port=east,at=1000,for=500",
-         "random:kills=1,stuck=1"], seed=9, policy="drop")),
+    RunProtocol(telemetry_window=128, seed=7, on_stall="finish"),
+    RunProtocol(max_cycles=50_000, watchdog_cycles=500, on_stall="finish"),
+    RunProtocol(warmup_cycles=3, sample_packets=2, seed=2**31 - 1,
+                audit_every=1),
+    RunProtocol(collect_power=False, telemetry_window=1, max_cycles=1),
 ]
 
 TRAFFICS = [
@@ -92,11 +83,15 @@ class TestProtocolRoundTrip:
             json.loads(json.dumps(protocol_to_dict(protocol))))
         assert rebuilt == protocol
 
-    def test_fault_events_survive(self):
-        protocol = PROTOCOLS[5]
-        rebuilt = protocol_from_dict(
-            json.loads(json.dumps(protocol_to_dict(protocol))))
-        assert rebuilt.faults.events == protocol.faults.events
+    def test_stale_fault_fields_rejected(self):
+        """``faults`` and ``livelock_cycles`` left the protocol with
+        the fault model; a protocol still carrying one names it."""
+        for field, value in (("faults", {"seed": 3, "link_kills": 2}),
+                             ("livelock_cycles", 50_000)):
+            data = protocol_to_dict(RunProtocol())
+            data[field] = value
+            with pytest.raises(TypeError, match=field):
+                protocol_from_dict(data)
 
 
 class TestTrafficRoundTrip:
@@ -126,7 +121,7 @@ class TestRunPointRoundTrip:
         assert rebuilt == point
         assert rebuilt.cache_key() == point.cache_key()
 
-    def test_fault_protocol_cache_keys_identical(self):
+    def test_small_config_cache_keys_identical(self):
         for protocol in PROTOCOLS[4:]:
             point = RunPoint(config=small_config("vc"),
                              traffic=TrafficSpec.of("uniform"),
@@ -164,7 +159,6 @@ class TestExperimentSpecRoundTrip:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_every_protocol_variant(self, protocol):
-        # stuck_vcs faults only fit VC routers; keep the grid compatible
         spec = ExperimentSpec.of(small_config("vc"), "uniform",
                                  rates=[0.02], protocol=protocol)
         rebuilt = ExperimentSpec.from_json(spec.to_json())
@@ -219,7 +213,7 @@ class TestCacheKeyFormula:
     @pytest.mark.parametrize("protocol",
                              [RunProtocol(), PROTOCOLS[4],
                               RunProtocol(telemetry_window=64)],
-                             ids=["default", "faults", "telemetry"])
+                             ids=["default", "stall", "telemetry"])
     def test_matches_reference_formula(self, name, protocol):
         for traffic in TRAFFICS:
             for _ in range(2):  # first call fills the memo, second reads it
@@ -228,17 +222,17 @@ class TestCacheKeyFormula:
                 assert point.cache_key() == reference_key(point)
 
     def test_pinned_keys(self, monkeypatch):
-        """Literal keys under schema 5; the code version is fixed so a
+        """Literal keys under schema 6; the code version is fixed so a
         release bump does not move them."""
         monkeypatch.setattr(repro, "__version__", "pinned")
-        assert CACHE_SCHEMA == 5
+        assert CACHE_SCHEMA == 6
         pinned = {
-            "WH64": "18360eb4decf99f36d39c7c3919ff0ed"
-                    "40027e8384c60148631a26785bf8db93",
-            "VC16": "116728fa1df03a1bb8b7e4df3182bd0a"
-                    "bfdb0c897fe4e2a9d58ee2f6e8f366e6",
-            "CB": "c6b71034ec6dadaf8997cdf3ab2a48da"
-                  "8a6cf136dc74218baff3a7a783686e03",
+            "WH64": "cf3e8495f44770b7e90a6585efc8c003"
+                    "0daa580335131a1ac0ecdffeba340004",
+            "VC16": "678b11d1f7cda76cdd655b1d357be124"
+                    "6fc3f2e48ee72ba7ed3cb5900b6f5ad5",
+            "CB": "7deb3507ddd6d0b7580a1b90cd79c1a0"
+                  "88ce36658a4a202caac12f0c55058c20",
         }
         for name, key in pinned.items():
             point = RunPoint(config=preset(name),

@@ -222,15 +222,17 @@ class TestRoundTrip:
 
     def test_schema2_file_reads_back(self, tmp_path):
         """A file written before the header dropped ``kernel`` still
-        reads back (the key is ignored) and rewrites as schema 4; it
-        has no utilisation columns, so those queries raise."""
+        reads back (the key, and the fault-count window columns, are
+        ignored) and rewrites as schema 5; it has no utilisation
+        columns, so those queries raise."""
         path = tmp_path / "old.jsonl"
         path.write_text(SCHEMA2_JSONL)
         record = telemetry_from_jsonl(str(path))
         assert (record.window, record.num_nodes, record.router_kind) == \
             (16, 4, "vc")
         assert not hasattr(record, "kernel")
-        assert record.windows[0].dropped == [0, 0, 0, 0]
+        assert record.windows[0].injected == [3, 11, 0, 0]
+        assert not hasattr(record.windows[0], "dropped")
         assert record.spans_s == {"inject": 0.5}
         assert record.channels is None
         with pytest.raises(ValueError, match="schema 4"):
@@ -241,8 +243,9 @@ class TestRoundTrip:
         again = tmp_path / "new.jsonl"
         telemetry_to_jsonl(record, str(again))
         header = json.loads(again.read_text().splitlines()[0])
-        assert header["schema"] == JSONL_SCHEMA == 4
+        assert header["schema"] == JSONL_SCHEMA == 5
         assert "kernel" not in header
+        assert "dropped" not in again.read_text()
         back = telemetry_from_jsonl(str(again))
         assert back.windows[0].energy_j == record.windows[0].energy_j
         assert back.component_energy_totals() == \
