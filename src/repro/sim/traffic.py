@@ -37,6 +37,13 @@ from repro.sim.topology import Topology
 FlowTable = Dict[Tuple[int, int], float]
 
 
+def _uniform_destination(rng: random.Random, n: int, src: int) -> int:
+    """A destination drawn uniformly from the ``n - 1`` nodes other than
+    ``src`` (one ``randrange`` draw)."""
+    dst = rng.randrange(n - 1)
+    return dst + 1 if dst >= src else dst
+
+
 class TrafficPattern:
     """Base class: per-cycle packet generation decisions.  A rate-driven
     subclass also defines ``flows()`` (see the module docstring), which
@@ -69,10 +76,7 @@ class UniformRandomTraffic(TrafficPattern):
         rng = self.rng
         for src in range(n):
             if rng.random() < self.rate:
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
-                pairs.append((src, dst))
+                pairs.append((src, _uniform_destination(rng, n, src)))
         return pairs
 
     def flows(self) -> FlowTable:
@@ -186,9 +190,7 @@ class HotspotTraffic(TrafficPattern):
             if src != self.hotspot and rng.random() < self.hot_fraction:
                 dst = self.hotspot
             else:
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
+                dst = _uniform_destination(rng, n, src)
             pairs.append((src, dst))
         return pairs
 
@@ -320,10 +322,7 @@ class BurstyTraffic(UniformRandomTraffic):
                 if rng.random() < self._p_on:
                     self._state[src] = True
             if self._state[src] and rng.random() < self.on_rate:
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
-                pairs.append((src, dst))
+                pairs.append((src, _uniform_destination(rng, n, src)))
         return pairs
 
     def reset(self, seed: Optional[int] = None) -> None:

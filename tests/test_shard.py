@@ -179,8 +179,11 @@ class Fleet:
                                   timeout=60.0)
 
     def _drain_stdout(self):
-        for line in self.process.stdout:
-            self.lines.append(line.rstrip("\n"))
+        # The pump owns the pipe from here on: it closes it at EOF,
+        # once the gateway and every shard have exited.
+        with self.process.stdout:
+            for line in self.process.stdout:
+                self.lines.append(line.rstrip("\n"))
 
     def shard_pids(self):
         health = self.client.health()
@@ -190,17 +193,20 @@ class Fleet:
     def close(self, kill=False):
         if hasattr(self, "client"):
             self.client.close()
-        if self.process.poll() is not None:
-            return
-        if kill:
-            self.process.kill()
+        if self.process.poll() is None:
+            if kill:
+                self.process.kill()
+            else:
+                self.process.send_signal(signal.SIGTERM)
+            try:
+                self.process.wait(timeout=120)
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait(timeout=10)
+        if hasattr(self, "_pump"):
+            self._pump.join(timeout=30)
         else:
-            self.process.send_signal(signal.SIGTERM)
-        try:
-            self.process.wait(timeout=120)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait(timeout=10)
+            self.process.stdout.close()
 
 
 @pytest.fixture
