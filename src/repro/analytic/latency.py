@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import NetworkConfig
 from repro.sim.stats import zero_load_latency_estimate

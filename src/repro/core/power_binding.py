@@ -46,9 +46,11 @@ class NullBinding:
     binding of a pure-performance run, and the base of
     :class:`PowerBinding`.
 
-    The lists are zeroed in place, so routers' hot loops may cache them
-    and bump ``n_<event>[node]`` or ``n_arb[kind][node][requests]``
-    directly; the sink methods are the same bumps as calls.
+    The lists are zeroed in place, so routers' hot loops cache them and
+    bump ``n_<event>[node]`` or ``n_arb[kind][node][requests]`` directly
+    (``kind`` is ``"switch"``, ``"vc"``, ``"local"`` or, on central
+    routers, ``"cb"``), handing a flit's payload to :meth:`observe` when
+    it carries one.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
@@ -90,55 +92,6 @@ class NullBinding:
     def telemetry_view(self):
         """No energy model: telemetry records traffic columns only."""
         return None, None
-
-    # --- event sinks -----------------------------------------------------------
-
-    def buffer_write(self, node: int, port: int, payload) -> None:
-        """A flit written into an input buffer."""
-        self.n_buf_write[node] += 1
-        if payload is not None:
-            self.observe(node, ev.BUFFER_WRITE, port, payload)
-
-    def buffer_read(self, node: int) -> None:
-        """A flit read out of an input buffer (reads drive the full row)."""
-        self.n_buf_read[node] += 1
-
-    def xbar_traversal(self, node: int, out_port: int, payload) -> None:
-        """A flit crossing the router's switch fabric."""
-        self.n_xbar[node] += 1
-        if payload is not None:
-            self.observe(node, ev.XBAR_TRAVERSAL, out_port, payload)
-
-    def link_traversal(self, node: int, out_port: int, payload) -> None:
-        """A flit leaving on an inter-router link (charged to the sender)."""
-        self.n_link[node] += 1
-        if payload is not None:
-            self.observe(node, ev.LINK_TRAVERSAL, out_port, payload)
-
-    def cb_write(self, node: int, payload) -> None:
-        """A flit moved into the central buffer."""
-        self.n_cb_write[node] += 1
-        if payload is not None:
-            self.observe(node, ev.CB_WRITE, 0, payload)
-
-    def cb_read(self, node: int, payload) -> None:
-        """A flit moved out of the central buffer."""
-        self.n_cb_read[node] += 1
-        if payload is not None:
-            self.observe(node, ev.CB_READ, 0, payload)
-
-    def arbitration(self, node: int, kind: str, num_requests: int) -> None:
-        """An arbitration round that issues a grant.
-
-        ``kind`` selects the arbiter: ``"switch"`` (output-port switch
-        arbiter, includes crossbar control energy), ``"vc"`` (VC
-        allocator), ``"local"`` (per-input V:1 stage) or ``"cb"``
-        (central-buffer fabric ports).
-        """
-        per_node = self.n_arb.get(kind)
-        if per_node is None:
-            raise ValueError(f"unknown arbitration kind {kind!r}")
-        per_node[node][num_requests] += 1
 
     def observe(self, node: int, event: str, port: int, payload: int) -> None:
         """A payload seen at one event site (see :class:`PowerBinding`)."""

@@ -24,7 +24,7 @@ returns the measured sweep next to the prediction that placed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.config import NetworkConfig, RunProtocol

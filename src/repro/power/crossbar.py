@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.power.base import EnergyModel, expected_switches
 from repro.tech import sizing
-from repro.tech.technology import Technology
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class FlitType(enum.IntEnum):
@@ -31,13 +31,37 @@ class FlitType(enum.IntEnum):
         return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
+#: ``is_head`` / ``is_tail`` per :class:`FlitType` value: a tuple index
+#: instead of an enum membership test per constructed flit.
+_IS_HEAD = (True, False, False, True)
+_IS_TAIL = (False, False, True, True)
+
+#: Packet length -> ``(seq, FlitType)`` of each of its flits.
+_KINDS: Dict[int, Tuple[Tuple[int, FlitType], ...]] = {}
+
+
+def _flit_kinds(length: int) -> Tuple[Tuple[int, FlitType], ...]:
+    kinds = _KINDS.get(length)
+    if kinds is None:
+        if length == 1:
+            kinds = ((0, FlitType.HEAD_TAIL),)
+        else:
+            kinds = ((0, FlitType.HEAD),) + tuple(
+                (i, FlitType.BODY) for i in range(1, length - 1)) + (
+                (length - 1, FlitType.TAIL),)
+        _KINDS[length] = kinds
+    return kinds
+
+
 @dataclass(slots=True)
 class Packet:
     """One network packet.
 
-    ``route`` is the source-computed list of output-port indices, one per
-    router visited (ending with the destination's ejection port), per the
-    paper's source dimension-ordered routing.
+    ``route`` is the source-computed sequence of output-port indices, one
+    per router visited (ending with the destination's ejection port), per
+    the paper's source dimension-ordered routing.  A network hands every
+    packet an immutable tuple built from its shared route tables
+    (:class:`repro.sim.routing.RouteTable`).
     """
 
     packet_id: int
@@ -45,7 +69,7 @@ class Packet:
     dst: int
     length_flits: int
     creation_cycle: int
-    route: List[int] = field(default_factory=list)
+    route: Sequence[int] = ()
     #: Set when the tail flit is ejected at the destination.
     eject_cycle: Optional[int] = None
     #: True when this packet counts toward the measured sample.
@@ -67,23 +91,11 @@ class Packet:
             raise ValueError(
                 f"got {len(payloads)} payloads for {self.length_flits} flits"
             )
-        flits = []
-        for i in range(self.length_flits):
-            if self.length_flits == 1:
-                ftype = FlitType.HEAD_TAIL
-            elif i == 0:
-                ftype = FlitType.HEAD
-            elif i == self.length_flits - 1:
-                ftype = FlitType.TAIL
-            else:
-                ftype = FlitType.BODY
-            flits.append(Flit(
-                packet=self,
-                seq=i,
-                ftype=ftype,
-                payload=payloads[i] if payloads is not None else None,
-            ))
-        return flits
+        kinds = _flit_kinds(self.length_flits)
+        if payloads is None:
+            return [Flit(self, seq, ftype) for seq, ftype in kinds]
+        return [Flit(self, seq, ftype, payloads[seq])
+                for seq, ftype in kinds]
 
 
 @dataclass(slots=True)
@@ -125,8 +137,8 @@ class Flit:
         # of every flit, and a dataclass-field/property pair would cost
         # two attribute lookups plus a call in the simulator's hottest
         # loops.
-        self.is_head = self.ftype in (FlitType.HEAD, FlitType.HEAD_TAIL)
-        self.is_tail = self.ftype in (FlitType.TAIL, FlitType.HEAD_TAIL)
+        self.is_head = _IS_HEAD[self.ftype]
+        self.is_tail = _IS_TAIL[self.ftype]
 
     def next_output_port(self) -> int:
         """The output port this head flit takes at the current router."""

@@ -7,7 +7,8 @@ credit-based flow control, unbounded source queues at the injection ports
 LOCAL ports.
 
 The cycle loop is event-sparse: only routers that can do work are
-stepped (see :meth:`Network.step`).
+stepped (see :meth:`Network.step`).  Routers eject into the network's
+counters directly (see :mod:`repro.sim.routers.base`).
 """
 
 from __future__ import annotations
@@ -20,36 +21,8 @@ from repro.core.config import NetworkConfig
 from repro.core.power_binding import NullBinding
 from repro.sim.message import Flit, Packet
 from repro.sim.routers import ROUTER_CLASSES, Channel
-from repro.sim.routing import dimension_ordered_route
-from repro.sim.topology import LOCAL, OPPOSITE, Mesh, Torus
-
-
-class _Ejector:
-    """Per-node ejection sink.
-
-    A module-level class rather than a closure, so a network stays a
-    plain, picklable object graph.
-    """
-
-    def __init__(self, network: "Network", node: int) -> None:
-        self.network = network
-        self.node = node
-
-    def __call__(self, flit: Flit) -> None:
-        network = self.network
-        network.flits_ejected += 1
-        network.node_flits_ejected[self.node] += 1
-        if flit.packet.dst != self.node:
-            raise RuntimeError(
-                f"flit of packet {flit.packet.packet_id} ejected at "
-                f"node {self.node}, destination is {flit.packet.dst}"
-            )
-        if flit.is_tail:
-            packet = flit.packet
-            packet.eject_cycle = network.cycle
-            network.packets_delivered += 1
-            if network.on_packet_delivered is not None:
-                network.on_packet_delivered(packet)
+from repro.sim.routing import RouteTable
+from repro.sim.topology import OPPOSITE, Mesh, Torus
 
 
 class Network:
@@ -64,6 +37,9 @@ class Network:
             self.topo = Torus(config.width, config.height)
         else:
             self.topo = Mesh(config.width, config.height)
+        #: Every route of this fabric, from tables built once (they
+        #: survive :meth:`reset`).
+        self.routes = RouteTable(self.topo, config.tie_break)
         router_cls = ROUTER_CLASSES[config.router.kind]
         self.routers = [
             router_cls(node, config, self.binding)
@@ -111,7 +87,7 @@ class Network:
             routers[src].set_downstream_depth(
                 out_port, rc.buffer_depth, rc.num_vcs)
         for router in self.routers:
-            router.eject = _Ejector(self, router.node)
+            router.network = self
             # VC routers need the topology for dateline tracking.
             if hasattr(router, "topo"):
                 router.topo = self.topo
@@ -153,13 +129,20 @@ class Network:
         self._payload_rng = random.Random(payload_seed)
         self.binding.reset_run()
 
+    def deliver(self, packet: Packet) -> None:
+        """Record a packet whose tail flit a router just ejected (the
+        routers bump the per-flit ejection counters themselves)."""
+        packet.eject_cycle = self.cycle
+        self.packets_delivered += 1
+        if self.on_packet_delivered is not None:
+            self.on_packet_delivered(packet)
+
     # --- packet creation -----------------------------------------------------------
 
     def create_packet(self, src: int, dst: int, cycle: int,
                       in_sample: bool = False) -> Packet:
         """Create a packet, segment it and queue its flits at the source."""
-        route = dimension_ordered_route(self.topo, src, dst,
-                                        tie_break=self.config.tie_break)
+        route = self.routes.route(src, dst)
         packet = Packet(
             packet_id=self._packet_counter,
             src=src,
@@ -195,55 +178,63 @@ class Network:
         """
         cycle = self.cycle
         routers = self.routers
-        active = sorted(self._active)
-        for node in active:
-            router = routers[node]
-            router.moved_flits = 0
+        active = self._active
+        stepped = [routers[node] for node in sorted(active)]
+        for router in stepped:
             router.arrival_phase(cycle)
-        # Traversal and allocation share one pass: neither phase reads
-        # any state another router's other phase writes within a cycle
-        # (traversal output lands on channels drained at next cycle's
-        # arrival; allocation reads only router-local state; event
-        # counters and payload sites are keyed by the emitting node), so
-        # per-router traverse-then-allocate observes exactly what an
-        # all-traversals-then-all-allocations order would.  Routers that
-        # merely drained credits this cycle skip both stages.
-        for node in active:
-            router = routers[node]
+        # Traversal and allocation share one pass (``work_phase``):
+        # neither stage reads any state another router's other stage
+        # writes within a cycle (traversal output lands on channels
+        # drained at next cycle's arrival; allocation reads only
+        # router-local state; event counters and payload sites are keyed
+        # by the emitting node), so per-router traverse-then-allocate
+        # observes exactly what an all-traversals-then-all-allocations
+        # order would.  Routers that merely drained credits this cycle
+        # skip both stages.  A router retires as soon as it holds no
+        # work: a later router's flit or credit re-enrols it through the
+        # channel notifier, so the set ends the cycle exactly as a
+        # separate retire pass would leave it.
+        moved = 0
+        for router in stepped:
             if router._buffered:
-                router.work_phase(cycle)
-        moved = self._injection_phase(cycle)
-        for node in active:
-            router = routers[node]
-            moved += router.moved_flits
-            if not (router._buffered or router._pending_in
-                    or router._pending_credit):
-                self._active.discard(node)
+                moved += router.work_phase(cycle)
+                if router._buffered:
+                    continue
+            if not (router._pending_in or router._pending_credit):
+                active.discard(router.node)
+        moved += self._injection_phase(cycle)
         self.cycle = cycle + 1
         return moved
 
     def _injection_phase(self, cycle: int) -> int:
         """Move at most one flit per node from its source queue into the
         router's injection port (one-flit-per-cycle injection channel)."""
+        pending = self._pending_src
+        if not pending:
+            return 0
+        queues = self.source_queues
+        routers = self.routers
+        per_node = self.node_flits_injected
+        active = self._active
         injected = 0
-        for node in sorted(self._pending_src):
-            queue = self.source_queues[node]
+        for node in sorted(pending):
+            queue = queues[node]
             if not queue:
-                self._pending_src.discard(node)
+                pending.discard(node)
                 continue
-            router = self.routers[node]
+            router = routers[node]
             # Sleeping routers never ran arrival this cycle, so refresh
             # the clock before the flit is timestamped.
             router.now = cycle
             if router.inject_flit(queue[0]):
                 queue.popleft()
-                self.flits_injected += 1
-                self.node_flits_injected[node] += 1
-                self._awaiting -= 1
+                per_node[node] += 1
                 injected += 1
-                self._active.add(node)
+                active.add(node)
                 if not queue:
-                    self._pending_src.discard(node)
+                    pending.discard(node)
+        self.flits_injected += injected
+        self._awaiting -= injected
         return injected
 
     # --- accounting ------------------------------------------------------------------------

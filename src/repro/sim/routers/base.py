@@ -4,25 +4,51 @@ Routers are cycle-driven.  Each simulated cycle the network runs, on
 every *active* router (one holding flits or with undrained channel
 work) in ascending node order:
 
-1. ``arrival_phase``   — drain data/credit channels written last cycle;
-2. ``work_phase``, i.e. ``traversal_phase`` — execute switch traversals
-   granted last cycle (the ST pipeline stage) — then
-   ``allocation_phase`` — arbitrate for next cycle (SA, and VA for VC
-   routers);
+1. ``arrival_phase(cycle)`` — drain the data/credit channels written
+   last cycle;
+2. ``work_phase(cycle)`` — on routers holding flits: execute the switch
+   traversals granted last cycle (the ST pipeline stage), then arbitrate
+   for next cycle (SA, and VA for VC routers).  It returns the number
+   of flits it moved (the deadlock watchdog's signal);
 
-followed by source injection handled by the network.  This ordering gives
-each pipeline stage a one-cycle latency: a grant issued during allocation
-in cycle *t* is acted on during traversal in cycle *t+1*, matching the
-2-stage wormhole and 3-stage virtual-channel pipelines of the paper
-(section 4.2, per the Peh-Dally router delay model).
+followed by source injection (``inject_flit``) handled by the network.
+This ordering gives each pipeline stage a one-cycle latency: a grant
+issued during allocation in cycle *t* is acted on during traversal in
+cycle *t+1*, matching the 2-stage wormhole and 3-stage virtual-channel
+pipelines of the paper (section 4.2, per the Peh-Dally router delay
+model).
+
+Every router kind moves flits and credits the same way, with no call
+per flit or per event:
+
+* arrival reads ``Channel._flit`` / ``Channel._credits`` directly and
+  appends to the input buffer (:class:`FifoRouter` for the wormhole and
+  central-buffer routers' one FIFO per port; the VC router keeps its own
+  arrival for its allocation masks);
+* traversal writes the downstream channel's ``_flit`` and the upstream
+  channel's ``_credits`` directly, marking the far router's pending
+  bitmask and enrolling it in the active set (what
+  :meth:`Channel.send_flit` / :meth:`Channel.send_credit` spell out);
+* ejection bumps the network's counters directly;
+* event counts are direct bumps of the binding's counter lists
+  (``n_buf_write[node] += 1``, ``n_arb[kind][node][requests] += 1``);
+  only a flit carrying a payload (data mode) costs a
+  ``binding.observe`` call;
+* an uncontended matrix-arbiter grant is the ``_fstamp`` restamp, and a
+  contended one the minimum stamp (:class:`repro.sim.arbiters.Arbiter`).
+
+Every integrity guard stays on that path: buffer and credit overflow, a
+channel already carrying a flit, u-turns, a non-head flit at an idle
+input, route exhaustion and the destination check at ejection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
 from repro.core.config import NetworkConfig
-from repro.core.events import LINK_TRAVERSAL
+from repro.core.events import BUFFER_WRITE
 from repro.sim.message import Flit
 from repro.sim.topology import LOCAL
 
@@ -33,9 +59,9 @@ class Channel:
 
     Placing a flit (credit) on the wire marks the downstream (upstream)
     router's pending bitmask and enrols it in the network's ``active``
-    set for the next cycle.  Inline fields rather than a callback hook:
-    the notification fires once per flit and once per credit, so the
-    per-event cost is kept to a few attribute operations."""
+    set for the next cycle.  Routers do this with inline field writes;
+    :meth:`send_flit` and :meth:`send_credit` are the same writes as
+    methods, for callers outside the cycle loop."""
 
     def __init__(self, upstream: "BaseRouter", src_port: int,
                  downstream: "BaseRouter", dst_port: int,
@@ -70,22 +96,12 @@ class Channel:
         router._pending_in |= self.flit_bit
         self.active_set.add(router.node)
 
-    def take_flit(self) -> Optional[Flit]:
-        """Remove and return the in-flight flit (receiver side)."""
-        flit, self._flit = self._flit, None
-        return flit
-
     def send_credit(self, vc: int) -> None:
         """Return one credit upstream for the given VC."""
         self._credits.append(vc)
         router = self.credit_router
         router._pending_credit |= self.credit_bit
         self.active_set.add(router.node)
-
-    def take_credits(self) -> List[int]:
-        """Drain pending credits (sender side)."""
-        credits, self._credits = self._credits, []
-        return credits
 
     @property
     def busy(self) -> bool:
@@ -114,10 +130,8 @@ class BaseRouter:
         #: Outgoing channels by output port (None for LOCAL / no
         #: neighbour).
         self.out_channels: List[Optional[Channel]] = [None] * self.PORTS
-        #: Ejection callback installed by the network: ``eject(flit)``.
-        self.eject: Callable[[Flit], None] = _unwired_eject
-        #: Count of flits that moved this cycle (deadlock watchdog food).
-        self.moved_flits = 0
+        #: The network this router ejects into, installed at wiring.
+        self.network = None
         #: Current cycle, updated at the start of each arrival phase and
         #: stamped onto arriving flits for stage-eligibility checks.
         self.now = 0
@@ -128,8 +142,11 @@ class BaseRouter:
         #: Flits currently buffered in this router, maintained O(1) —
         #: must always equal :meth:`buffered_flits` (audited).
         self._buffered = 0
-        #: The binding's per-node link-event counters, bumped directly
-        #: in ``_send`` instead of a sink-method call.
+        # The binding's per-node event counters (stable, zeroed in
+        # place), bumped directly by the hot loops.
+        self._c_buf_write = binding.n_buf_write
+        self._c_buf_read = binding.n_buf_read
+        self._c_xbar = binding.n_xbar
         self._c_link = binding.n_link
 
     # --- wiring (done by the network) ---------------------------------------
@@ -159,58 +176,12 @@ class BaseRouter:
     # --- the phase protocol ---------------------------------------------------
 
     def arrival_phase(self, cycle: int) -> None:
-        """Drain channels: incoming flits into buffers, credits back.
-
-        The channel notifiers recorded exactly which ports have work, so
-        only those are touched, in ascending port order, flits before
-        credits (each port's buffers and credit counters are
-        disjoint)."""
-        self.now = cycle
-        pending = self._pending_in
-        if pending:
-            self._pending_in = 0
-            in_channels = self.in_channels
-            port = 0
-            while pending:
-                if pending & 1:
-                    flit = in_channels[port].take_flit()
-                    if flit is not None:
-                        self.accept_flit(port, flit)
-                pending >>= 1
-                port += 1
-        pending = self._pending_credit
-        if pending:
-            self._pending_credit = 0
-            out_channels = self.out_channels
-            port = 0
-            while pending:
-                if pending & 1:
-                    for vc in out_channels[port].take_credits():
-                        self.credit_return(port, vc)
-                pending >>= 1
-                port += 1
-
-    def accept_flit(self, port: int, flit: Flit) -> None:
-        """Store an arriving flit into the input buffer at ``port``."""
+        """Drain channels: incoming flits into buffers, credits back."""
         raise NotImplementedError
 
-    def credit_return(self, port: int, vc: int) -> None:
-        """A downstream buffer slot freed up on output ``port``."""
+    def work_phase(self, cycle: int) -> int:
+        """Traversal then allocation; returns the flits moved."""
         raise NotImplementedError
-
-    def traversal_phase(self, cycle: int) -> None:
-        """Execute the switch traversals granted last cycle."""
-        raise NotImplementedError
-
-    def allocation_phase(self, cycle: int) -> None:
-        """Arbitrate resources for next cycle."""
-        raise NotImplementedError
-
-    def work_phase(self, cycle: int) -> None:
-        """Traversal then allocation — the per-router work pass of the
-        network's cycle loop."""
-        self.traversal_phase(cycle)
-        self.allocation_phase(cycle)
 
     # --- injection (called by the network's source processes) ----------------
 
@@ -220,10 +191,7 @@ class BaseRouter:
 
     def inject_flit(self, flit: Flit) -> bool:
         """Offer one flit to the injection port; returns acceptance."""
-        if self.injection_space() <= 0:
-            return False
-        self.accept_flit(LOCAL, flit)
-        return True
+        raise NotImplementedError
 
     # --- introspection ---------------------------------------------------------
 
@@ -239,39 +207,132 @@ class BaseRouter:
 
     def reset(self) -> None:
         """Restore construction-time dynamic state in place, keeping all
-        wiring (channels, eject and counter-list aliases).
+        wiring (channels, network and counter-list aliases).
 
         Subclasses extend this with their buffer/allocator state; after
         ``reset()`` the router must behave cycle-for-cycle like a freshly
         constructed one (the contract :meth:`Network.reset` builds on).
         """
-        self.moved_flits = 0
         self.now = 0
         self._pending_in = 0
         self._pending_credit = 0
         self._buffered = 0
 
-    def _send(self, out_port: int, flit: Flit) -> None:
-        """Ship a flit: eject locally or launch onto the outgoing link,
-        emitting the link-traversal event."""
-        self.moved_flits += 1
-        if out_port == LOCAL:
-            self.eject(flit)
-            return
-        if flit.is_head:
-            flit.route_idx += 1
-        channel = self.out_channels[out_port]
-        if channel is None:
-            raise RuntimeError(
-                f"node {self.node}: no channel on output port {out_port}"
-            )
-        self._c_link[self.node] += 1
+
+class FifoRouter(BaseRouter):
+    """A router with one input FIFO per port and one credit counter per
+    output — the wormhole and central-buffer routers' shared arrival,
+    injection and credit mechanics."""
+
+    def __init__(self, node: int, config: NetworkConfig, binding) -> None:
+        super().__init__(node, config, binding)
+        self.depth = config.router.buffer_depth
+        self.fifos: List[Deque[Flit]] = [deque() for _ in range(self.PORTS)]
+        #: Bitmask of input ports with a non-empty FIFO, maintained O(1).
+        self._fifo_mask = 0
+        #: Credits available at the downstream buffer of each output.
+        #: ``None`` means unlimited (the ejection port) or un-wired.
+        self.out_credits: List[Optional[int]] = [None] * self.PORTS
+
+    def set_downstream_depth(self, port: int, flits: int,
+                             num_vcs: int = 1) -> None:
+        if port == LOCAL:
+            raise ValueError("ejection port has unlimited credits")
+        self.out_credits[port] = flits
+
+    def arrival_phase(self, cycle: int) -> None:
+        """Drain the channels the notifiers marked, in ascending port
+        order, flits before credits (each port's buffer and credit
+        counter are disjoint)."""
+        self.now = cycle
+        pending = self._pending_in
+        if pending:
+            self._pending_in = 0
+            in_channels = self.in_channels
+            fifos = self.fifos
+            depth = self.depth
+            node = self.node
+            arrived = 0
+            port = 0
+            while pending:
+                if pending & 1:
+                    channel = in_channels[port]
+                    flit = channel._flit
+                    if flit is not None:
+                        channel._flit = None
+                        fifo = fifos[port]
+                        if len(fifo) >= depth:
+                            raise RuntimeError(
+                                f"node {node} port {port}: buffer overflow "
+                                f"— credit accounting is broken"
+                            )
+                        flit.arrived_cycle = cycle
+                        fifo.append(flit)
+                        arrived |= 1 << port
+                        self._c_buf_write[node] += 1
+                        if flit.payload is not None:
+                            self.binding.observe(node, BUFFER_WRITE, port,
+                                                 flit.payload)
+                pending >>= 1
+                port += 1
+            if arrived:
+                self._fifo_mask |= arrived
+                self._buffered += arrived.bit_count()
+        pending = self._pending_credit
+        if pending:
+            self._pending_credit = 0
+            out_channels = self.out_channels
+            out_credits = self.out_credits
+            port = 0
+            while pending:
+                if pending & 1:
+                    channel = out_channels[port]
+                    returned = channel._credits
+                    if returned:
+                        channel._credits = []
+                        credits = out_credits[port] + len(returned)
+                        if credits > self.depth:
+                            raise RuntimeError(
+                                f"node {self.node} output {port}: credit "
+                                f"overflow"
+                            )
+                        out_credits[port] = credits
+                pending >>= 1
+                port += 1
+
+    def injection_space(self) -> int:
+        return self.depth - len(self.fifos[LOCAL])
+
+    def inject_flit(self, flit: Flit) -> bool:
+        fifo = self.fifos[LOCAL]
+        if len(fifo) >= self.depth:
+            return False
+        flit.arrived_cycle = self.now
+        fifo.append(flit)
+        self._fifo_mask |= 1 << LOCAL
+        self._buffered += 1
+        self._c_buf_write[self.node] += 1
         if flit.payload is not None:
-            self.binding.observe(self.node, LINK_TRAVERSAL, out_port,
+            self.binding.observe(self.node, BUFFER_WRITE, LOCAL,
                                  flit.payload)
-        channel.send_flit(flit)
+        return True
 
+    def buffered_flits(self) -> int:
+        return sum(len(f) for f in self.fifos)
 
-def _unwired_eject(flit: Flit) -> None:
-    raise RuntimeError("router ejection callback not wired to a network")
+    def check_invariants(self) -> None:
+        mask = sum(1 << port for port, fifo in enumerate(self.fifos)
+                   if fifo)
+        if self._fifo_mask != mask:
+            raise RuntimeError(
+                f"node {self.node}: FIFO mask {self._fifo_mask:#x} "
+                f"disagrees with the FIFOs ({mask:#x})")
 
+    def reset(self) -> None:
+        super().reset()
+        for fifo in self.fifos:
+            fifo.clear()
+        self._fifo_mask = 0
+        for port in range(self.PORTS):
+            if self.out_credits[port] is not None:
+                self.out_credits[port] = self.depth

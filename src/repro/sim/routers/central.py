@@ -20,185 +20,229 @@ stages, keeping the section 4.4 comparison fair.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.core.config import NetworkConfig
+from repro.core.events import CB_READ, CB_WRITE, LINK_TRAVERSAL
 from repro.sim.arbiters import make_arbiter
 from repro.sim.message import Flit
-from repro.sim.routers.base import BaseRouter
+from repro.sim.routers.base import FifoRouter
 from repro.sim.topology import LOCAL
 
 
-class _PacketRecord:
-    """A packet's flits resting in the central buffer for one output."""
-
-    __slots__ = ("flits", "tail_seen")
-
-    def __init__(self) -> None:
-        self.flits: Deque[Flit] = deque()
-        self.tail_seen = False
-
-
-class CentralBufferRouter(BaseRouter):
+class CentralBufferRouter(FifoRouter):
     """Shared-memory (central-buffered) router."""
 
     def __init__(self, node: int, config: NetworkConfig, binding) -> None:
         super().__init__(node, config, binding)
         rc = config.router
-        self.depth = rc.buffer_depth
         self.capacity = rc.cb_capacity_flits
         self.write_ports = rc.cb_write_ports
         self.read_ports = rc.cb_read_ports
-        self.fifos: List[Deque[Flit]] = [deque() for _ in range(self.PORTS)]
-        #: Per-output queues of packet records inside the central buffer.
-        self.out_queues: List[Deque[_PacketRecord]] = [
+        #: Per-output queues of packet records inside the central buffer;
+        #: a record is the deque of one packet's flits written so far and
+        #: not yet read, and leaves its queue when its tail is read.
+        self.out_queues: List[Deque[Deque[Flit]]] = [
             deque() for _ in range(self.PORTS)
         ]
-        #: Open records (tail not yet written), by packet id.
-        self._open_records: Dict[int, _PacketRecord] = {}
+        #: Bitmask of outputs with a non-empty queue, maintained O(1).
+        self._queued = 0
+        #: Per input port, the record still awaiting its packet's tail.
+        #: A packet's flits cross one link contiguously (every upstream
+        #: router holds an output for a whole packet), so one open
+        #: record per input suffices.
+        self._open: List[Optional[Deque[Flit]]] = [None] * self.PORTS
         self.occupancy = 0
-        self.out_credits: List[Optional[int]] = [None] * self.PORTS
         self.write_arbiter = make_arbiter(rc.arbiter_type, self.PORTS)
         self.read_arbiter = make_arbiter(rc.arbiter_type, self.PORTS)
         self._write_grants: List[int] = []
         self._read_grants: List[int] = []
+        self._c_cb_write = binding.n_cb_write
+        self._c_cb_read = binding.n_cb_read
+        self._c_arb_cb = binding.n_arb["cb"][node]
 
-    # --- wiring ---------------------------------------------------------------
-
-    def set_downstream_depth(self, port: int, flits: int,
-                             num_vcs: int = 1) -> None:
-        if port == LOCAL:
-            raise ValueError("ejection port has unlimited credits")
-        self.out_credits[port] = flits
-
-    # --- arrivals ----------------------------------------------------------------
-
-    def accept_flit(self, port: int, flit: Flit) -> None:
-        fifo = self.fifos[port]
-        if len(fifo) >= self.depth:
-            raise RuntimeError(
-                f"node {self.node} port {port}: buffer overflow — credit "
-                f"accounting is broken"
-            )
-        flit.arrived_cycle = self.now
-        fifo.append(flit)
-        self._buffered += 1
-        self.binding.buffer_write(self.node, port, flit.payload)
-
-    def credit_return(self, port: int, vc: int) -> None:
-        if self.out_credits[port] is None:
-            raise RuntimeError(
-                f"node {self.node}: credit on un-wired output {port}"
-            )
-        self.out_credits[port] += 1
-        if self.out_credits[port] > self.depth:
-            raise RuntimeError(
-                f"node {self.node} output {port}: credit overflow"
-            )
-
-    # --- pipeline ----------------------------------------------------------------
-
-    def traversal_phase(self, cycle: int) -> None:
-        """Execute last cycle's read and write grants."""
-        reads, self._read_grants = self._read_grants, []
-        for out_port in reads:
-            queue = self.out_queues[out_port]
-            record = queue[0]
-            flit = record.flits.popleft()
-            self.occupancy -= 1
-            self._buffered -= 1
-            self.binding.cb_read(self.node, flit.payload)
-            if flit.is_tail:
-                queue.popleft()
-            self._send(out_port, flit)
-        writes, self._write_grants = self._write_grants, []
-        for in_port in writes:
-            fifo = self.fifos[in_port]
-            flit = fifo.popleft()
-            self.binding.buffer_read(self.node)
-            self.binding.cb_write(self.node, flit.payload)
-            self.occupancy += 1
-            self.moved_flits += 1
-            channel = self.in_channels[in_port]
-            if channel is not None:
-                channel.send_credit(0)
-            pid = flit.packet.packet_id
-            if flit.is_head:
-                record = _PacketRecord()
-                out_port = flit.next_output_port()
-                self.out_queues[out_port].append(record)
-                if not flit.is_tail:
-                    self._open_records[pid] = record
-            else:
-                record = self._open_records[pid]
-            record.flits.append(flit)
-            if flit.is_tail:
-                record.tail_seen = True
-                self._open_records.pop(pid, None)
-
-    def allocation_phase(self, cycle: int) -> None:
-        """Grant next cycle's central-buffer reads and writes."""
-        # Read allocation: at most one flit per output port, at most
-        # read_ports flits total, credits permitting.
-        candidates = []
-        for out_port in range(self.PORTS):
-            queue = self.out_queues[out_port]
-            if not queue or not queue[0].flits:
-                continue
-            credits = self.out_credits[out_port]
-            if out_port != LOCAL and credits is not None and credits <= 0:
-                continue
-            candidates.append(out_port)
-        for _ in range(self.read_ports):
-            if not candidates:
-                break
-            if len(candidates) == 1:
-                winner = self.read_arbiter.grant_single(candidates[0])
-            else:
-                winner = self.read_arbiter.grant(candidates)
-            self.binding.arbitration(self.node, "cb", len(candidates))
-            candidates.remove(winner)
-            credits = self.out_credits[winner]
-            if winner != LOCAL and credits is not None:
-                self.out_credits[winner] = credits - 1
-            self._read_grants.append(winner)
-        # Write allocation: at most one flit per input port, at most
-        # write_ports flits total, capacity permitting.
+    def work_phase(self, cycle: int) -> int:
+        """Execute last cycle's read and write grants, then grant next
+        cycle's."""
+        moved = 0
+        node = self.node
+        binding = self.binding
+        reads = self._read_grants
+        if reads:
+            self._read_grants = []
+            out_queues = self.out_queues
+            for out_port in reads:
+                queue = out_queues[out_port]
+                flit = queue[0].popleft()
+                self.occupancy -= 1
+                self._buffered -= 1
+                self._c_cb_read[node] += 1
+                payload = flit.payload
+                if payload is not None:
+                    binding.observe(node, CB_READ, 0, payload)
+                if flit.is_tail:
+                    queue.popleft()
+                    if not queue:
+                        self._queued &= ~(1 << out_port)
+                moved += 1
+                if out_port == LOCAL:
+                    packet = flit.packet
+                    if packet.dst != node:
+                        raise RuntimeError(
+                            f"flit of packet {packet.packet_id} ejected at "
+                            f"node {node}, destination is {packet.dst}"
+                        )
+                    network = self.network
+                    network.flits_ejected += 1
+                    network.node_flits_ejected[node] += 1
+                    if flit.is_tail:
+                        network.deliver(packet)
+                else:
+                    if flit.is_head:
+                        flit.route_idx += 1
+                    channel = self.out_channels[out_port]
+                    self._c_link[node] += 1
+                    if payload is not None:
+                        binding.observe(node, LINK_TRAVERSAL, out_port,
+                                        payload)
+                    if channel._flit is not None:
+                        raise RuntimeError(
+                            f"channel {channel.src_node}:{channel.src_port}"
+                            f"->{channel.dst_node}:{channel.dst_port} "
+                            f"already carries a flit"
+                        )
+                    channel._flit = flit
+                    channel.flits_sent += 1
+                    downstream = channel.flit_router
+                    downstream._pending_in |= channel.flit_bit
+                    channel.active_set.add(downstream.node)
+        writes = self._write_grants
+        if writes:
+            self._write_grants = []
+            fifos = self.fifos
+            opened = self._open
+            for in_port in writes:
+                fifo = fifos[in_port]
+                flit = fifo.popleft()
+                if not fifo:
+                    self._fifo_mask &= ~(1 << in_port)
+                self._c_buf_read[node] += 1
+                self._c_cb_write[node] += 1
+                if flit.payload is not None:
+                    binding.observe(node, CB_WRITE, 0, flit.payload)
+                self.occupancy += 1
+                moved += 1
+                channel = self.in_channels[in_port]
+                if channel is not None:
+                    channel._credits.append(0)
+                    upstream = channel.credit_router
+                    upstream._pending_credit |= channel.credit_bit
+                    channel.active_set.add(upstream.node)
+                if flit.is_head:
+                    try:
+                        out_port = flit.packet.route[flit.route_idx]
+                    except IndexError:
+                        # Raises the route-exhaustion error.
+                        out_port = flit.next_output_port()
+                    record = deque()
+                    self.out_queues[out_port].append(record)
+                    self._queued |= 1 << out_port
+                    if not flit.is_tail:
+                        opened[in_port] = record
+                else:
+                    record = opened[in_port]
+                    if flit.is_tail:
+                        opened[in_port] = None
+                record.append(flit)
+        # Grant next cycle's reads (at most one flit per output,
+        # ``read_ports`` in all, credits permitting) and writes (at most
+        # one flit per input, ``write_ports`` in all, capacity
+        # permitting).
+        queued = self._queued
+        if queued:
+            out_queues = self.out_queues
+            out_credits = self.out_credits
+            candidates = []
+            out_port = 0
+            while queued:
+                if queued & 1 and out_queues[out_port][0]:
+                    credits = out_credits[out_port]
+                    if credits is None or credits > 0:
+                        candidates.append(out_port)
+                queued >>= 1
+                out_port += 1
+            if candidates:
+                arb = self.read_arbiter
+                st = arb._fstamp
+                for _ in range(self.read_ports):
+                    if st is None:
+                        winner = arb.grant(candidates) \
+                            if len(candidates) > 1 \
+                            else arb.grant_single(candidates[0])
+                    else:
+                        winner = candidates[0] if len(candidates) == 1 \
+                            else min(candidates, key=st.__getitem__)
+                        st[winner] = arb._next
+                        arb._next += 1
+                    self._c_arb_cb[len(candidates)] += 1
+                    candidates.remove(winner)
+                    credits = out_credits[winner]
+                    if credits is not None:
+                        out_credits[winner] = credits - 1
+                    self._read_grants.append(winner)
+                    if not candidates:
+                        break
         budget = self.capacity - self.occupancy
-        candidates = [p for p in range(self.PORTS)
-                      if self.fifos[p]
-                      and self.fifos[p][0].arrived_cycle < cycle]
-        for _ in range(self.write_ports):
-            if not candidates or budget <= 0:
-                break
-            if len(candidates) == 1:
-                winner = self.write_arbiter.grant_single(candidates[0])
-            else:
-                winner = self.write_arbiter.grant(candidates)
-            self.binding.arbitration(self.node, "cb", len(candidates))
-            candidates.remove(winner)
-            budget -= 1
-            self._write_grants.append(winner)
-
-    # --- injection / introspection ----------------------------------------------------
-
-    def injection_space(self) -> int:
-        return self.depth - len(self.fifos[LOCAL])
+        waiting = self._fifo_mask
+        if waiting and budget > 0:
+            fifos = self.fifos
+            candidates = []
+            in_port = 0
+            while waiting:
+                if waiting & 1 and fifos[in_port][0].arrived_cycle < cycle:
+                    candidates.append(in_port)
+                waiting >>= 1
+                in_port += 1
+            if candidates:
+                arb = self.write_arbiter
+                st = arb._fstamp
+                for _ in range(self.write_ports):
+                    if st is None:
+                        winner = arb.grant(candidates) \
+                            if len(candidates) > 1 \
+                            else arb.grant_single(candidates[0])
+                    else:
+                        winner = candidates[0] if len(candidates) == 1 \
+                            else min(candidates, key=st.__getitem__)
+                        st[winner] = arb._next
+                        arb._next += 1
+                    self._c_arb_cb[len(candidates)] += 1
+                    candidates.remove(winner)
+                    self._write_grants.append(winner)
+                    budget -= 1
+                    if not candidates or budget <= 0:
+                        break
+        return moved
 
     def buffered_flits(self) -> int:
-        return sum(len(f) for f in self.fifos) + self.occupancy
+        return super().buffered_flits() + self.occupancy
+
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        queued = sum(1 << p for p, q in enumerate(self.out_queues) if q)
+        if self._queued != queued:
+            raise RuntimeError(
+                f"node {self.node}: queued-output mask {self._queued:#x} "
+                f"disagrees with the output queues ({queued:#x})")
 
     def reset(self) -> None:
         super().reset()
-        for fifo in self.fifos:
-            fifo.clear()
         for queue in self.out_queues:
             queue.clear()
-        self._open_records.clear()
-        self.occupancy = 0
+        self._queued = 0
         for port in range(self.PORTS):
-            if self.out_credits[port] is not None:
-                self.out_credits[port] = self.depth
+            self._open[port] = None
+        self.occupancy = 0
         self.write_arbiter.reset()
         self.read_arbiter.reset()
         self._write_grants = []

@@ -23,21 +23,16 @@ from repro.sim.routers.vc import VCRouter
 class SpeculativeVCRouter(VCRouter):
     """VC router with speculative switch allocation (2-stage pipeline)."""
 
-    def allocation_phase(self, cycle: int) -> None:
-        """Non-speculative SA, then VA, then a speculative SA pass for
-        the heads that just won VA, restricted to crossbar slots the
-        non-speculative pass left free (speculation never displaces a
-        confirmed request)."""
-        matched_in, matched_out = self._switch_allocation(cycle)
-        if self._va_ports:
-            self._speculative_switch_allocation(
-                self._vc_allocation(cycle), matched_in, matched_out)
+    speculative = True
 
     def _speculative_switch_allocation(self, fresh: List[Tuple[int, int]],
                                        matched_in: int,
                                        matched_out: int) -> None:
-        """Grant free outputs to the ``fresh`` VA winners; the port
-        bitmasks name what the non-speculative pass already matched."""
+        """After non-speculative SA and VA (see
+        :meth:`VCRouter.work_phase`), grant free outputs to the ``fresh``
+        VA winners, restricted to crossbar slots the non-speculative pass
+        left free (speculation never displaces a confirmed request); the
+        port bitmasks name what that pass matched."""
         vcs = self.vcs
         out_credits = self.out_credits
         by_output: Dict[int, List[Tuple[int, int]]] = {}

@@ -111,16 +111,10 @@ class VCRouter(BaseRouter):
         # Injection bookkeeping: VC receiving the in-progress packet.
         self._inject_vc: Optional[int] = None
         self._inject_rr = 0
-        # The binding's per-node event counters (stable, zeroed in
-        # place): the hot loops bump them directly instead of paying a
-        # sink-method call per event.
         arb_counts = binding.n_arb
         self._c_arb_local = arb_counts["local"][node]
         self._c_arb_switch = arb_counts["switch"][node]
         self._c_arb_vc = arb_counts["vc"][node]
-        self._c_buf_write = binding.n_buf_write
-        self._c_buf_read = binding.n_buf_read
-        self._c_xbar = binding.n_xbar
 
     # --- wiring -----------------------------------------------------------------
 
@@ -137,43 +131,10 @@ class VCRouter(BaseRouter):
 
     # --- arrivals ------------------------------------------------------------------
 
-    def accept_flit(self, port: int, flit: Flit) -> None:
-        vc = self.vcs[port][flit.vc]
-        if len(vc.fifo) >= self.vc_depth:
-            raise RuntimeError(
-                f"node {self.node} port {port} vc {flit.vc}: buffer "
-                f"overflow — credit accounting is broken"
-            )
-        flit.arrived_cycle = self.now
-        vc.fifo.append(flit)
-        self._buffered += 1
-        if vc.active:
-            self._sa_mask[port] |= 1 << flit.vc
-            self._sa_ports |= 1 << port
-        else:
-            self._va_mask[port] |= 1 << flit.vc
-            self._va_ports |= 1 << port
-        self._c_buf_write[self.node] += 1
-        if flit.payload is not None:
-            self.binding.observe(self.node, BUFFER_WRITE, port, flit.payload)
-
-    def credit_return(self, port: int, vc: int) -> None:
-        credits = self.out_credits[port]
-        if credits is None:
-            raise RuntimeError(
-                f"node {self.node}: credit on un-wired output {port}"
-            )
-        credits[vc] += 1
-        if credits[vc] > self.vc_depth:
-            raise RuntimeError(
-                f"node {self.node} output {port} vc {vc}: credit overflow"
-            )
-
     def arrival_phase(self, cycle: int) -> None:
-        """Event-driven channel drain (see the base class), with
-        :meth:`accept_flit` / :meth:`credit_return` and the channel
-        accessors inlined — identical mutations and event counts, only
-        the call frames elided."""
+        """Drain the channels the notifiers marked, in ascending port
+        order, flits before credits: each flit lands in the VC it names,
+        and joins the VA or SA mask as its VC is idle or active."""
         self.now = cycle
         pending = self._pending_in
         if pending:
@@ -238,92 +199,104 @@ class VCRouter(BaseRouter):
 
     # --- pipeline stages ------------------------------------------------------------
 
-    def traversal_phase(self, cycle: int) -> None:
-        """ST: execute last cycle's switch grants.
+    #: Whether heads that win VA bid for the switch in the same cycle
+    #: (:class:`repro.sim.routers.speculative.SpeculativeVCRouter`).
+    speculative = False
 
-        The per-flit helpers (``_send``, ``Channel.send_flit``,
-        ``Channel.send_credit``) are inlined — the same state mutations,
-        event counts and channel notifications, only the call frames
-        elided."""
+    def work_phase(self, cycle: int) -> int:
+        """ST: execute last cycle's switch grants; then SA, then VA (so
+        VA grants become SA-visible next cycle) — and, on a speculative
+        router, a speculative SA pass for the heads that just won VA.
+        Returns the flits moved."""
         grants = self._st_grants
-        if not grants:
-            return
-        self._st_grants = []
-        vcs = self.vcs
-        sa_mask = self._sa_mask
-        in_channels = self.in_channels
-        out_channels = self.out_channels
-        binding = self.binding
-        c_buf_read = self._c_buf_read
-        c_xbar = self._c_xbar
-        c_link = self._c_link
-        node = self.node
-        dateline = self.dateline
-        eject = self.eject
-        moved = 0
-        for in_port, in_vc, out_port, out_vc in grants:
-            vc = vcs[in_port][in_vc]
-            flit = vc.fifo.popleft()
-            self._buffered -= 1
-            if not vc.fifo:
-                masked = sa_mask[in_port] & ~(1 << in_vc)
-                sa_mask[in_port] = masked
-                if not masked:
-                    self._sa_ports &= ~(1 << in_port)
-            c_buf_read[node] += 1
-            c_xbar[node] += 1
-            payload = flit.payload
-            if payload is not None:
-                binding.observe(node, XBAR_TRAVERSAL, out_port, payload)
-            channel = in_channels[in_port]
-            if channel is not None:
-                channel._credits.append(in_vc)
-                upstream = channel.credit_router
-                upstream._pending_credit |= channel.credit_bit
-                channel.active_set.add(upstream.node)
-            if dateline and flit.is_head:
-                self._update_dateline(flit, out_port)
-            if flit.is_tail:
-                self.out_vc_owner[out_port][out_vc] = None
-                vc.active = False
-                vc.out_port = None
-                vc.out_vc = None
-                masked = sa_mask[in_port] & ~(1 << in_vc)
-                sa_mask[in_port] = masked
-                if not masked:
-                    self._sa_ports &= ~(1 << in_port)
-                if vc.fifo:
-                    self._va_mask[in_port] |= 1 << in_vc
-                    self._va_ports |= 1 << in_port
-            flit.vc = out_vc
-            moved += 1
-            if out_port == LOCAL:
-                eject(flit)
-            else:
-                if flit.is_head:
-                    flit.route_idx += 1
-                channel = out_channels[out_port]
-                c_link[node] += 1
+        if grants:
+            self._st_grants = []
+            vcs = self.vcs
+            sa_mask = self._sa_mask
+            in_channels = self.in_channels
+            out_channels = self.out_channels
+            binding = self.binding
+            c_buf_read = self._c_buf_read
+            c_xbar = self._c_xbar
+            c_link = self._c_link
+            node = self.node
+            dateline = self.dateline
+            for in_port, in_vc, out_port, out_vc in grants:
+                vc = vcs[in_port][in_vc]
+                flit = vc.fifo.popleft()
+                self._buffered -= 1
+                if not vc.fifo:
+                    masked = sa_mask[in_port] & ~(1 << in_vc)
+                    sa_mask[in_port] = masked
+                    if not masked:
+                        self._sa_ports &= ~(1 << in_port)
+                c_buf_read[node] += 1
+                c_xbar[node] += 1
+                payload = flit.payload
                 if payload is not None:
-                    binding.observe(node, LINK_TRAVERSAL, out_port, payload)
-                if channel._flit is not None:
-                    raise RuntimeError(
-                        f"channel {channel.src_node}:{channel.src_port}"
-                        f"->{channel.dst_node}:{channel.dst_port} "
-                        f"already carries a flit"
-                    )
-                channel._flit = flit
-                channel.flits_sent += 1
-                downstream = channel.flit_router
-                downstream._pending_in |= channel.flit_bit
-                channel.active_set.add(downstream.node)
-        self.moved_flits = moved
-
-    def allocation_phase(self, cycle: int) -> None:
-        """SA then VA (so VA grants become SA-visible next cycle)."""
-        self._switch_allocation(cycle)
+                    binding.observe(node, XBAR_TRAVERSAL, out_port, payload)
+                channel = in_channels[in_port]
+                if channel is not None:
+                    channel._credits.append(in_vc)
+                    upstream = channel.credit_router
+                    upstream._pending_credit |= channel.credit_bit
+                    channel.active_set.add(upstream.node)
+                if dateline and flit.is_head:
+                    self._update_dateline(flit, out_port)
+                if flit.is_tail:
+                    self.out_vc_owner[out_port][out_vc] = None
+                    vc.active = False
+                    vc.out_port = None
+                    vc.out_vc = None
+                    masked = sa_mask[in_port] & ~(1 << in_vc)
+                    sa_mask[in_port] = masked
+                    if not masked:
+                        self._sa_ports &= ~(1 << in_port)
+                    if vc.fifo:
+                        self._va_mask[in_port] |= 1 << in_vc
+                        self._va_ports |= 1 << in_port
+                flit.vc = out_vc
+                if out_port == LOCAL:
+                    packet = flit.packet
+                    if packet.dst != node:
+                        raise RuntimeError(
+                            f"flit of packet {packet.packet_id} ejected at "
+                            f"node {node}, destination is {packet.dst}"
+                        )
+                    network = self.network
+                    network.flits_ejected += 1
+                    network.node_flits_ejected[node] += 1
+                    if flit.is_tail:
+                        network.deliver(packet)
+                else:
+                    if flit.is_head:
+                        flit.route_idx += 1
+                    channel = out_channels[out_port]
+                    c_link[node] += 1
+                    if payload is not None:
+                        binding.observe(node, LINK_TRAVERSAL, out_port,
+                                        payload)
+                    if channel._flit is not None:
+                        raise RuntimeError(
+                            f"channel {channel.src_node}:{channel.src_port}"
+                            f"->{channel.dst_node}:{channel.dst_port} "
+                            f"already carries a flit"
+                        )
+                    channel._flit = flit
+                    channel.flits_sent += 1
+                    downstream = channel.flit_router
+                    downstream._pending_in |= channel.flit_bit
+                    channel.active_set.add(downstream.node)
+        if self._sa_ports:
+            matched_in, matched_out = self._switch_allocation(cycle)
+        else:
+            matched_in = matched_out = 0
         if self._va_ports:
-            self._vc_allocation(cycle)
+            fresh = self._vc_allocation(cycle)
+            if fresh and self.speculative:
+                self._speculative_switch_allocation(fresh, matched_in,
+                                                    matched_out)
+        return len(grants)
 
     #: Allocation iterations per cycle.  A single pass of a separable
     #: allocator wastes input slots (a stage-1 winner that loses the
@@ -553,7 +526,10 @@ class VCRouter(BaseRouter):
         return matched_in, matched_out
 
     def _vc_allocation(self, cycle: int) -> List[Tuple[int, int]]:
-        """Heads of idle VCs request one candidate output VC each.
+        """Heads of idle VCs request one candidate output VC each: the
+        first free one in the head's allowed class (both halves, or on a
+        dateline router the half its dateline crossings allow), scanning
+        from a packet-dependent start for load balance.
 
         The request scan walks the ``_va_mask`` bitmasks (idle non-empty
         VCs, ascending), which are almost always empty since a VC
@@ -563,34 +539,64 @@ class VCRouter(BaseRouter):
         va_mask = self._va_mask
         vcs = self.vcs
         lowbit = self._lowbit
-        requests: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for in_port in range(self.PORTS):
+        low5 = self._low5
+        out_vc_owner = self.out_vc_owner
+        num_vcs = self.num_vcs
+        half = num_vcs // 2
+        dateline = self.dateline
+        node = self.node
+        requests = []
+        pmask = self._va_ports
+        while pmask:
+            in_port = low5[pmask & -pmask]
+            pmask &= pmask - 1
             mask = va_mask[in_port]
-            if not mask:
-                continue
             port_vcs = vcs[in_port]
             while mask:
                 v = lowbit[mask & -mask]
                 mask &= mask - 1
-                vc = port_vcs[v]
-                head = vc.fifo[0]
+                head = port_vcs[v].fifo[0]
                 if head.arrived_cycle >= cycle:
                     continue
                 if not head.is_head:
                     raise RuntimeError(
-                        f"node {self.node} port {in_port} vc {v}: idle VC "
+                        f"node {node} port {in_port} vc {v}: idle VC "
                         f"headed by a {head.ftype.name} flit"
                     )
-                out_port = head.next_output_port()
-                candidate = self._pick_output_vc(head, out_port)
-                if candidate is None:
-                    continue
-                requests.setdefault((out_port, candidate), []).append(
+                try:
+                    out_port = head.packet.route[head.route_idx]
+                except IndexError:
+                    # Raises the route-exhaustion error.
+                    out_port = head.next_output_port()
+                if dateline and out_port != LOCAL:
+                    dim = "y" if out_port in (NORTH, SOUTH) else "x"
+                    if head.crossed_dateline and head.travel_dim == dim:
+                        lo, span = half, num_vcs - half
+                    else:
+                        lo, span = 0, half
+                else:
+                    lo, span = 0, num_vcs
+                owners = out_vc_owner[out_port]
+                start = (head.packet.packet_id + node) % span
+                for i in range(span):
+                    candidate = lo + (start + i) % span
+                    if owners[candidate] is None:
+                        requests.append((out_port, candidate, in_port, v))
+                        break
+        if not requests:
+            return requests
+        if len(requests) == 1:
+            out_port, out_vc, in_port, v = requests[0]
+            grouped = (((out_port, out_vc), ((in_port, v),)),)
+        else:
+            by_key: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+            for out_port, out_vc, in_port, v in requests:
+                by_key.setdefault((out_port, out_vc), []).append(
                     (in_port, v))
+            grouped = by_key.items()
         granted: List[Tuple[int, int]] = []
-        num_vcs = self.num_vcs
         c_vc = self._c_arb_vc
-        for (out_port, out_vc), reqs in requests.items():
+        for (out_port, out_vc), reqs in grouped:
             arb = self.vc_arbiters[out_port][out_vc]
             st = arb._fstamp
             if len(reqs) == 1:
@@ -603,20 +609,19 @@ class VCRouter(BaseRouter):
                 c_vc[1] += 1
             else:
                 ids = [p * num_vcs + v for p, v in reqs]
-                if st is not None and len(ids) == 2:
-                    a, b = ids
-                    winner_id = a if st[a] < st[b] else b
+                if st is not None:
+                    winner_id = min(ids, key=st.__getitem__)
                     st[winner_id] = arb._next
                     arb._next += 1
                 else:
                     winner_id = arb.grant(ids)
                 c_vc[len(ids)] += 1
                 in_port, v = divmod(winner_id, num_vcs)
-            vc = self.vcs[in_port][v]
+            vc = vcs[in_port][v]
             vc.active = True
             vc.out_port = out_port
             vc.out_vc = out_vc
-            self.out_vc_owner[out_port][out_vc] = (in_port, v)
+            out_vc_owner[out_port][out_vc] = (in_port, v)
             masked = va_mask[in_port] & ~(1 << v)
             va_mask[in_port] = masked
             if not masked:
@@ -625,28 +630,6 @@ class VCRouter(BaseRouter):
             self._sa_ports |= 1 << in_port
             granted.append((in_port, v))
         return granted
-
-    def _pick_output_vc(self, head: Flit, out_port: int) -> Optional[int]:
-        """First free output VC in the head's allowed class, scanning from
-        a packet-dependent start for load balance."""
-        lo, hi = self._allowed_vc_range(head, out_port)
-        owners = self.out_vc_owner[out_port]
-        span = hi - lo
-        start = (head.packet.packet_id + self.node) % span
-        for i in range(span):
-            candidate = lo + (start + i) % span
-            if owners[candidate] is None:
-                return candidate
-        return None
-
-    def _allowed_vc_range(self, head: Flit, out_port: int) -> Tuple[int, int]:
-        """VC class restriction: [lo, hi) of usable output VCs."""
-        if not self.dateline or out_port == LOCAL:
-            return 0, self.num_vcs
-        dim = "y" if out_port in (NORTH, SOUTH) else "x"
-        crossed = head.crossed_dateline and head.travel_dim == dim
-        half = self.num_vcs // 2
-        return (half, self.num_vcs) if crossed else (0, half)
 
     def _update_dateline(self, head: Flit, out_port: int) -> None:
         """Track dateline crossings for the class restriction."""
@@ -671,26 +654,43 @@ class VCRouter(BaseRouter):
         A packet's flits all enter the same VC; heads pick the next VC
         (round-robin) with room for at least one flit.
         """
+        port_vcs = self.vcs[LOCAL]
+        depth = self.vc_depth
         if flit.is_head:
-            chosen = None
-            for i in range(self.num_vcs):
-                v = (self._inject_rr + i) % self.num_vcs
-                if len(self.vcs[LOCAL][v].fifo) < self.vc_depth:
-                    chosen = v
+            num_vcs = self.num_vcs
+            rr = self._inject_rr
+            for i in range(num_vcs):
+                v = (rr + i) % num_vcs
+                if len(port_vcs[v].fifo) < depth:
                     break
-            if chosen is None:
+            else:
                 return False
-            self._inject_rr = (chosen + 1) % self.num_vcs
-            self._inject_vc = chosen
-        elif self._inject_vc is None:
-            raise RuntimeError(
-                f"node {self.node}: body flit injected with no open packet"
-            )
-        v = self._inject_vc
-        if len(self.vcs[LOCAL][v].fifo) >= self.vc_depth:
+            self._inject_rr = (v + 1) % num_vcs
+            self._inject_vc = v
+        else:
+            v = self._inject_vc
+            if v is None:
+                raise RuntimeError(
+                    f"node {self.node}: body flit injected with no open "
+                    f"packet"
+                )
+        vc = port_vcs[v]
+        if len(vc.fifo) >= depth:
             return False
         flit.vc = v
-        self.accept_flit(LOCAL, flit)
+        flit.arrived_cycle = self.now
+        vc.fifo.append(flit)
+        self._buffered += 1
+        if vc.active:
+            self._sa_mask[LOCAL] |= 1 << v
+            self._sa_ports |= 1 << LOCAL
+        else:
+            self._va_mask[LOCAL] |= 1 << v
+            self._va_ports |= 1 << LOCAL
+        self._c_buf_write[self.node] += 1
+        if flit.payload is not None:
+            self.binding.observe(self.node, BUFFER_WRITE, LOCAL,
+                                 flit.payload)
         if flit.is_tail:
             self._inject_vc = None
         return True

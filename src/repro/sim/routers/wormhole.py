@@ -9,148 +9,193 @@ stream through the crossbar one per cycle as downstream credits allow.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.core.config import NetworkConfig
+from repro.core.events import LINK_TRAVERSAL, XBAR_TRAVERSAL
 from repro.sim.arbiters import make_arbiter
-from repro.sim.message import Flit
-from repro.sim.routers.base import BaseRouter
+from repro.sim.routers.base import FifoRouter
 from repro.sim.topology import LOCAL
 
 
-class WormholeRouter(BaseRouter):
+class WormholeRouter(FifoRouter):
     """Input-buffered wormhole router."""
 
     def __init__(self, node: int, config: NetworkConfig, binding) -> None:
         super().__init__(node, config, binding)
-        depth = config.router.buffer_depth
-        self.fifos: List[Deque[Flit]] = [deque() for _ in range(self.PORTS)]
-        self.depth = depth
         #: Input port currently owning each output port (None = free).
         self.out_owner: List[Optional[int]] = [None] * self.PORTS
         #: Output port each input is connected to (None = idle).
         self.in_conn: List[Optional[int]] = [None] * self.PORTS
-        #: Credits available at the downstream buffer of each output.
-        #: ``None`` means unlimited (the ejection port).
-        self.out_credits: List[Optional[int]] = [None] * self.PORTS
+        #: Bitmasks shadowing ``out_owner`` (owned outputs) and
+        #: ``in_conn`` (connected inputs), maintained O(1) so the work
+        #: phase visits only live connections and waiting heads.
+        self._owned = 0
+        self._connected = 0
         self.arbiters = [
             make_arbiter(config.router.arbiter_type, self.PORTS)
             for _ in range(self.PORTS)
         ]
+        self._c_arb_switch = binding.n_arb["switch"][node]
 
-    # --- wiring ------------------------------------------------------------
-
-    def set_downstream_depth(self, port: int, flits: int,
-                             num_vcs: int = 1) -> None:
-        if port == LOCAL:
-            raise ValueError("ejection port has unlimited credits")
-        self.out_credits[port] = flits
-
-    # --- arrivals ------------------------------------------------------------
-
-    def accept_flit(self, port: int, flit: Flit) -> None:
-        fifo = self.fifos[port]
-        if len(fifo) >= self.depth:
-            raise RuntimeError(
-                f"node {self.node} port {port}: buffer overflow — credit "
-                f"accounting is broken"
-            )
-        flit.arrived_cycle = self.now
-        fifo.append(flit)
-        self._buffered += 1
-        self.binding.buffer_write(self.node, port, flit.payload)
-
-    def credit_return(self, port: int, vc: int) -> None:
-        if self.out_credits[port] is None:
-            raise RuntimeError(
-                f"node {self.node}: credit on un-wired output {port}"
-            )
-        self.out_credits[port] += 1
-        if self.out_credits[port] > self.depth:
-            raise RuntimeError(
-                f"node {self.node} output {port}: credit overflow"
-            )
-
-    # --- pipeline stages ---------------------------------------------------------
-
-    def traversal_phase(self, cycle: int) -> None:
+    def work_phase(self, cycle: int) -> int:
         """ST: stream one flit per established connection, credits
-        permitting."""
-        for out_port in range(self.PORTS):
-            in_port = self.out_owner[out_port]
-            if in_port is None:
-                continue
-            fifo = self.fifos[in_port]
-            if not fifo or fifo[0].arrived_cycle >= cycle:
-                continue
-            credits = self.out_credits[out_port]
-            if out_port != LOCAL and credits is not None and credits <= 0:
-                continue
-            flit = fifo.popleft()
-            self._buffered -= 1
-            self.binding.buffer_read(self.node)
-            self.binding.xbar_traversal(self.node, out_port, flit.payload)
-            if out_port != LOCAL and credits is not None:
-                self.out_credits[out_port] = credits - 1
-            channel = self.in_channels[in_port]
-            if channel is not None:
-                channel.send_credit(0)
-            if flit.is_tail:
-                self.out_owner[out_port] = None
-                self.in_conn[in_port] = None
-            self._send(out_port, flit)
+        permitting; then SA: head flits at the FIFO heads of idle inputs
+        arbitrate for free output ports."""
+        moved = 0
+        fifos = self.fifos
+        node = self.node
+        owned = self._owned
+        if owned:
+            out_owner = self.out_owner
+            out_credits = self.out_credits
+            binding = self.binding
+            mask = owned
+            out_port = 0
+            while mask:
+                if mask & 1:
+                    in_port = out_owner[out_port]
+                    fifo = fifos[in_port]
+                    credits = out_credits[out_port]
+                    if fifo and fifo[0].arrived_cycle < cycle and (
+                            credits is None or credits > 0):
+                        if credits is not None:
+                            out_credits[out_port] = credits - 1
+                        flit = fifo.popleft()
+                        if not fifo:
+                            self._fifo_mask &= ~(1 << in_port)
+                        self._buffered -= 1
+                        self._c_buf_read[node] += 1
+                        self._c_xbar[node] += 1
+                        payload = flit.payload
+                        if payload is not None:
+                            binding.observe(node, XBAR_TRAVERSAL, out_port,
+                                            payload)
+                        channel = self.in_channels[in_port]
+                        if channel is not None:
+                            channel._credits.append(0)
+                            upstream = channel.credit_router
+                            upstream._pending_credit |= channel.credit_bit
+                            channel.active_set.add(upstream.node)
+                        if flit.is_tail:
+                            out_owner[out_port] = None
+                            self.in_conn[in_port] = None
+                            owned &= ~(1 << out_port)
+                            self._connected &= ~(1 << in_port)
+                        moved += 1
+                        if out_port == LOCAL:
+                            packet = flit.packet
+                            if packet.dst != node:
+                                raise RuntimeError(
+                                    f"flit of packet {packet.packet_id} "
+                                    f"ejected at node {node}, destination "
+                                    f"is {packet.dst}"
+                                )
+                            network = self.network
+                            network.flits_ejected += 1
+                            network.node_flits_ejected[node] += 1
+                            if flit.is_tail:
+                                network.deliver(packet)
+                        else:
+                            if flit.is_head:
+                                flit.route_idx += 1
+                            channel = self.out_channels[out_port]
+                            self._c_link[node] += 1
+                            if payload is not None:
+                                binding.observe(node, LINK_TRAVERSAL,
+                                                out_port, payload)
+                            if channel._flit is not None:
+                                raise RuntimeError(
+                                    f"channel {channel.src_node}:"
+                                    f"{channel.src_port}->{channel.dst_node}"
+                                    f":{channel.dst_port} already carries "
+                                    f"a flit"
+                                )
+                            channel._flit = flit
+                            channel.flits_sent += 1
+                            downstream = channel.flit_router
+                            downstream._pending_in |= channel.flit_bit
+                            channel.active_set.add(downstream.node)
+                mask >>= 1
+                out_port += 1
+            self._owned = owned
+        waiting = self._fifo_mask & ~self._connected
+        if waiting:
+            self._switch_allocation(cycle, waiting, owned)
+        return moved
 
-    def allocation_phase(self, cycle: int) -> None:
-        """SA: head flits at FIFO heads arbitrate for free output ports."""
-        # Gather requests per free output port.
-        requests: List[List[int]] = [[] for _ in range(self.PORTS)]
-        for in_port in range(self.PORTS):
-            if self.in_conn[in_port] is not None:
-                continue
-            fifo = self.fifos[in_port]
-            if not fifo or fifo[0].arrived_cycle >= cycle:
-                continue
-            head = fifo[0]
-            if not head.is_head:
-                raise RuntimeError(
-                    f"node {self.node} port {in_port}: unconnected input "
-                    f"headed by a {head.ftype.name} flit"
-                )
-            out_port = head.next_output_port()
-            if out_port == in_port:
-                raise RuntimeError(
-                    f"node {self.node}: u-turn on port {in_port}"
-                )
-            if self.out_owner[out_port] is None:
-                requests[out_port].append(in_port)
-        for out_port, reqs in enumerate(requests):
-            if not reqs:
-                continue
-            if len(reqs) == 1:
-                winner = self.arbiters[out_port].grant_single(reqs[0])
+    def _switch_allocation(self, cycle: int, waiting: int,
+                           owned: int) -> None:
+        """Grant free outputs to the heads of the ``waiting`` inputs
+        (idle, non-empty), one 4:1 arbitration per requested output."""
+        fifos = self.fifos
+        requests = None
+        in_port = 0
+        while waiting:
+            if waiting & 1:
+                head = fifos[in_port][0]
+                if head.arrived_cycle < cycle:
+                    if not head.is_head:
+                        raise RuntimeError(
+                            f"node {self.node} port {in_port}: unconnected "
+                            f"input headed by a {head.ftype.name} flit"
+                        )
+                    try:
+                        out_port = head.packet.route[head.route_idx]
+                    except IndexError:
+                        # Raises the route-exhaustion error.
+                        out_port = head.next_output_port()
+                    if out_port == in_port:
+                        raise RuntimeError(
+                            f"node {self.node}: u-turn on port {in_port}"
+                        )
+                    if not owned >> out_port & 1:
+                        if requests is None:
+                            requests = {out_port: [in_port]}
+                        else:
+                            requests.setdefault(out_port, []).append(
+                                in_port)
+            waiting >>= 1
+            in_port += 1
+        if requests is None:
+            return
+        for out_port, reqs in requests.items():
+            arb = self.arbiters[out_port]
+            st = arb._fstamp
+            if st is None:
+                winner = arb.grant(reqs) if len(reqs) > 1 \
+                    else arb.grant_single(reqs[0])
             else:
-                winner = self.arbiters[out_port].grant(reqs)
-            self.binding.arbitration(self.node, "switch", len(reqs))
+                winner = reqs[0] if len(reqs) == 1 \
+                    else min(reqs, key=st.__getitem__)
+                st[winner] = arb._next
+                arb._next += 1
+            self._c_arb_switch[len(reqs)] += 1
             self.out_owner[out_port] = winner
             self.in_conn[winner] = out_port
+            owned |= 1 << out_port
+            self._connected |= 1 << winner
+        self._owned = owned
 
-    # --- injection / introspection -------------------------------------------------
-
-    def injection_space(self) -> int:
-        return self.depth - len(self.fifos[LOCAL])
-
-    def buffered_flits(self) -> int:
-        return sum(len(f) for f in self.fifos)
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        owned = sum(1 << p for p, i in enumerate(self.out_owner)
+                    if i is not None)
+        connected = sum(1 << p for p, o in enumerate(self.in_conn)
+                        if o is not None)
+        if self._owned != owned or self._connected != connected:
+            raise RuntimeError(
+                f"node {self.node}: connection masks (owned="
+                f"{self._owned:#x}, connected={self._connected:#x}) "
+                f"disagree with the connections (owned={owned:#x}, "
+                f"connected={connected:#x})")
 
     def reset(self) -> None:
         super().reset()
-        for fifo in self.fifos:
-            fifo.clear()
         for port in range(self.PORTS):
             self.out_owner[port] = None
             self.in_conn[port] = None
-            if self.out_credits[port] is not None:
-                self.out_credits[port] = self.depth
+        self._owned = 0
+        self._connected = 0
         for arbiter in self.arbiters:
             arbiter.reset()

@@ -18,11 +18,17 @@ policy matters:
 * ``"even"`` — alternate directions deterministically by source parity,
   preserving the torus's load symmetry (used with VC routers, whose
   deadlock freedom comes from dateline VC classes instead).
+
+A network routes its packets through a :class:`RouteTable`: the y leg of
+a route depends only on (source row, destination row, source parity) and
+the x leg only on (source column, destination column, source parity), so
+two per-dimension segment tables of ``2 * (width**2 + height**2)``
+immutable tuples give every route by one concatenation.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.sim.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Topology
 
@@ -83,12 +89,66 @@ def dimension_ordered_route(topo: Topology, src: int, dst: int,
     return route
 
 
-def route_hops(route: List[int]) -> int:
+class RouteTable:
+    """Every y-then-x DOR route of one topology, from per-dimension
+    segment tables built once.
+
+    ``route(src, dst)`` equals ``tuple(dimension_ordered_route(topo, src,
+    dst, tie_break))``.  The tables hold ``entries == 2 * (width**2 +
+    height**2)`` shared segment tuples (both source parities, every
+    (from, to) pair per ring) — not one route per node pair, which a
+    16x16 fabric would need 65,280 of.
+    """
+
+    def __init__(self, topo: Topology, tie_break: str = "avoid_wrap") -> None:
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(
+                f"unknown tie_break {tie_break!r}; options: {TIE_BREAKS}")
+
+        def segments(size: int, up: int, down: int, tail: tuple):
+            # [parity][from][to] -> ports along one ring, then ``tail``.
+            table = []
+            for parity in (0, 1):
+                rows = []
+                for position in range(size):
+                    row = []
+                    for target in range(size):
+                        step, hops = _ring_steps(
+                            position, target, size, topo.wraparound,
+                            tie_break, parity)
+                        row.append((up if step > 0 else down,) * hops + tail)
+                    rows.append(tuple(row))
+                table.append(rows)
+            return table
+
+        y_table = segments(topo.height, NORTH, SOUTH, ())
+        x_table = segments(topo.width, EAST, WEST, (LOCAL,))
+        #: Segments stored in the two tables.
+        self.entries = sum(len(row) for table in (y_table, x_table)
+                           for rows in table for row in rows)
+        coords = [topo.coords(node) for node in range(topo.num_nodes)]
+        #: Per source node, its row of each table (shared, not copied).
+        self._y_rows = [y_table[(x + y) % 2][y] for x, y in coords]
+        self._x_rows = [x_table[(x + y) % 2][x] for x, y in coords]
+        #: Per destination node, its column in each table.
+        self._y_of = [y for _, y in coords]
+        self._x_of = [x for x, _ in coords]
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """The route from ``src`` to ``dst`` as an immutable tuple."""
+        if src == dst:
+            raise ValueError(f"source and destination are both node {src}")
+        return (self._y_rows[src][self._y_of[dst]]
+                + self._x_rows[src][self._x_of[dst]])
+
+
+def route_hops(route: Sequence[int]) -> int:
     """Number of router-to-router hops in a route (excludes ejection)."""
     return len(route) - 1
 
 
-def route_nodes(topo: Topology, src: int, route: List[int]) -> List[int]:
+def route_nodes(topo: Topology, src: int,
+                route: Sequence[int]) -> List[int]:
     """The node sequence a route visits, starting at ``src``."""
     nodes = [src]
     for port in route[:-1]:

@@ -1,11 +1,20 @@
-"""Unit tests for the inter-router channel."""
+"""Unit tests for the inter-router channel.
+
+Routers drain a channel in their arrival phase by reading its ``_flit``
+and ``_credits`` fields directly; the round-trip tests drain through a
+real router's arrival phase.
+"""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.sim.message import Packet
+from repro.sim.network import Network
 from repro.sim.routers.base import Channel
+from repro.sim.topology import NORTH, SOUTH
+
+from tests.conftest import small_config
 
 
 def endpoint(node):
@@ -24,17 +33,31 @@ def flit():
                   creation_cycle=0, route=[4]).make_flits()[0]
 
 
+def wired(kind="vc"):
+    """A real channel (node 0 north output) and its two routers."""
+    network = Network(small_config(kind, num_vcs=3) if kind == "vc"
+                      else small_config(kind))
+    ch = network.routers[0].out_channels[NORTH]
+    return ch, ch.credit_router, ch.flit_router
+
+
 class TestDataPath:
     def test_flit_round_trip(self):
-        ch = channel()
+        ch, _, downstream = wired("wormhole")
         f = flit()
         ch.send_flit(f)
         assert ch.busy
-        assert ch.take_flit() is f
+        downstream.arrival_phase(1)
+        assert list(downstream.fifos[SOUTH]) == [f]
         assert not ch.busy
 
     def test_empty_take_returns_none(self):
-        assert channel().take_flit() is None
+        """Draining an idle channel moves nothing."""
+        ch, _, downstream = wired("wormhole")
+        downstream._pending_in |= ch.flit_bit
+        downstream.arrival_phase(1)
+        assert downstream.buffered_flits() == 0
+        assert not ch.busy
 
     def test_single_flit_bandwidth(self):
         """One flit per cycle: a second send before the take is a
@@ -45,25 +68,32 @@ class TestDataPath:
             ch.send_flit(flit())
 
     def test_take_clears_slot_for_next_cycle(self):
-        ch = channel()
+        ch, _, downstream = wired("wormhole")
         ch.send_flit(flit())
-        ch.take_flit()
+        downstream.arrival_phase(1)
         ch.send_flit(flit())  # no error
 
 
 class TestCreditPath:
     def test_credits_drain_in_order(self):
-        ch = channel()
+        ch, upstream, _ = wired()
+        credits = upstream.out_credits[NORTH]
+        credits[2] -= 1
+        credits[0] -= 1
         ch.send_credit(2)
         ch.send_credit(0)
-        assert ch.take_credits() == [2, 0]
-        assert ch.take_credits() == []
+        assert ch._credits == [2, 0]
+        upstream.arrival_phase(1)
+        assert ch._credits == []
+        assert credits == [upstream.vc_depth] * 3
 
     def test_credits_and_data_are_independent(self):
-        ch = channel()
+        ch, upstream, _ = wired()
+        upstream.out_credits[NORTH][1] -= 1
         ch.send_flit(flit())
         ch.send_credit(1)
-        assert ch.take_credits() == [1]
+        upstream.arrival_phase(1)
+        assert ch._credits == []
         assert ch.busy
 
 

@@ -101,8 +101,7 @@ class TestTermination:
         waiting at its source."""
         s = sim(watchdog_cycles=50, warmup=0, sample=5, **protocol)
         for router in s.network.routers:
-            router.traversal_phase = lambda cycle: None
-            router.allocation_phase = lambda cycle: None
+            router.work_phase = lambda cycle: 0
             router.inject_flit = lambda flit: False
         s.network.create_packet(0, 5, 0)
         return s
@@ -119,11 +118,9 @@ class TestTermination:
         s = sim(watchdog_cycles=200, warmup=100, sample=5000, rate=0.05)
         network = s.network
         for router in network.routers:
-            def frozen(phase):
-                return lambda *args: (None if network.cycle >= 150
-                                      else phase(*args))
-            router.traversal_phase = frozen(router.traversal_phase)
-            router.allocation_phase = frozen(router.allocation_phase)
+            work = router.work_phase
+            router.work_phase = lambda cycle, work=work: (
+                0 if network.cycle >= 150 else work(cycle))
             inject = router.inject_flit
             router.inject_flit = lambda flit, inject=inject: (
                 False if network.cycle >= 150 else inject(flit))

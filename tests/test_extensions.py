@@ -3,7 +3,7 @@ link coding, and dateline deadlock avoidance on larger tori."""
 
 import pytest
 
-from repro import Orion, RunProtocol, preset
+from repro import Orion, RunProtocol
 from repro.core import events as ev
 from repro.core.config import LinkConfig
 from repro.power import BusInvertLinkPower, OnChipLinkPower

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import RunProtocol
 from repro.sim.engine import DeadlockError, Simulation
-from repro.sim.message import FlitType, Packet
+from repro.sim.message import Packet
 from repro.sim.network import Network
 from repro.sim.topology import LOCAL, NORTH, Torus
 from repro.sim.traffic import UniformRandomTraffic
@@ -18,13 +18,15 @@ KINDS = ["wormhole", "vc", "central"]
 class TestBufferIntegrity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_forged_credit_caught(self, kind):
-        """Injecting a credit that was never earned must trip the
-        credit-overflow guard."""
+        """A credit that was never earned, drained off the wire, must
+        trip the credit-overflow guard."""
         net = Network(small_config(kind))
         router = net.routers[0]
+        wire = router.out_channels[NORTH]
         with pytest.raises(RuntimeError, match="credit"):
-            for _ in range(net.config.router.buffer_depth + 1):
-                router.credit_return(NORTH, 0)
+            for cycle in range(net.config.router.buffer_depth + 1):
+                wire.send_credit(0)
+                router.arrival_phase(cycle)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_buffer_overflow_caught(self, kind):
@@ -33,16 +35,13 @@ class TestBufferIntegrity:
         router = net.routers[0]
         packet = Packet(packet_id=0, src=0, dst=4, length_flits=1,
                         creation_cycle=0, route=[NORTH, LOCAL])
+        wire = router.in_channels[NORTH]
         depth = net.config.router.buffer_depth
         with pytest.raises(RuntimeError, match="overflow"):
-            for _ in range(depth * net.config.router.num_vcs + 1):
+            for cycle in range(depth * net.config.router.num_vcs + 1):
                 (flit,) = packet.make_flits()
-                router.accept_flit(NORTH, flit)
-
-    def test_credit_on_unwired_port_caught(self):
-        net = Network(small_config("wormhole"))
-        with pytest.raises(RuntimeError, match="un-wired"):
-            net.routers[0].credit_return(LOCAL, 0)
+                wire.send_flit(flit)
+                router.arrival_phase(cycle)
 
 
 class TestOrderingIntegrity:
@@ -54,10 +53,10 @@ class TestOrderingIntegrity:
         packet = Packet(packet_id=0, src=0, dst=4, length_flits=3,
                         creation_cycle=0, route=[NORTH, LOCAL])
         body = packet.make_flits()[1]
-        body.arrived_cycle = -1
-        router.fifos[NORTH].append(body)
+        router.in_channels[NORTH].send_flit(body)
+        router.arrival_phase(4)
         with pytest.raises(RuntimeError, match="headed by"):
-            router.allocation_phase(5)
+            router.work_phase(5)
 
     def test_vc_rejects_headless_stream(self):
         net = Network(small_config("vc"))
@@ -65,9 +64,10 @@ class TestOrderingIntegrity:
         packet = Packet(packet_id=0, src=0, dst=4, length_flits=3,
                         creation_cycle=0, route=[NORTH, LOCAL])
         body = packet.make_flits()[1]
-        router.accept_flit(NORTH, body)  # lands on VC 0, awaiting VA
+        router.in_channels[NORTH].send_flit(body)
+        router.arrival_phase(4)  # lands on VC 0, awaiting VA
         with pytest.raises(RuntimeError, match="headed by"):
-            router.allocation_phase(5)
+            router.work_phase(5)
 
 
 class TestConservationAudit:
@@ -120,7 +120,9 @@ class TestConservationAudit:
 class TestStallDetection:
     def test_frozen_output_port_trips_watchdog(self):
         """Freezing every router's traversal machinery (a modelled hard
-        fault) is detected as a deadlock instead of hanging."""
+        fault: no downstream credit left, so no flit ever leaves a
+        buffer and no credit ever comes back) is detected as a deadlock
+        instead of hanging."""
         cfg = small_config("wormhole")
         traffic = UniformRandomTraffic(Torus(4), 0.05, seed=1)
         sim = Simulation(cfg, traffic, RunProtocol(
@@ -128,6 +130,5 @@ class TestStallDetection:
         for router in sim.network.routers:
             router.out_credits = [0 if c is not None else None
                                   for c in router.out_credits]
-            router.credit_return = lambda port, vc: None
         with pytest.raises(DeadlockError):
             sim.run()

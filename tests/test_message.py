@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.message import Flit, FlitType, Packet
+from repro.sim.message import FlitType, Packet
 
 
 def packet(length=5, pid=0):

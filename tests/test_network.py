@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.network import Network
-from repro.sim.topology import LOCAL, Torus
+from repro.sim.topology import LOCAL
 
 from tests.conftest import small_config
 
@@ -87,7 +87,9 @@ class TestDelivery:
         """The sink validates destinations (guards routing bugs)."""
         net = Network(small_config(kind))
         packet = net.create_packet(src=0, dst=5, cycle=0)
-        packet.route[-2:] = [LOCAL]  # corrupt: eject one hop early
+        # Corrupt this packet's own route (routes are shared tuples):
+        # eject one hop early.
+        packet.route = packet.route[:-2] + (LOCAL,)
         with pytest.raises(RuntimeError):
             run_cycles(net, 100)
 

@@ -1,8 +1,10 @@
 """Unit tests for the event-to-energy binding.
 
-The binding counts events and prices them only at flush time, so these
-tests read energy through ``telemetry_view()`` (or the accountant after
-``finalize()``), never straight after a sink call.
+Routers record an event by bumping the binding's per-node counter list
+and, when the flit carries a payload, handing it to ``observe()``;
+``record`` below does exactly that.  The binding prices the counters
+only at flush time, so these tests read energy through
+``telemetry_view()`` (or the accountant after ``finalize()``).
 """
 
 import pytest
@@ -20,6 +22,19 @@ def binding(kind="wormhole", **kwargs):
         else small_config(kind).with_(activity_mode=kwargs["activity_mode"])
     acc = EnergyAccountant(cfg.num_nodes)
     return PowerBinding(cfg, acc), acc
+
+
+#: The counter list each event bumps.
+COUNTERS = {ev.BUFFER_WRITE: "n_buf_write", ev.BUFFER_READ: "n_buf_read",
+            ev.XBAR_TRAVERSAL: "n_xbar", ev.LINK_TRAVERSAL: "n_link",
+            ev.CB_WRITE: "n_cb_write", ev.CB_READ: "n_cb_read"}
+
+
+def record(b, event, node, port=0, payload=None):
+    """One event as a router records it."""
+    getattr(b, COUNTERS[event])[node] += 1
+    if payload is not None:
+        b.observe(node, event, port, payload)
 
 
 def energy(b, component):
@@ -45,8 +60,8 @@ def count(b, event, node=None):
 class TestAverageMode:
     def test_buffer_write_deposits_constant_energy(self):
         b, acc = binding()
-        b.buffer_write(3, 0, None)
-        b.buffer_write(3, 1, None)
+        record(b, ev.BUFFER_WRITE, 3, 0)
+        record(b, ev.BUFFER_WRITE, 3, 1)
         expected = 2 * b.buffer_model.write_energy()
         assert energy(b, ev.INPUT_BUFFER) == close(expected)
         assert count(b, ev.BUFFER_WRITE, node=3) == 2
@@ -57,24 +72,24 @@ class TestAverageMode:
 
     def test_buffer_read_energy(self):
         b, _ = binding()
-        b.buffer_read(0)
+        record(b, ev.BUFFER_READ, 0)
         assert energy(b, ev.INPUT_BUFFER) == close(
             b.buffer_model.read_energy())
 
     def test_xbar_traversal(self):
         b, _ = binding()
-        b.xbar_traversal(0, 2, None)
+        record(b, ev.XBAR_TRAVERSAL, 0, 2)
         assert energy(b, ev.CROSSBAR) == close(
             b.crossbar_model.traversal_energy())
 
     def test_arbitration_kinds_use_their_tables(self):
         b, _ = binding("vc")
-        b.arbitration(0, "switch", 3)
+        b.n_arb["switch"][0][3] += 1
         switch = energy(b, ev.ARBITER)
         assert switch == close(
             b.switch_arbiter_model.arbitration_energy(3))
-        b.arbitration(0, "vc", 2)
-        b.arbitration(0, "local", 1)
+        b.n_arb["vc"][0][2] += 1
+        b.n_arb["local"][0][1] += 1
         assert count(b, ev.ARBITRATION) == 3
 
     def test_switch_arbitration_includes_crossbar_control(self):
@@ -83,20 +98,23 @@ class TestAverageMode:
         assert b.vc_arbiter_model.xbar_control_energy == 0
 
     def test_unknown_arbitration_kind(self):
+        """Only the router's arbiter kinds have counters: bumping any
+        other kind fails loudly instead of going unpriced."""
         b, _ = binding()
-        with pytest.raises(ValueError):
-            b.arbitration(0, "psychic", 1)
+        assert sorted(b.n_arb) == ["local", "switch", "vc"]
+        with pytest.raises(KeyError):
+            b.n_arb["psychic"][0][1] += 1
 
     def test_link_traversal_on_chip(self):
         b, _ = binding()
-        b.link_traversal(0, 1, None)
+        record(b, ev.LINK_TRAVERSAL, 0, 1)
         assert energy(b, ev.LINK) == close(
             b.link_model.traversal_energy())
 
     def test_cb_events_only_for_central(self):
         b, _ = binding("central")
-        b.cb_write(0, None)
-        b.cb_read(0, None)
+        record(b, ev.CB_WRITE, 0)
+        record(b, ev.CB_READ, 0)
         expected = b.central_model.write_energy() + \
             b.central_model.read_energy()
         assert energy(b, ev.CENTRAL_BUFFER) == close(expected)
@@ -109,34 +127,36 @@ class TestAverageMode:
 class TestDataMode:
     def test_buffer_write_uses_hamming_history(self):
         b, _ = binding(activity_mode="data")
-        b.buffer_write(0, 0, 0b1111)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0b1111)
         first = energy(b, ev.INPUT_BUFFER)
         assert first == close(b.buffer_model.write_energy())
-        b.buffer_write(0, 0, 0b1111)  # identical payload: wordline only
+        # Identical payload: wordline only.
+        record(b, ev.BUFFER_WRITE, 0, 0, 0b1111)
         second = energy(b, ev.INPUT_BUFFER) - first
         assert second < first
         assert second == close(b.buffer_model.write_energy(1, 1))
-        b.buffer_write(0, 0, 0b0101)  # two bits flip
+        record(b, ev.BUFFER_WRITE, 0, 0, 0b0101)  # two bits flip
         third = energy(b, ev.INPUT_BUFFER) - first - second
         assert third == close(
             b.buffer_model.write_energy(0b1111, 0b0101))
 
     def test_histories_are_per_port(self):
         b, _ = binding(activity_mode="data")
-        b.buffer_write(0, 0, 0xFF)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xFF)
         before = energy(b, ev.INPUT_BUFFER)
         # Different port: no history, falls back to its own first write.
-        b.buffer_write(0, 1, 0xFF)
+        record(b, ev.BUFFER_WRITE, 0, 1, 0xFF)
         after = energy(b, ev.INPUT_BUFFER)
-        b.buffer_write(0, 0, 0xFF)  # same port, same data: cheap
+        # Same port, same data: cheap.
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xFF)
         cheap = energy(b, ev.INPUT_BUFFER) - after
         assert cheap < after - before
 
     def test_link_payload_tracking(self):
         b, _ = binding(activity_mode="data")
-        b.link_traversal(0, 1, 0b1010)
+        record(b, ev.LINK_TRAVERSAL, 0, 1, 0b1010)
         first = energy(b, ev.LINK)
-        b.link_traversal(0, 1, 0b1010)
+        record(b, ev.LINK_TRAVERSAL, 0, 1, 0b1010)
         # Identical payload: no wire toggles, the second flit is free.
         assert energy(b, ev.LINK) == close(first)
 
@@ -145,10 +165,10 @@ class TestDataMode:
         last payload on each wire: the first measured write is priced
         against it, not as a first sighting."""
         b, _ = binding(activity_mode="data")
-        b.buffer_write(0, 0, 0xAB)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xAB)
         b.reset()
         assert energy(b, ev.INPUT_BUFFER) == 0.0
-        b.buffer_write(0, 0, 0xAB)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xAB)
         assert energy(b, ev.INPUT_BUFFER) == close(
             b.buffer_model.write_energy(0xAB, 0xAB))
 
@@ -156,10 +176,10 @@ class TestDataMode:
         """A brand-new run starts with empty wires: the first write is a
         first sighting, priced at the average-mode constant."""
         b, _ = binding(activity_mode="data")
-        b.buffer_write(0, 0, 0xAB)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xAB)
         b.reset_run()
         assert energy(b, ev.INPUT_BUFFER) == 0.0
-        b.buffer_write(0, 0, 0xAB)
+        record(b, ev.BUFFER_WRITE, 0, 0, 0xAB)
         assert energy(b, ev.INPUT_BUFFER) == close(
             b.buffer_model.write_energy())
 
@@ -191,12 +211,12 @@ class TestNullBinding:
     def test_all_methods_are_noops(self):
         cfg = small_config("central")
         nb = NullBinding(cfg)
-        nb.buffer_write(0, 0, None)
-        nb.buffer_read(0)
-        nb.xbar_traversal(0, 0, 5)
-        nb.arbitration(0, "switch", 1)
-        nb.link_traversal(0, 0, None)
-        nb.cb_write(0, None)
-        nb.cb_read(0, None)
+        record(nb, ev.BUFFER_WRITE, 0, 0)
+        record(nb, ev.BUFFER_READ, 0)
+        record(nb, ev.XBAR_TRAVERSAL, 0, 0, 5)
+        nb.n_arb["switch"][0][1] += 1
+        record(nb, ev.LINK_TRAVERSAL, 0, 0)
+        record(nb, ev.CB_WRITE, 0)
+        record(nb, ev.CB_READ, 0)
         nb.finalize(100, [4])
         assert nb.telemetry_view() == (None, None)

@@ -121,8 +121,10 @@ class TestPopcountReference:
         binding = PowerBinding(cfg, EnergyAccountant(cfg.num_nodes))
         node, port = 5, 2
         for payload in payloads:
-            binding.link_traversal(node, port, payload)
-            binding.buffer_write(node, port, payload)
+            for event, counts in ((ev.LINK_TRAVERSAL, binding.n_link),
+                                  (ev.BUFFER_WRITE, binding.n_buf_write)):
+                counts[node] += 1
+                binding.observe(node, event, port, payload)
         distances = [_reference_popcount(a ^ b)
                      for a, b in zip(payloads, payloads[1:])]
         folded = [min(d, width - d) for d in distances] \
@@ -308,17 +310,27 @@ class TestAffineInSwitching:
             link=LinkConfig(kind="on_chip", length_mm=1.0,
                             encoding=encoding))
         binding = PowerBinding(cfg, EnergyAccountant(cfg.num_nodes))
+
+        def site(counts, event, node, port):
+            """One event as a router records it: a counter bump, and
+            the payload to ``observe`` when there is one."""
+            def sink(payload):
+                counts[node] += 1
+                if payload is not None:
+                    binding.observe(node, event, port, payload)
+            return sink
+
         sites = [
-            (lambda p: binding.buffer_write(0, 0, p), 0, ev.INPUT_BUFFER,
-             binding.buffer_model.write_energy),
-            (lambda p: binding.xbar_traversal(0, 1, p), 0, ev.CROSSBAR,
-             binding.crossbar_model.traversal_energy),
-            (lambda p: binding.link_traversal(0, 1, p), 0, ev.LINK,
+            (site(binding.n_buf_write, ev.BUFFER_WRITE, 0, 0), 0,
+             ev.INPUT_BUFFER, binding.buffer_model.write_energy),
+            (site(binding.n_xbar, ev.XBAR_TRAVERSAL, 0, 1), 0,
+             ev.CROSSBAR, binding.crossbar_model.traversal_energy),
+            (site(binding.n_link, ev.LINK_TRAVERSAL, 0, 1), 0, ev.LINK,
              binding.link_model.traversal_energy),
-            (lambda p: binding.cb_write(0, p), 0, ev.CENTRAL_BUFFER,
-             binding.central_model.write_energy),
-            (lambda p: binding.cb_read(1, p), 1, ev.CENTRAL_BUFFER,
-             binding.central_model.read_energy),
+            (site(binding.n_cb_write, ev.CB_WRITE, 0, 0), 0,
+             ev.CENTRAL_BUFFER, binding.central_model.write_energy),
+            (site(binding.n_cb_read, ev.CB_READ, 1, 0), 1,
+             ev.CENTRAL_BUFFER, binding.central_model.read_energy),
         ]
         for sink, node, component, energy in sites:
             before = _view_energy(binding, node, component)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim.routing import dimension_ordered_route, route_hops, route_nodes
-from repro.sim.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Mesh, Torus
+from repro.sim.routing import (TIE_BREAKS, RouteTable,
+                                dimension_ordered_route, route_hops,
+                                route_nodes)
+from repro.sim.topology import EAST, LOCAL, NORTH, SOUTH, Mesh, Torus
 
 
 class TestBasics:
@@ -134,3 +136,44 @@ class TestRouteNodes:
         assert nodes[0] == src
         assert nodes[-1] == dst
         assert len(nodes) == route_hops(route) + 1
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("grid", [Torus, Mesh])
+    def test_tables_give_every_dimension_ordered_route(self, grid, shape,
+                                                       tie_break):
+        topo = grid(*shape)
+        table = RouteTable(topo, tie_break)
+        for src in range(topo.num_nodes):
+            for dst in range(topo.num_nodes):
+                if src != dst:
+                    assert table.route(src, dst) == tuple(
+                        dimension_ordered_route(topo, src, dst, tie_break))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 4), (16, 16), (32, 8)])
+    def test_table_size_grows_with_sides_not_node_pairs(self, shape):
+        width, height = shape
+        table = RouteTable(Torus(width, height), "even")
+        assert table.entries == 2 * (width ** 2 + height ** 2)
+        # Every node's rows point into the shared tables: no segment
+        # is stored per node or per node pair.
+        stored = {id(segment)
+                  for rows in (table._y_rows, table._x_rows)
+                  for row in rows for segment in row}
+        assert len(stored) <= table.entries
+        nodes = width * height
+        assert table.entries < nodes * (nodes - 1)
+
+    def test_routes_are_immutable_tuples(self):
+        route = RouteTable(Torus(4)).route(0, 5)
+        assert isinstance(route, tuple)
+        with pytest.raises(TypeError):
+            route[0] = LOCAL
+
+    def test_rejects_self_route_and_unknown_tie_break(self):
+        with pytest.raises(ValueError):
+            RouteTable(Torus(4)).route(3, 3)
+        with pytest.raises(ValueError):
+            RouteTable(Torus(4), tie_break="coin_flip")

@@ -24,7 +24,6 @@ from repro.exp import config_to_dict
 from repro.serve import (
     GatewayApp,
     GatewayConfig,
-    Job,
     JobError,
     JobJournal,
     JobNotFound,

@@ -1,7 +1,5 @@
 """Unit tests for the technology substrate (Cg/Cd/Cw primitives)."""
 
-import math
-
 import pytest
 
 from repro.tech import Technology

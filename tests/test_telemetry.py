@@ -8,7 +8,6 @@ rendering, and the CLI integration.
 
 import csv
 import json
-import math
 
 import pytest
 

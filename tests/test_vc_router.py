@@ -24,7 +24,7 @@ def deliver(network, src, dst, max_cycles=300):
 
 def log_arrivals(router, log):
     """Record the VC of every flit ``router`` drains off its input
-    channels (the arrival phase inlines ``accept_flit``)."""
+    channels, just before its arrival phase drains them."""
     original = router.arrival_phase
 
     def wrapped(cycle):

@@ -1,10 +1,7 @@
 """Behavioural tests for the wormhole router."""
 
-import pytest
-
 from repro.sim.network import Network
 from repro.sim.stats import zero_load_latency_estimate
-from repro.sim.topology import LOCAL
 
 from tests.conftest import small_config
 
@@ -69,23 +66,21 @@ class TestConnections:
         their flits never interleave on the link."""
         network = net()
         topo = network.topo
-        src_a = topo.node_at(0, 0)
-        src_b = topo.node_at(1, 0)
-        # Both converge at (1, 1) then go north to (1, 2):
+        src_a = topo.node_at(1, 0)
+        src_b = topo.node_at(1, 1)
+        # Both leave (1, 1) north to (1, 2), on the one wire into dst:
         dst = topo.node_at(1, 2)
         seen = []
-        mid = topo.node_at(1, 1)
-        original_accept = network.routers[topo.node_at(1, 2)].accept_flit
-
-        def spy(port, flit):
-            seen.append(flit.packet.packet_id)
-            original_accept(port, flit)
-
-        network.routers[topo.node_at(1, 2)].accept_flit = spy
+        wires = [c for c in network.routers[dst].in_channels
+                 if c is not None]
         network.create_packet(src=src_a, dst=dst, cycle=0)
         network.create_packet(src=src_b, dst=dst, cycle=0)
         for _ in range(100):
             network.step()
+            # A flit sent this cycle sits on its wire until the next
+            # cycle's arrival phase: one sighting per flit.
+            seen += [c._flit.packet.packet_id for c in wires
+                     if c.busy]
         assert len(seen) == 6
         # Whole packets: first three ids equal, last three equal.
         assert len(set(seen[:3])) == 1
@@ -95,8 +90,8 @@ class TestConnections:
 class TestCredits:
     def test_backpressure_blocks_at_full_buffer(self):
         """With a blocked downstream FIFO the sender stops exactly at
-        zero credits — never overflows (the accept_flit guard would
-        raise)."""
+        zero credits — never overflows (the arrival phase's buffer
+        overflow guard would raise)."""
         network = net(buffer_depth=2)
         topo = network.topo
         # A long packet stream into one column saturates buffers.
