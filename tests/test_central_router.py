@@ -125,10 +125,14 @@ class TestHeadOfLine:
         seen = []
         wires = [c for c in network.routers[dst].in_channels
                  if c is not None]
-        # Both leave (1, 1) north to (1, 2), on the one wire into dst.
+        # Both leave (1, 1) north to (1, 2), on the one wire into dst;
+        # the second starts two cycles later, so its flits enter (1, 1)'s
+        # central buffer while the first packet's are arriving.
         network.create_packet(src=topo.node_at(1, 0), dst=dst, cycle=0)
-        network.create_packet(src=topo.node_at(1, 1), dst=dst, cycle=0)
-        for _ in range(200):
+        for cycle in range(200):
+            if cycle == 2:
+                network.create_packet(src=topo.node_at(1, 1), dst=dst,
+                                      cycle=cycle)
             network.step()
             # A flit sent this cycle sits on its wire until the next
             # cycle's arrival phase: one sighting per flit.
